@@ -1,10 +1,12 @@
 /// \file test_cer.cpp
 /// The timed-pattern query subsystem: parser, compiler, runtime acceptor,
-/// reference evaluator, and the compiled-vs-reference differential
-/// property (standalone and through SessionManager at 1 and 8 shards).
+/// reference evaluator, the compiled-vs-reference differential property
+/// (standalone and through SessionManager at 1 and 8 shards), and a
+/// RunResult-exact differential against the earlier config-set runtime.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <string>
@@ -187,6 +189,106 @@ TEST(CerCompile, LimitsRefuseStructuralBlowups) {
   EXPECT_FALSE(cer::compile(cer::Query{}).ok());  // empty query
 }
 
+namespace {
+
+/// a ; a ; ... with `leaves` positions: leaves + 1 states.
+cer::Query chain_of(int leaves) {
+  cer::Query q = cer::chr('a');
+  for (int i = 1; i < leaves; ++i) q = cer::seq(std::move(q), cer::chr('a'));
+  return q;
+}
+
+/// `depth` nested within(1){ ... } around a single `a`.
+cer::Query nested_windows(int depth) {
+  cer::Query q = cer::chr('a');
+  for (int i = 0; i < depth; ++i) q = cer::within(1, std::move(q));
+  return q;
+}
+
+}  // namespace
+
+TEST(CerCompile, StateLimitBoundsNumStatesExactly) {
+  // max_states counts the start state: 255 leaves make 256 states.
+  const auto at_limit = cer::compile(chain_of(255));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.error;
+  EXPECT_EQ(at_limit.compiled->num_states, 256u);
+  const auto over = cer::compile(chain_of(256));
+  ASSERT_FALSE(over.ok());
+  EXPECT_NE(over.error.find("state limit"), std::string::npos);
+
+  const cer::CompileLimits three{.max_states = 3};
+  EXPECT_TRUE(cer::compile(chain_of(2), three).ok());
+  EXPECT_FALSE(cer::compile(chain_of(3), three).ok());
+}
+
+TEST(CerCompile, ClockLimitIsCappedAtTheMaskWidth) {
+  const cer::CompileLimits wide{.max_clocks = 64};
+  const auto at_cap = cer::compile(nested_windows(32), wide);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.error;
+  EXPECT_EQ(at_cap.compiled->num_clocks, cer::kMaxClocks);
+  const auto over = cer::compile(nested_windows(33), wide);
+  ASSERT_FALSE(over.ok());
+  EXPECT_NE(over.error.find("clock limit"), std::string::npos);
+  // A lower limit still applies below the cap.
+  EXPECT_FALSE(cer::compile(nested_windows(3),
+                            cer::CompileLimits{.max_clocks = 2})
+                   .ok());
+}
+
+TEST(CerCompile, MasksEncodeWindowGuardsAndEntryResets) {
+  // within(5){ a ; b } ; c: clock 0 reset entering a, guarding a->b only.
+  const auto q = must_compile(*cer::parse("within(5){ a ; b } ; c").query);
+  ASSERT_EQ(q.num_clocks, 1u);
+  ASSERT_EQ(q.window.size(), 1u);
+  EXPECT_EQ(q.window[0], 5u);
+  ASSERT_EQ(q.transitions.size(), 3u);
+  for (const auto& t : q.transitions) {
+    const char to = t.pred.sym.as_char();
+    EXPECT_EQ(t.reset_mask, to == 'a' ? 1u : 0u) << to;
+    EXPECT_EQ(t.guard_mask, to == 'b' ? 1u : 0u) << to;
+  }
+}
+
+TEST(CerCompile, ClassRangesPartitionEveryStatesMatchingEdges) {
+  const auto q = must_compile(
+      *cer::parse("(a | . | 7 | <m> | b ; a)+ ; (<m> | 7 | c)").query);
+  const std::vector<Symbol> probes{Symbol::chr('a'), Symbol::chr('b'),
+                                   Symbol::chr('c'), Symbol::chr('e'),
+                                   Symbol::nat(7),   Symbol::nat(8),
+                                   Symbol::marker("m"), Symbol::marker("n")};
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const bool named = c == 'a' || c == 'b' || c == 'c';
+    EXPECT_EQ(q.classify(Symbol::chr(c)) != 0, named) << b;
+    EXPECT_EQ(q.classify(Symbol::chr(c)), q.char_class[b]) << b;
+  }
+  EXPECT_EQ(q.classify(Symbol::chr('e')), 0u);
+  EXPECT_EQ(q.classify(Symbol::nat(8)), 0u);
+  EXPECT_EQ(q.classify(Symbol::marker("n")), 0u);
+  EXPECT_NE(q.classify(Symbol::nat(7)), q.classify(Symbol::marker("m")));
+  EXPECT_EQ(q.num_classes, 6u);  // other, a, b, c, 7, <m>
+  for (cer::StateId s = 0; s < q.num_states; ++s) {
+    for (const Symbol& sym : probes) {
+      std::vector<cer::StateId> expected, flat;
+      const auto [begin, end] = q.out_range(s);
+      for (std::uint32_t i = begin; i < end; ++i)
+        if (q.transitions[i].pred.matches(sym))
+          expected.push_back(q.transitions[i].to);
+      for (const auto& [b, e] :
+           {q.wildcard_range(s), q.class_range(s, q.classify(sym))})
+        for (std::uint32_t i = b; i < e; ++i) {
+          EXPECT_GE(i, begin);
+          EXPECT_LT(i, end);
+          flat.push_back(q.transitions[i].to);
+        }
+      std::sort(expected.begin(), expected.end());
+      std::sort(flat.begin(), flat.end());
+      EXPECT_EQ(flat, expected) << "state " << s << " symbol "
+                                << sym.to_string();
+    }
+  }
+}
+
 // ===================================================== 3. runtime acceptor
 
 TEST(CerAcceptor, AnchoredSequenceSemantics) {
@@ -293,12 +395,33 @@ TEST(CerReference, MatchesHandEvaluatedExamples) {
 
 namespace {
 
-/// Random query AST over the word generators' alphabet ('a'..'d' plus
-/// the wildcard), node count bounded by `budget`.
+/// A symbol from the generators' alphabet: mostly 'a'..'d', sometimes a
+/// Nat (0, 1) or a marker (<m>, <n>).  `foreign` also allows symbols no
+/// query names ('e', Nat 2, <o>): they land in the "other" class.
+Symbol random_symbol(rtw::sim::Xoshiro256ss& rng, bool foreign) {
+  const std::uint64_t kinds = foreign ? 10 : 8;
+  switch (rng.uniform(kinds)) {
+    case 0:
+      return Symbol::nat(rng.uniform(std::uint64_t{2}));
+    case 1:
+      return Symbol::marker(rng.uniform(std::uint64_t{2}) == 0 ? "m" : "n");
+    case 8:
+      return rng.uniform(std::uint64_t{2}) == 0 ? Symbol::chr('e')
+                                                 : Symbol::marker("o");
+    case 9:
+      return Symbol::nat(2);
+    default:
+      return Symbol::chr(
+          static_cast<char>('a' + rng.uniform(std::uint64_t{4})));
+  }
+}
+
+/// Random query AST over the word generators' alphabet (random_symbol
+/// plus the wildcard), node count bounded by `budget`.
 cer::Query random_query(rtw::sim::Xoshiro256ss& rng, std::size_t budget) {
   if (budget <= 1 || rng.uniform(std::uint64_t{4}) == 0) {
     if (rng.uniform(std::uint64_t{5}) == 0) return cer::any();
-    return cer::chr(static_cast<char>('a' + rng.uniform(std::uint64_t{4})));
+    return cer::sym(random_symbol(rng, false));
   }
   switch (rng.uniform(std::uint64_t{4})) {
     case 0: {
@@ -319,18 +442,36 @@ cer::Query random_query(rtw::sim::Xoshiro256ss& rng, std::size_t budget) {
   }
 }
 
+/// The symbols `node`'s exact predicates name, with repeats.
+void leaf_symbols(const cer::NodeRef& node, std::vector<Symbol>& out) {
+  if (!node) return;
+  if (node->kind == cer::Node::Kind::Sym &&
+      node->pred.kind == cer::SymbolPred::Kind::Exact)
+    out.push_back(node->pred.sym);
+  leaf_symbols(node->left, out);
+  leaf_symbols(node->right, out);
+}
+
 /// Random monotone word, then fault-style mutations that preserve
 /// monotonicity: drops, duplicates (same timestamp), and cumulative
 /// delay jitter -- the wire-level fault modes as seen by one session.
+/// Three symbols in four are drawn from the ones `query` names, so
+/// matches survive past the first few elements; the rest come from the
+/// whole alphabet, foreign symbols included.
 std::vector<TimedSymbol> random_mutated_word(rtw::sim::Xoshiro256ss& rng,
-                                             std::size_t size) {
+                                             std::size_t size,
+                                             const cer::Query& query) {
+  std::vector<Symbol> named;
+  leaf_symbols(query.root(), named);
   std::vector<TimedSymbol> word;
   const std::size_t len = rng.uniform(size + 1);
   Tick t = rng.uniform(std::uint64_t{4});
   for (std::size_t i = 0; i < len; ++i) {
     t += rng.uniform(std::uint64_t{4});
-    word.push_back({Symbol::chr(static_cast<char>(
-                        'a' + rng.uniform(std::uint64_t{4}))),
+    const bool pick_named =
+        !named.empty() && rng.uniform(std::uint64_t{4}) != 0;
+    word.push_back({pick_named ? named[rng.uniform(named.size())]
+                               : random_symbol(rng, true),
                     t});
   }
   std::vector<TimedSymbol> mutated;
@@ -359,7 +500,7 @@ TEST(CerDifferential, CompiledAcceptorAgreesWithReferenceOnEveryPrefix) {
             random_query(rng, 2 + rng.uniform(std::uint64_t{8}));
         auto compiled = cer::compile(query);
         if (!compiled.ok()) return std::nullopt;  // limits are not a bug
-        const auto word = random_mutated_word(rng, size);
+        const auto word = random_mutated_word(rng, size, query);
 
         // The canonical rendering must parse back to an equivalent query.
         auto reparsed = cer::parse(query.to_string());
@@ -407,6 +548,232 @@ TEST(CerDifferential, CompiledAcceptorAgreesWithReferenceOnEveryPrefix) {
 
 namespace {
 
+using rtw::automata::ClockConstraint;
+using rtw::automata::ClockId;
+
+/// The compiled table in its earlier shape: a ClockConstraint guard and
+/// a reset list per transition, rebuilt from the masks.
+struct LegacyQuery {
+  struct Transition {
+    cer::StateId from = 0;
+    cer::StateId to = 0;
+    cer::SymbolPred pred;
+    ClockConstraint guard = ClockConstraint::top();
+    std::vector<ClockId> resets;
+  };
+
+  explicit LegacyQuery(const cer::CompiledQuery& q)
+      : num_states(q.num_states),
+        num_clocks(q.num_clocks),
+        clock_cap(q.clock_cap),
+        first_out(q.first_out),
+        accepting(q.accepting) {
+    for (const auto& t : q.transitions) {
+      Transition lt{t.from, t.to, t.pred, ClockConstraint::top(), {}};
+      for (ClockId g = 0; g < q.num_clocks; ++g) {
+        if ((t.guard_mask >> g) & 1u)
+          lt.guard = lt.guard && ClockConstraint::le(g, q.window[g]);
+        if ((t.reset_mask >> g) & 1u) lt.resets.push_back(g);
+      }
+      transitions.push_back(std::move(lt));
+    }
+  }
+
+  std::uint32_t num_states = 0;
+  ClockId num_clocks = 0;
+  rtw::automata::ClockValue clock_cap = 1;
+  std::vector<Transition> transitions;
+  std::vector<std::uint32_t> first_out;
+  std::vector<bool> accepting;
+
+  std::pair<std::uint32_t, std::uint32_t> out_range(cer::StateId s) const {
+    return {first_out[s], first_out[s + 1]};
+  }
+};
+
+/// The config-set acceptor as it stood before the flat runtime, kept
+/// verbatim as an oracle: per-edge predicate tests, ClockConstraint
+/// guards, a heap valuation per configuration and a linear dedup scan.
+class LegacyCerAcceptor {
+public:
+  explicit LegacyCerAcceptor(LegacyQuery compiled)
+      : compiled_(std::move(compiled)) {
+    reset();
+  }
+
+  void reset() {
+    configs_.clear();
+    configs_.push_back(
+        Config{0, rtw::automata::ClockValuation(compiled_.num_clocks, 0)});
+    next_.clear();
+    verdict_ = Verdict::Undetermined;
+    result_ = {};
+    last_time_ = 0;
+    any_fed_ = false;
+    finished_ = false;
+  }
+
+  Verdict feed(Symbol symbol, Tick at) {
+    if (finished_ || rtw::core::final_verdict(verdict_)) return verdict_;
+    if (any_fed_ && at < last_time_) {
+      throw rtw::core::ModelError("CerAcceptor: non-monotone feed time");
+    }
+    step(symbol, at);
+    last_time_ = at;
+    any_fed_ = true;
+    ++result_.symbols_consumed;
+    result_.ticks = at;
+    if (configs_.empty()) {
+      verdict_ = Verdict::Rejecting;
+      result_.accepted = false;
+      result_.exact = true;
+    } else if (any_accepting()) {
+      ++result_.f_count;
+      if (!result_.first_f) result_.first_f = at;
+    }
+    return verdict_;
+  }
+
+  Verdict finish(StreamEnd end) {
+    if (finished_) return verdict_;
+    finished_ = true;
+    if (rtw::core::final_verdict(verdict_)) return verdict_;
+    const bool accepted = any_accepting();
+    verdict_ = accepted ? Verdict::Accepting : Verdict::Rejecting;
+    result_.accepted = accepted;
+    result_.exact = (end == StreamEnd::EndOfWord);
+    return verdict_;
+  }
+
+  Verdict verdict() const { return verdict_; }
+  const rtw::core::RunResult& result() const { return result_; }
+
+private:
+  struct Config {
+    cer::StateId state = 0;
+    rtw::automata::ClockValuation clocks;
+  };
+
+  static bool dominates(const rtw::automata::ClockValuation& lo,
+                        const rtw::automata::ClockValuation& hi) {
+    for (std::size_t i = 0; i < lo.size(); ++i) {
+      if (lo[i] > hi[i]) return false;
+    }
+    return true;
+  }
+
+  void step(Symbol symbol, Tick at) {
+    const Tick elapsed = any_fed_ ? at - last_time_ : 0;
+    next_.clear();
+    for (const Config& c : configs_) {
+      rtw::automata::ClockValuation nu =
+          rtw::automata::advance(c.clocks, elapsed, compiled_.clock_cap);
+      const auto [begin, end] = compiled_.out_range(c.state);
+      for (std::uint32_t i = begin; i < end; ++i) {
+        const auto& t = compiled_.transitions[i];
+        if (!t.pred.matches(symbol)) continue;
+        if (!t.guard.satisfied(nu)) continue;
+        Config succ{t.to, rtw::automata::reset(nu, t.resets)};
+        bool subsumed = false;
+        for (Config& existing : next_) {
+          if (existing.state != succ.state) continue;
+          if (dominates(existing.clocks, succ.clocks)) {
+            subsumed = true;
+            break;
+          }
+          if (dominates(succ.clocks, existing.clocks)) {
+            existing.clocks = succ.clocks;
+            subsumed = true;  // replaced in place
+            break;
+          }
+        }
+        if (!subsumed) next_.push_back(std::move(succ));
+      }
+    }
+    configs_.swap(next_);
+  }
+
+  bool any_accepting() const {
+    return std::any_of(configs_.begin(), configs_.end(), [&](const Config& c) {
+      return compiled_.accepting[c.state];
+    });
+  }
+
+  LegacyQuery compiled_;
+  std::vector<Config> configs_;
+  std::vector<Config> next_;
+  Verdict verdict_ = Verdict::Undetermined;
+  rtw::core::RunResult result_;
+  Tick last_time_ = 0;
+  bool any_fed_ = false;
+  bool finished_ = false;
+};
+
+/// Empty when `flat` and `legacy` agree on the verdict and every
+/// RunResult field, otherwise what differs.
+std::optional<std::string> diff_runs(const cer::CerAcceptor& flat,
+                                     const LegacyCerAcceptor& legacy) {
+  const auto& a = flat.result();
+  const auto& b = legacy.result();
+  std::string out;
+  if (flat.verdict() != legacy.verdict()) out += " verdict";
+  if (a.symbols_consumed != b.symbols_consumed) out += " symbols_consumed";
+  if (a.ticks != b.ticks) out += " ticks";
+  if (a.f_count != b.f_count) out += " f_count";
+  if (a.first_f != b.first_f) out += " first_f";
+  if (a.exact != b.exact) out += " exact";
+  if (a.accepted != b.accepted) out += " accepted";
+  if (out.empty()) return std::nullopt;
+  return "differs in" + out;
+}
+
+}  // namespace
+
+TEST(CerOracle, FlatRuntimeMatchesLegacyRunResultsAfterEveryFeed) {
+  rtw::proptest::Config cfg;
+  cfg.cases = 500;
+  cfg.max_size = 32;
+  cfg.seed ^= 0x0ac1e;
+  const auto result = rtw::proptest::run_property(
+      "cer_flat_vs_legacy", cfg,
+      [](rtw::sim::Xoshiro256ss& rng,
+         std::size_t size) -> std::optional<std::string> {
+        const cer::Query query =
+            random_query(rng, 2 + rng.uniform(std::uint64_t{10}));
+        auto compiled = cer::compile(query);
+        if (!compiled.ok()) return std::nullopt;  // limits are not a bug
+        const auto word = random_mutated_word(rng, size, query);
+        const StreamEnd end = rng.bernoulli(0.5) ? StreamEnd::EndOfWord
+                                                 : StreamEnd::Truncated;
+
+        cer::CerAcceptor flat(*compiled.compiled);
+        LegacyCerAcceptor legacy{LegacyQuery(*compiled.compiled)};
+        // Two passes over the same word: the second checks reset().
+        for (int pass = 0; pass < 2; ++pass) {
+          for (std::size_t i = 0; i < word.size(); ++i) {
+            flat.feed(word[i].sym, word[i].time);
+            legacy.feed(word[i].sym, word[i].time);
+            if (auto d = diff_runs(flat, legacy))
+              return *d + " after element " + std::to_string(i) +
+                     " (pass " + std::to_string(pass) + ") of query " +
+                     query.to_string();
+          }
+          flat.finish(end);
+          legacy.finish(end);
+          if (auto d = diff_runs(flat, legacy))
+            return *d + " after finish of query " + query.to_string();
+          flat.reset();
+          legacy.reset();
+        }
+        return std::nullopt;
+      });
+  EXPECT_TRUE(result.ok()) << rtw::proptest::describe("cer_flat_vs_legacy",
+                                                      cfg, *result.failure);
+  EXPECT_EQ(result.cases_run, cfg.cases);
+}
+
+namespace {
+
 /// The same differential, but the compiled side runs as real
 /// SessionManager sessions opened through SubmitQuery wire events.
 void run_shard_differential(unsigned shards) {
@@ -431,7 +798,7 @@ void run_shard_differential(unsigned shards) {
         const cer::Query query =
             random_query(rng, 2 + rng.uniform(std::uint64_t{8}));
         if (!cer::compile(query).ok()) return std::nullopt;
-        const auto word = random_mutated_word(rng, size);
+        const auto word = random_mutated_word(rng, size, query);
 
         const rtw::svc::SessionId id = next_id++;
         rtw::svc::WireEvent open;
