@@ -46,14 +46,26 @@ std::string_view to_string(LaneFamily family) noexcept;
 
 /// The ingress hygiene state of one session (rtw::svc::Session's stale
 /// filter), exposed as a POD so a kernel can update it in SIMD registers.
-/// Semantics are Session::feed's: an element strictly below the high-water
-/// mark is dropped and counted stale; anything else advances the mark and
-/// counts as fed.
 struct LaneFilter {
   Tick high_water = 0;
   std::uint64_t fed = 0;
   std::uint64_t stale = 0;
   bool any = false;  ///< false until the first element passes the filter
+
+  /// The filter's scalar rule: an element strictly below the high-water
+  /// mark is dropped and counted stale (false); anything else advances the
+  /// mark and counts as fed (true).  The SIMD kernels keep the same rule
+  /// in register form.
+  bool admit(Tick at) noexcept {
+    if (any && at < high_water) {
+      ++stale;
+      return false;
+    }
+    high_water = at;
+    any = true;
+    ++fed;
+    return true;
+  }
 };
 
 /// One lane's unit of work: a run of timed elements plus the session state

@@ -203,15 +203,8 @@ inline void lane_hot_finish(DeadlineLaneState& s, core::StreamEnd end) noexcept 
 inline void lane_step_element(core::LaneFilter& filter, DeadlineLaneState& s,
                               const core::TimedSymbol& ts,
                               std::uint64_t d_id) noexcept {
-  const core::Tick t = ts.time;
-  if (filter.any && t < filter.high_water) {
-    ++filter.stale;
-    return;
-  }
-  filter.high_water = t;
-  filter.any = true;
-  ++filter.fed;
-  lane_hot_feed(s, lane_raw_kind(ts), lane_raw_value(ts), t, d_id);
+  if (filter.admit(ts.time))
+    lane_hot_feed(s, lane_raw_kind(ts), lane_raw_value(ts), ts.time, d_id);
 }
 
 /// \name Kernel entry points (one TU per ISA; see deadline/src/lane_*.cpp)

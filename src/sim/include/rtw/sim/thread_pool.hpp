@@ -19,9 +19,7 @@
 ///
 /// (Historically lived in rtw::par; moved into the sim infrastructure
 /// layer when the execution engine was introduced so that rtw_engine ->
-/// rtw_parallel -> rtw_engine never becomes a cycle.  The old
-/// rtw/par/thread_pool.hpp alias has been removed; only an #error
-/// tombstone remains there.)
+/// rtw_parallel -> rtw_engine never becomes a cycle.)
 
 #include <atomic>
 #include <condition_variable>

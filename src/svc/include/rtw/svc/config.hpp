@@ -6,9 +6,9 @@
 /// owners -- how the shard workers run, how the bounded ingress admits,
 /// and how a transport behaves -- assembled into one `ServerConfig`:
 ///
-///   ShardConfig    worker count, drain batching, eviction, lane kernel
+///   ShardConfig    worker count, eviction, lane kernel
 ///   IngressConfig  ring bound, shed policy, watermarks, quota, latency
-///   NetConfig      listener address, buffers, notification policy, drain
+///   NetConfig      listener address, buffers, drain
 ///
 /// `SessionManager` consumes shard + ingress; `Server`/`net::TcpServer`
 /// consume all three.
@@ -19,17 +19,16 @@
 
 namespace rtw::svc {
 
-/// Shard-worker behavior: how many workers, how they drain, when they
-/// evict, and whether runs go through the SIMD lane kernel.
+/// Shard-worker behavior: how many workers, when they evict, and whether
+/// runs go through the SIMD lane kernel.
 struct ShardConfig {
   unsigned count = 1;             ///< worker count (and ring count)
-  std::size_t drain_batch = 256;  ///< ring slots per shard epoch
   /// Sessions idle for this many shard epochs are finished
   /// (StreamEnd::Truncated) and reported with `evicted = true`.
   /// 0 disables eviction.
   std::uint64_t idle_epochs = 0;
-  /// Route batched runs of lane-family sessions through the SIMD batch
-  /// kernel (rtw/core/lane.hpp) instead of per-symbol feed_run.  Verdicts
+  /// Route runs of lane-family sessions through the SIMD batch kernel
+  /// (rtw/core/lane.hpp) instead of Session::feed_run.  Verdicts
   /// are bit-identical either way; off = always the virtual path.
   bool lane_kernel = true;
   /// Max staged lane runs before the worker flushes a kernel wave.
@@ -40,7 +39,7 @@ struct ShardConfig {
 /// that sheds under it.
 struct IngressConfig {
   /// Data-plane bound per shard, in ring slots (a slot holds one command:
-  /// a single symbol or a whole batched run).  The physical ring is
+  /// a whole run of symbols, possibly a run of one).  The physical ring is
   /// allocated with extra headroom so control commands always land.
   std::size_t ring_capacity = 1024;
   bool shed_on_full = true;  ///< full ring: true = Shed, false = Blocked
@@ -65,8 +64,8 @@ struct IngressConfig {
 };
 
 /// Transport behavior for the network front-end.  `SessionManager`
-/// ignores this block; `Server` uses the notification policy and
-/// `net::TcpServer` uses all of it.
+/// ignores this block; `net::TcpServer` uses it.  (v1 peers always get
+/// ShedNotice and Verdict frames; that is protocol, not configuration.)
 struct NetConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = kernel-assigned (read back via port())
@@ -79,8 +78,6 @@ struct NetConfig {
   /// this stops being *read* (slow readers cannot balloon server memory);
   /// reading resumes once the buffer drains below half the limit.
   std::size_t write_buffer_limit = 1u << 20;
-  bool shed_notices = true;     ///< emit ShedNotice frames on Shed verdicts
-  bool verdict_notices = true;  ///< emit Verdict frames on session finish
   /// Graceful-drain budget: stop() flushes pending verdict frames for at
   /// most this long before force-closing lingering connections.
   std::uint64_t drain_timeout_ms = 5000;

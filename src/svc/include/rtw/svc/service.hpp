@@ -9,9 +9,9 @@
 ///                      |
 ///                      v   at-most-one worker per shard (atomic handoff)
 ///                 shard worker on the sim::ThreadPool
-///                      |   drains up to drain_batch ring slots per
-///                      |   EventQueue epoch; a slot may carry a whole
-///                      v   run of symbols (batched admission)
+///                      |   drains up to 256 ring slots per epoch;
+///                      |   every Feed slot carries a run of symbols
+///                      v   (a single symbol is a run of one)
 ///                 sessions (hash-sharded by id; worker-private, lock-free)
 ///
 /// A session id hashes to exactly one shard, every command for it goes
@@ -45,9 +45,9 @@
 /// physical headroom the ring over-allocates: shedding a Close would leak
 /// the session, so only the data plane sheds.
 ///
-/// Each shard advances a private sim::EventQueue one tick per drained
-/// batch; that tick count is the shard's *epoch* clock, against which
-/// idle sessions are aged and evicted.
+/// Each shard counts its drained batches in a private integer: the
+/// shard's *epoch* clock (first batch = epoch 1), against which idle
+/// sessions are aged and evicted.
 
 #include <atomic>
 #include <cstdint>
@@ -61,13 +61,16 @@
 #include <vector>
 
 #include "rtw/core/online.hpp"
-#include "rtw/sim/event_queue.hpp"
 #include "rtw/sim/thread_pool.hpp"
 #include "rtw/svc/admit.hpp"
 #include "rtw/svc/config.hpp"
 #include "rtw/svc/ring.hpp"
 #include "rtw/svc/session.hpp"
 #include "rtw/svc/wire.hpp"
+
+namespace rtw::obs {
+class Gauge;
+}  // namespace rtw::obs
 
 namespace rtw::svc {
 
@@ -129,10 +132,12 @@ public:
   void open(SessionId id, std::unique_ptr<core::OnlineAcceptor> acceptor,
             Priority priority = Priority::Normal);
 
-  /// Routes one symbol to the session's shard (data plane: bounded).
-  /// Returns the admission outcome with its structured shed reason;
-  /// converts implicitly to the bare Admit for pre-split call sites.
-  AdmitResult feed(SessionId id, core::Symbol symbol, core::Tick at);
+  /// Routes one symbol to the session's shard (data plane: bounded) as a
+  /// run of one.  Returns the admission outcome with its structured shed
+  /// reason; converts implicitly to the bare Admit for pre-split call sites.
+  AdmitResult feed(SessionId id, core::Symbol symbol, core::Tick at) {
+    return feed_batch(id, {{symbol, at}});
+  }
 
   /// Batched admission: publishes the whole run in one ring slot,
   /// all-or-nothing.  Element times must be nondecreasing (they share the
@@ -203,35 +208,33 @@ private:
     Kind kind = Kind::Feed;
     Priority priority = Priority::Normal;
     SessionId id = 0;
-    core::Symbol symbol;
-    core::Tick at = 0;
     core::StreamEnd end = core::StreamEnd::EndOfWord;
     std::uint64_t enqueue_ns = 0;  ///< steady-clock stamp; 0 = unstamped
     SessionTable::Slot* slot = nullptr;  ///< paired in-flight decrement
-    std::vector<core::TimedSymbol> run;  ///< batched Feed; empty = single
+    std::vector<core::TimedSymbol> run;  ///< Feed only; never empty
     std::unique_ptr<core::OnlineAcceptor> acceptor;  ///< Open only
-
-    std::size_t symbols() const noexcept {
-      return kind == Kind::Feed ? (run.empty() ? 1 : run.size()) : 0;
-    }
   };
 
   struct Entry {
     Session session;
-    sim::Tick last_active;
-    Entry(Session s, sim::Tick epoch)
+    std::uint64_t last_active;
+    Entry(Session s, std::uint64_t epoch)
         : session(std::move(s)), last_active(epoch) {}
   };
 
   struct Shard {
-    explicit Shard(const IngressConfig& ingress);
+    Shard(unsigned index, const IngressConfig& ingress);
 
+    const unsigned index;         ///< position in shards_
     MpscRing<Command> ring;
     SessionTable table;           ///< producer-readable priority/quota hints
     std::atomic<bool> scheduled{false};
 
-    // Worker-private state (protected by the `scheduled` handoff).
-    sim::EventQueue queue;        ///< epoch clock + in-shard timers
+    // Worker-private state (protected by the `scheduled` handoff).  It
+    // starts on its own cache line: producers RMW `scheduled` on every
+    // admission, and the worker reads this block on every command.
+    alignas(kCacheLine) std::uint64_t epoch = 0;  ///< drained batches so far
+    obs::Gauge* depth_gauge = nullptr;  ///< resolved on first traced epoch
     std::unordered_map<SessionId, Entry> sessions;
     std::vector<Command> staging;
     std::vector<std::uint64_t> latency_samples;
@@ -239,7 +242,7 @@ private:
     // Lane-kernel wave, staged during one process() pass and always
     // flushed before it returns (the LaneRuns point into `staging`).
     // One stepper per shard, built lazily from the first lane-family
-    // acceptor; sessions of other families fall back to feed_run.
+    // acceptor; sessions of other families take feed_run.
     std::unique_ptr<core::BatchStepper> stepper;
     bool stepper_probed = false;
     std::vector<core::LaneRun> wave;
@@ -252,17 +255,17 @@ private:
   /// Data-plane admission: watermarks, quota, ring claim, election.
   AdmitResult admit_data(Command command, std::size_t symbols);
   /// Control-plane enqueue: never sheds; spins into the ring's headroom.
-  void enqueue_control(Command command);
+  void enqueue_control(Shard& shard, Command command);
   void elect(Shard& shard);
   void count_shed(ShedReason reason, std::size_t symbols);
   void run_shard(Shard& shard);
-  void process(Shard& shard, sim::Tick epoch);
+  void process(Shard& shard, std::uint64_t epoch);
   /// Dispatches the staged lane wave through the shard's batch stepper and
   /// folds the per-lane stale deltas into the service stats.
   void flush_wave(Shard& shard);
   void finish_session(Shard& shard, Entry& entry, core::StreamEnd end,
                       bool evicted);
-  void evict_idle(Shard& shard, sim::Tick epoch);
+  void evict_idle(Shard& shard, std::uint64_t epoch);
 
   ShardConfig shard_cfg_;
   IngressConfig ingress_cfg_;

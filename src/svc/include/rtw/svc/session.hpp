@@ -50,51 +50,24 @@ public:
   SessionId id() const noexcept { return id_; }
   Priority priority() const noexcept { return priority_; }
 
-  /// Wall-clock enqueue stamp (steady-clock ns) of the most recent command
-  /// the shard worker processed for this session; 0 until a stamped
-  /// command arrives.  Feeds the age watermark and latency accounting.
-  std::uint64_t last_enqueue_ns() const noexcept { return last_enqueue_ns_; }
-  void note_enqueue_ns(std::uint64_t ns) noexcept {
-    if (ns) last_enqueue_ns_ = ns;
-  }
-
-  /// Feeds one symbol, dropping it as stale when its time is below the
-  /// session's high-water mark.  Returns the (possibly unchanged) verdict.
+  /// Feeds one symbol: a run of one.
   core::Verdict feed(core::Symbol symbol, core::Tick at) {
-    if (finished_) return acceptor_->verdict();
-    if (filter_.any && at < filter_.high_water) {
-      ++filter_.stale;
-      return acceptor_->verdict();
-    }
-    filter_.high_water = at;
-    filter_.any = true;
-    ++filter_.fed;
-    return acceptor_->feed(symbol, at);
+    const core::TimedSymbol element{symbol, at};
+    return feed_run(&element, 1);
   }
 
-  /// Feeds a run of symbols (one batched ring slot) through the same
-  /// stale filter; returns the verdict after the last element.  The
-  /// per-symbol filter is unchanged, so a batched stream is verdict-bit
-  /// identical to feeding the same elements one call at a time.
+  /// Feeds a run of symbols (one ring slot) through the stale filter,
+  /// dropping each element whose time is below the session's high-water
+  /// mark; returns the verdict after the last element.  Final verdicts
+  /// absorb every later feed, so a session already settled when the run
+  /// starts only runs the filter -- no virtual calls.  Where the runs
+  /// split a stream cannot change its verdict (Definition 3.5).
   core::Verdict feed_run(const core::TimedSymbol* elements, std::size_t n) {
     if (finished_) return acceptor_->verdict();
-    const core::Verdict settled = acceptor_->verdict();
-    if (core::final_verdict(settled)) {
-      // Settled acceptor: every feed is a no-op, but the stale filter
-      // still counts -- run it without n virtual calls.
-      for (std::size_t i = 0; i < n; ++i) {
-        const core::Tick at = elements[i].time;
-        if (filter_.any && at < filter_.high_water) {
-          ++filter_.stale;
-          continue;
-        }
-        filter_.high_water = at;
-        filter_.any = true;
-        ++filter_.fed;
-      }
-      return settled;
-    }
-    for (std::size_t i = 0; i < n; ++i) feed(elements[i].sym, elements[i].time);
+    const bool settled = core::final_verdict(acceptor_->verdict());
+    for (std::size_t i = 0; i < n; ++i)
+      if (filter_.admit(elements[i].time) && !settled)
+        acceptor_->feed(elements[i].sym, elements[i].time);
     return acceptor_->verdict();
   }
 
@@ -112,7 +85,7 @@ public:
   core::OnlineAcceptor& acceptor() { return *acceptor_; }
 
   /// The stale filter as lane-kernel state: a batch stepper advances it in
-  /// SIMD registers with feed()'s exact semantics (see rtw/core/lane.hpp).
+  /// SIMD registers with LaneFilter::admit's exact semantics.
   core::LaneFilter& lane_filter() noexcept { return filter_; }
 
   /// Wave membership flag, owned by the shard worker: set while a run for
@@ -140,7 +113,6 @@ private:
   std::unique_ptr<core::OnlineAcceptor> acceptor_;
   core::LaneFilter filter_;
   Priority priority_ = Priority::Normal;
-  std::uint64_t last_enqueue_ns_ = 0;
   bool finished_ = false;
   bool in_wave_ = false;
 };

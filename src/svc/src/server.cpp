@@ -103,7 +103,7 @@ bool Connection::apply_event(WireEvent& event) {
       if (!acceptor) {
         std::lock_guard lock(mutex_);
         ++stats_.refused_opens;
-        if (version() >= 1 && server_.config().net.shed_notices)
+        if (version() >= 1)
           output_ += encode_shed(event.session,
                                  AdmitResult{Admit::Shed, ShedReason::None},
                                  0);
@@ -175,7 +175,7 @@ bool Connection::submit_symbols(SessionId client,
     case Admit::Shed: {
       std::lock_guard lock(mutex_);
       ++stats_.sheds;
-      if (version() >= 1 && server_.config().net.shed_notices)
+      if (version() >= 1)
         output_ += encode_shed(client, admitted, symbols);
       return true;
     }
@@ -194,7 +194,7 @@ void Connection::deliver_report(SessionId client, const SessionReport& report) {
   sessions_.erase(client);
   remap_.erase(report.id);
   ++stats_.verdicts;
-  if (version() >= 1 && server_.config().net.verdict_notices)
+  if (version() >= 1)
     output_ += encode_verdict(client, report.verdict, report.result.exact,
                               report.evicted, report.fed,
                               report.stale_dropped);

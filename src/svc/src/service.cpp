@@ -37,6 +37,9 @@ std::uint64_t steady_ns() noexcept {
 /// commands (open/close/close-all) always find room.
 constexpr std::size_t kControlHeadroom = 64;
 
+/// Ring slots a shard worker drains per epoch.
+constexpr std::size_t kDrainBatch = 256;
+
 /// Cold-path handle bundle for the svc metric family (names are the
 /// JSONL vocabulary: subsystem first, snake_case).
 struct Metrics {
@@ -79,12 +82,6 @@ struct Metrics {
   }
 };
 
-/// Per-shard ring-depth gauges, registered lazily on the cold path.
-obs::Gauge& depth_gauge(unsigned shard) {
-  return obs::MetricsRegistry::instance().gauge(
-      "svc.ring_depth.shard" + std::to_string(shard));
-}
-
 }  // namespace
 
 std::string to_string(Admit a) {
@@ -116,8 +113,9 @@ std::string to_string(const AdmitResult& r) {
   return out;
 }
 
-SessionManager::Shard::Shard(const IngressConfig& ingress)
-    : ring(ingress.ring_capacity + kControlHeadroom),
+SessionManager::Shard::Shard(unsigned index, const IngressConfig& ingress)
+    : index(index),
+      ring(ingress.ring_capacity + kControlHeadroom),
       table(ingress.session_slots) {}
 
 SessionManager::SessionManager(ServerConfig config)
@@ -126,7 +124,6 @@ SessionManager::SessionManager(ServerConfig config)
       pool_(config.shard.count == 0 ? 1 : config.shard.count) {
   if (shard_cfg_.count == 0) shard_cfg_.count = 1;
   if (ingress_cfg_.ring_capacity == 0) ingress_cfg_.ring_capacity = 1;
-  if (shard_cfg_.drain_batch == 0) shard_cfg_.drain_batch = 1;
   const auto clamp01 = [](double f) {
     return f < 0.0 ? 0.0 : (f > 1.0 ? 1.0 : f);
   };
@@ -144,7 +141,7 @@ SessionManager::SessionManager(ServerConfig config)
     watermark_high_slots_ = watermark_low_slots_;
   shards_.reserve(shard_cfg_.count);
   for (unsigned i = 0; i < shard_cfg_.count; ++i)
-    shards_.push_back(std::make_unique<Shard>(ingress_cfg_));
+    shards_.push_back(std::make_unique<Shard>(i, ingress_cfg_));
 }
 
 SessionManager::SessionManager(ShardConfig shard, IngressConfig ingress)
@@ -264,8 +261,7 @@ AdmitResult SessionManager::admit_data(Command command, std::size_t symbols) {
   return AdmitResult{};
 }
 
-void SessionManager::enqueue_control(Command command) {
-  Shard& shard = *shards_[shard_of(command.id)];
+void SessionManager::enqueue_control(Shard& shard, Command command) {
   // Control never sheds: the physical headroom above ring_capacity is
   // reserved for it, and in the pathological case of a headroom-full ring
   // we spin -- the elected worker is guaranteed to be draining.
@@ -288,23 +284,14 @@ void SessionManager::open(SessionId id,
                           Priority priority) {
   // Register the admission hint before the command is queued so feeds
   // racing right behind the open already see the session's priority.
-  shards_[shard_of(id)]->table.insert(id, priority);
+  Shard& shard = *shards_[shard_of(id)];
+  shard.table.insert(id, priority);
   Command c;
   c.kind = Command::Kind::Open;
   c.id = id;
   c.priority = priority;
   c.acceptor = std::move(acceptor);
-  enqueue_control(std::move(c));
-}
-
-AdmitResult SessionManager::feed(SessionId id, core::Symbol symbol,
-                                 core::Tick at) {
-  Command c;
-  c.kind = Command::Kind::Feed;
-  c.id = id;
-  c.symbol = symbol;
-  c.at = at;
-  return admit_data(std::move(c), 1);
+  enqueue_control(shard, std::move(c));
 }
 
 AdmitResult SessionManager::feed_batch(SessionId id,
@@ -323,7 +310,7 @@ void SessionManager::close(SessionId id, core::StreamEnd end) {
   c.kind = Command::Kind::Close;
   c.id = id;
   c.end = end;
-  enqueue_control(std::move(c));
+  enqueue_control(*shards_[shard_of(id)], std::move(c));
 }
 
 std::unique_ptr<core::OnlineAcceptor> SessionManager::build_query_acceptor(
@@ -400,8 +387,7 @@ void SessionManager::run_shard(Shard& shard) {
     shard.staging.clear();
     {
       Command c;
-      while (shard.staging.size() < shard_cfg_.drain_batch &&
-             shard.ring.try_pop(c))
+      while (shard.staging.size() < kDrainBatch && shard.ring.try_pop(c))
         shard.staging.push_back(std::move(c));
     }
     if (shard.staging.empty()) {
@@ -415,20 +401,15 @@ void SessionManager::run_shard(Shard& shard) {
         continue;  // a command slipped in: re-elect ourselves
       return;
     }
-    // One EventQueue tick per batch: the shard's epoch clock.  The batch
-    // runs *as* a kernel event, so in-shard timers scheduled by future
-    // extensions interleave deterministically with ingress processing.
-    shard.queue.schedule_in(1, [this, &shard](sim::Tick epoch) {
-      process(shard, epoch);
-    });
-    shard.queue.run_until(shard.queue.now() + 1);
+    // One epoch per drained batch: the shard's idle-eviction clock.
+    process(shard, ++shard.epoch);
     stats_.epochs.fetch_add(1, std::memory_order_relaxed);
     stats_.batches.fetch_add(shard.staging.size(),
                              std::memory_order_relaxed);
   }
 }
 
-void SessionManager::process(Shard& shard, sim::Tick epoch) {
+void SessionManager::process(Shard& shard, std::uint64_t epoch) {
   std::uint64_t ingested = 0;
   std::uint64_t unknown = 0;
   std::uint64_t aged = 0;
@@ -460,7 +441,7 @@ void SessionManager::process(Shard& shard, sim::Tick epoch) {
         break;
       }
       case Command::Kind::Feed: {
-        const std::size_t n = command.symbols();
+        const std::size_t n = command.run.size();
         if (command.slot)
           command.slot->inflight.fetch_sub(static_cast<std::uint32_t>(n),
                                            std::memory_order_relaxed);
@@ -489,16 +470,14 @@ void SessionManager::process(Shard& shard, sim::Tick epoch) {
           }
         }
         it->second.last_active = epoch;
-        it->second.session.note_enqueue_ns(command.enqueue_ns);
         Session& session = it->second.session;
-        // Batched runs of lane-family sessions stage into the wave and are
-        // stepped many-at-a-time by the SIMD kernel; everything else (single
-        // symbols, cold acceptors, foreign families) takes feed_run.  The
-        // LaneRun aliases the command's run, which outlives the wave: the
-        // staging vector is stable until the next drain and every wave is
-        // flushed before process() returns.
-        if (shard_cfg_.lane_kernel && !command.run.empty() &&
-            !session.finished() &&
+        // Runs of lane-family sessions stage into the wave and are stepped
+        // many-at-a-time by the SIMD kernel; everything else (cold
+        // acceptors, foreign families) takes feed_run.  The LaneRun aliases
+        // the command's run, which outlives the wave: the staging vector is
+        // stable until the next drain and every wave is flushed before
+        // process() returns.
+        if (shard_cfg_.lane_kernel && !session.finished() &&
             session.acceptor().lane_family() != core::LaneFamily::None) {
           core::OnlineAcceptor& acceptor = session.acceptor();
           if (!shard.stepper && !shard.stepper_probed) {
@@ -508,8 +487,7 @@ void SessionManager::process(Shard& shard, sim::Tick epoch) {
           void* lane = acceptor.lane_state();
           if (lane && shard.stepper &&
               shard.stepper->family() == acceptor.lane_family()) {
-            shard.wave.push_back(core::LaneRun{command.run.data(),
-                                               command.run.size(),
+            shard.wave.push_back(core::LaneRun{command.run.data(), n,
                                                &session.lane_filter(), lane});
             shard.wave_sessions.push_back(&session);
             session.set_in_wave(true);
@@ -519,14 +497,10 @@ void SessionManager::process(Shard& shard, sim::Tick epoch) {
           }
         }
         const std::uint64_t stale_before = session.stale_dropped();
-        if (command.run.empty()) {
-          session.feed(command.symbol, command.at);
-        } else {
-          session.feed_run(command.run.data(), command.run.size());
-        }
+        session.feed_run(command.run.data(), n);
         ingested += n;
         const std::uint64_t stale_delta =
-            it->second.session.stale_dropped() - stale_before;
+            session.stale_dropped() - stale_before;
         if (stale_delta) {
           stats_.stale.fetch_add(stale_delta, std::memory_order_relaxed);
           if (obs::enabled()) Metrics::get().stale.add(stale_delta);
@@ -570,11 +544,10 @@ void SessionManager::process(Shard& shard, sim::Tick epoch) {
   }
   if (obs::enabled()) {
     // Ring depth after the drain: one gauge per shard, resolved once.
-    const auto index = static_cast<unsigned>(
-        std::find_if(shards_.begin(), shards_.end(),
-                     [&shard](const auto& p) { return p.get() == &shard; }) -
-        shards_.begin());
-    depth_gauge(index).set(static_cast<double>(shard.ring.approx_size()));
+    if (!shard.depth_gauge)
+      shard.depth_gauge = &obs::MetricsRegistry::instance().gauge(
+          "svc.ring_depth.shard" + std::to_string(shard.index));
+    shard.depth_gauge->set(static_cast<double>(shard.ring.approx_size()));
   }
   if (shard_cfg_.idle_epochs > 0) evict_idle(shard, epoch);
 }
@@ -582,8 +555,8 @@ void SessionManager::process(Shard& shard, sim::Tick epoch) {
 void SessionManager::flush_wave(Shard& shard) {
   if (shard.wave.empty()) return;
   // The kernel advances each lane's stale filter in-register; recover the
-  // per-epoch stale delta the same way the feed_run path does, by differencing
-  // the filters around the step.
+  // per-epoch stale delta the same way the feed_run path does, by
+  // differencing the filters around the step.
   std::uint64_t stale_before = 0;
   std::uint64_t symbols = 0;
   for (const auto& run : shard.wave) {
@@ -624,7 +597,7 @@ void SessionManager::finish_session(Shard& shard, Entry& entry,
   shard.reports.push_back(std::move(report));
 }
 
-void SessionManager::evict_idle(Shard& shard, sim::Tick epoch) {
+void SessionManager::evict_idle(Shard& shard, std::uint64_t epoch) {
   for (auto it = shard.sessions.begin(); it != shard.sessions.end();) {
     if (epoch >= it->second.last_active &&
         epoch - it->second.last_active >= shard_cfg_.idle_epochs) {
@@ -658,18 +631,12 @@ void SessionManager::drain() {
 
 void SessionManager::shutdown(core::StreamEnd end) {
   drain();  // let in-flight opens land before the close-all sweep
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
+  // CloseAll is processed per shard regardless of id: send one to each.
+  for (const auto& shard : shards_) {
     Command c;
     c.kind = Command::Kind::CloseAll;
     c.end = end;
-    // CloseAll is processed per shard regardless of id; route it to shard
-    // i by construction instead of by hash.
-    Shard& shard = *shards_[i];
-    while (!shard.ring.try_push(c)) {
-      elect(shard);
-      std::this_thread::yield();
-    }
-    elect(shard);
+    enqueue_control(*shard, std::move(c));
   }
   drain();
 }

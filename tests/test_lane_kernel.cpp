@@ -12,10 +12,11 @@
 //      (EngineOnlineAcceptor under Session::feed_run), with stale
 //      injections -- verdicts, stale counters and final reports must all
 //      match on every variant the machine can run.
-//   4. The serving-layer property: a SessionManager with the lane kernel
-//      on, fed batched runs over the tri-workload mix (deadline / rtdb /
-//      adhoc) at 1 and 2 shards, produces field-identical reports to a
-//      per-symbol reference manager (500 seeded cases).
+//   4. The serving-layer property: SessionManagers with the lane kernel
+//      on, fed batched runs or one symbol at a time over the tri-workload
+//      mix (deadline / rtdb / adhoc) at 1 and 2 shards, produce
+//      field-identical reports to a per-symbol reference manager with the
+//      kernel off (500 seeded cases).
 //   5. The Session::feed_run settled-session fast path keeps the stale
 //      filter exactly equivalent to per-symbol feeding.
 
@@ -26,6 +27,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "proptest.hpp"
@@ -551,9 +553,11 @@ ManagedCase managed_adhoc(rtw::sim::Xoshiro256ss& rng, std::size_t size) {
 }
 
 /// The lane kernel must be invisible to verdicts: the same tri-workload
-/// streams, admitted as batched runs into a manager with the kernel on and
-/// fed per symbol into a reference manager with the kernel off, at 1 and 2
-/// shards, must produce field-identical reports.
+/// streams, admitted as batched runs into a manager with the kernel on,
+/// fed per symbol into a second kernel-on manager (each symbol a run of
+/// one, so it too reaches the lane wave), and fed per symbol into a
+/// reference manager with the kernel off, at 1 and 2 shards, must produce
+/// field-identical reports.
 TEST(ManagedLaneEquivalence, FiveHundredTriWorkloadCasesAcrossShardCounts) {
   rtw::svc::IngressConfig ingress;
   ingress.ring_capacity = 1 << 13;  // the workload never sheds
@@ -566,11 +570,11 @@ TEST(ManagedLaneEquivalence, FiveHundredTriWorkloadCasesAcrossShardCounts) {
   reference_shard.count = 1;
   lane_shard.count = 1;
   SessionManager reference_1(reference_shard, ingress),
-      lane_1(lane_shard, ingress);
+      lane_1(lane_shard, ingress), single_1(lane_shard, ingress);
   reference_shard.count = 2;
   lane_shard.count = 2;
   SessionManager reference_2(reference_shard, ingress),
-      lane_2(lane_shard, ingress);
+      lane_2(lane_shard, ingress), single_2(lane_shard, ingress);
 
   rtw::proptest::Config cfg;
   cfg.seed = 0x77617665ULL;  // "wave"
@@ -589,12 +593,17 @@ TEST(ManagedLaneEquivalence, FiveHundredTriWorkloadCasesAcrossShardCounts) {
         const bool two_shards = rng.bernoulli(0.5);
         SessionManager& ref = two_shards ? reference_2 : reference_1;
         SessionManager& lan = two_shards ? lane_2 : lane_1;
+        SessionManager& one = two_shards ? single_2 : single_1;
         const auto id_ref = ref.open(c.make_reference());
         const auto id_lan = lan.open(c.make_served());
+        const auto id_one = one.open(c.make_served());
 
-        for (const auto& ts : c.symbols)
+        for (const auto& ts : c.symbols) {
           if (ref.feed(id_ref, ts.sym, ts.time) != Admit::Accepted)
             return "reference feed not accepted";
+          if (one.feed(id_one, ts.sym, ts.time) != Admit::Accepted)
+            return "per-symbol lane-manager feed not accepted";
+        }
         std::size_t off = 0;
         while (off < c.symbols.size()) {
           const std::size_t len =
@@ -610,20 +619,29 @@ TEST(ManagedLaneEquivalence, FiveHundredTriWorkloadCasesAcrossShardCounts) {
 
         ref.close(id_ref, c.end);
         lan.close(id_lan, c.end);
+        one.close(id_one, c.end);
         ref.drain();
         lan.drain();
+        one.drain();
         const auto r_ref = ref.collect();
         const auto r_lan = lan.collect();
-        if (r_ref.size() != 1 || r_lan.size() != 1)
+        const auto r_one = one.collect();
+        if (r_ref.size() != 1 || r_lan.size() != 1 || r_one.size() != 1)
           return "expected exactly one report per manager";
-        const auto& a = r_lan[0];
         const auto& b = r_ref[0];
-        if (a.verdict != b.verdict)
-          return "verdict mismatch: lane=" + to_string(a.verdict) +
-                 " reference=" + to_string(b.verdict);
-        if (a.fed != b.fed || a.stale_dropped != b.stale_dropped)
-          return "filter counters diverged";
-        return result_violation(a.result, b.result);
+        const std::pair<std::string, const rtw::svc::SessionReport*>
+            served[] = {{"batched", &r_lan[0]}, {"per-symbol", &r_one[0]}};
+        for (const auto& [input, a] : served) {
+          if (a->verdict != b.verdict)
+            return input + " verdict mismatch: lane=" +
+                   to_string(a->verdict) +
+                   " reference=" + to_string(b.verdict);
+          if (a->fed != b.fed || a->stale_dropped != b.stale_dropped)
+            return input + " filter counters diverged";
+          if (auto violation = result_violation(a->result, b.result))
+            return input + " " + *violation;
+        }
+        return std::nullopt;
       });
   EXPECT_TRUE(result.ok()) << rtw::proptest::describe(
       "svc.lane_kernel_equivalence", cfg, *result.failure);
@@ -632,6 +650,9 @@ TEST(ManagedLaneEquivalence, FiveHundredTriWorkloadCasesAcrossShardCounts) {
   // of the mix; each feeds at least one batched run).
   EXPECT_GT(lane_1.stats().lane_waves + lane_2.stats().lane_waves, 0u);
   EXPECT_GT(lane_1.stats().lane_symbols + lane_2.stats().lane_symbols, 0u);
+  // Single-symbol feeds are runs of one and reach the kernel too.
+  EXPECT_GT(single_1.stats().lane_symbols + single_2.stats().lane_symbols,
+            0u);
   EXPECT_EQ(reference_1.stats().lane_waves, 0u);
   EXPECT_EQ(reference_2.stats().lane_waves, 0u);
 }
