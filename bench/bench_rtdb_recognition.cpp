@@ -20,6 +20,8 @@
 // scenario, tagged with "bench" and "table") for machine scraping.
 
 #include <iostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "rtw/engine/engine.hpp"
@@ -37,11 +39,14 @@ namespace {
 RtdbWordSpec sensors(unsigned count) {
   RtdbWordSpec spec;
   spec.invariants = {{"site", Value{std::string("plant-7")}}};
-  for (unsigned i = 0; i < count; ++i)
+  for (unsigned i = 0; i < count; ++i) {
+    std::string name = "s";
+    name += std::to_string(i);
     spec.images.push_back(
-        {"s" + std::to_string(i), 4 + i % 3, [i](Tick t) {
+        {std::move(name), 4 + i % 3, [i](Tick t) {
            return Value{static_cast<std::int64_t>(10 * i + t % 7)};
          }});
+  }
   return spec;
 }
 

@@ -67,7 +67,10 @@ int main() {
     const auto ce = refute_buchi_candidate(candidate, states + 6);
     table.row().cell("ladder-" + std::to_string(states)).cell(std::to_string(states));
     if (ce) {
-      table.cell("(" + rtw::core::to_string(ce->word.cycle) + ")^w")
+      std::string cycle = "(";
+      cycle += rtw::core::to_string(ce->word.cycle);
+      cycle += ")^w";
+      table.cell(std::move(cycle))
           .cell(ce->automaton_accepts ? "accepts" : "rejects")
           .cell(ce->in_language ? "contains" : "excludes");
     } else {

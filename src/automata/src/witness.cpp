@@ -1,6 +1,7 @@
 #include "rtw/automata/witness.hpp"
 
 #include <sstream>
+#include <string>
 
 #include "rtw/core/error.hpp"
 
@@ -103,17 +104,23 @@ std::optional<Counterexample> refute_buchi_candidate(
     return std::nullopt;
   };
 
+  // The cycle a b^x c d^d $.
+  const auto cycle = [](unsigned x, unsigned d) {
+    std::string out = "a";
+    out.append(x, 'b');
+    out += 'c';
+    out.append(d, 'd');
+    out += '$';
+    return out;
+  };
+
   for (unsigned x = 1; x <= max_x; ++x) {
     // Genuine member: (a b^x c d^x $)^omega.
     if (auto c = probe(l_omega_member(1, x, 1))) return c;
     // Corrupted near-members: d-run off by one in both directions.
-    OmegaWord longer = omega_word(
-        "", "a" + std::string(x, 'b') + "c" + std::string(x + 1, 'd') + "$");
-    if (auto c = probe(longer)) return c;
+    if (auto c = probe(omega_word("", cycle(x, x + 1)))) return c;
     if (x >= 2) {
-      OmegaWord shorter = omega_word(
-          "", "a" + std::string(x, 'b') + "c" + std::string(x - 1, 'd') + "$");
-      if (auto c = probe(shorter)) return c;
+      if (auto c = probe(omega_word("", cycle(x, x - 1)))) return c;
     }
   }
   return std::nullopt;

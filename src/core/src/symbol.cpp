@@ -71,8 +71,12 @@ std::string Symbol::to_string() const {
       return std::string(1, static_cast<char>(value_));
     case Kind::Nat:
       return std::to_string(value_);
-    case Kind::Marker:
-      return "<" + std::string(name()) + ">";
+    case Kind::Marker: {
+      std::string out = "<";
+      out += name();
+      out += '>';
+      return out;
+    }
   }
   return "?";
 }

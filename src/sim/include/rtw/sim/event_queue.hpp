@@ -76,7 +76,7 @@ public:
     requires std::is_invocable_v<std::decay_t<F>&, Tick>
   void schedule_at(Tick at, F&& action) {
     const std::uint32_t slot = alloc_slot();
-    ::new (static_cast<void*>(cell(slot))) Action(std::forward<F>(action));
+    ::new (static_cast<void*>(raw_cell(slot))) Action(std::forward<F>(action));
     const Tick clamped = at < now_ ? now_ : at;
     // Observability tap: one relaxed load + untaken branch when no sink
     // is installed (the <= 2% disabled-overhead budget of the kernel).
@@ -184,9 +184,12 @@ private:
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
+  unsigned char* raw_cell(std::uint32_t slot) noexcept {
+    return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)].raw;
+  }
+  /// The live Action in a claimed cell.
   Action* cell(std::uint32_t slot) noexcept {
-    return reinterpret_cast<Action*>(
-        chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)].raw);
+    return reinterpret_cast<Action*>(raw_cell(slot));
   }
 
   /// Claims a free cell (recycled or fresh); the caller placement-news the
@@ -196,7 +199,7 @@ private:
   std::uint32_t alloc_slot() {
     if (free_head_ != kNil) {
       const std::uint32_t slot = free_head_;
-      std::memcpy(&free_head_, cell(slot), sizeof(free_head_));
+      std::memcpy(&free_head_, raw_cell(slot), sizeof(free_head_));
       return slot;
     }
     if (used_ == capacity_) [[unlikely]]

@@ -83,11 +83,13 @@ private:
     void (*relocate)(unsigned char* dst, unsigned char* src) noexcept;
     void (*destroy)(unsigned char*) noexcept;
     bool inline_stored;
-    /// Relocation is equivalent to memcpy of the buffer (trivially
-    /// copyable inline captures, and heap cells, whose buffer is just the
-    /// owning pointer).  Lets moves skip the indirect relocate call -- the
-    /// hot path when POD-captured events sift through the kernel.
-    bool trivially_relocatable;
+    /// Nonzero when relocation is a memcpy of this many leading buffer
+    /// bytes -- exactly the bytes the callable occupies (a trivially
+    /// copyable capture, or a heap cell's owning pointer), never buffer
+    /// the constructor left unwritten.  Lets moves skip the indirect
+    /// relocate call.  0 means relocate() runs; that includes captureless
+    /// callables, whose one byte is never written.
+    std::size_t relocate_bytes;
     /// Destruction is a no-op (trivial inline captures); lets destroy()
     /// skip the indirect call.
     bool trivially_destructible;
@@ -108,7 +110,9 @@ private:
         std::launder(reinterpret_cast<Fn*>(s))->~Fn();
       },
       /*inline_stored=*/true,
-      /*trivially_relocatable=*/std::is_trivially_copyable_v<Fn>,
+      /*relocate_bytes=*/
+      std::is_trivially_copyable_v<Fn> && !std::is_empty_v<Fn> ? sizeof(Fn)
+                                                                : 0,
       /*trivially_destructible=*/std::is_trivially_destructible_v<Fn>};
 
   template <typename Fn>
@@ -126,14 +130,14 @@ private:
         delete *std::launder(reinterpret_cast<Fn**>(s));
       },
       /*inline_stored=*/false,
-      /*trivially_relocatable=*/true,  // buffer holds the owning pointer
+      /*relocate_bytes=*/sizeof(Fn*),  // buffer holds the owning pointer
       /*trivially_destructible=*/false};
 
   void move_from(SmallFn& other) noexcept {
     ops_ = other.ops_;
     if (ops_) {
-      if (ops_->trivially_relocatable)
-        std::memcpy(storage_, other.storage_, Capacity);
+      if (ops_->relocate_bytes)
+        std::memcpy(storage_, other.storage_, ops_->relocate_bytes);
       else
         ops_->relocate(storage_, other.storage_);
     }

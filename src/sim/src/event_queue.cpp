@@ -20,9 +20,10 @@ void EventQueue::grow_chunks() {
 }
 
 void EventQueue::release_slot(std::uint32_t slot) noexcept {
-  Action* a = cell(slot);
-  a->~Action();
-  std::memcpy(a, &free_head_, sizeof(free_head_));
+  unsigned char* raw = raw_cell(slot);
+  reinterpret_cast<Action*>(raw)->~Action();
+  // The Action's lifetime is over: the link goes into the raw cell bytes.
+  std::memcpy(raw, &free_head_, sizeof(free_head_));
   free_head_ = slot;
 }
 

@@ -7,7 +7,7 @@
 /// and how a transport behaves -- assembled into one `ServerConfig`:
 ///
 ///   ShardConfig    worker count, eviction, lane kernel
-///   IngressConfig  ring bound, shed policy, watermarks, quota, latency
+///   IngressConfig  ring bound, shed policy, quota, age watermark, latency
 ///   NetConfig      listener address, buffers, drain
 ///
 /// `SessionManager` consumes shard + ingress; `Server`/`net::TcpServer`
@@ -46,11 +46,6 @@ struct IngressConfig {
   /// Max in-flight (admitted, not yet processed) symbols per session;
   /// 0 disables the quota.  Exceeding it sheds with `SessionBound`.
   std::size_t session_quota = 0;
-  /// Occupancy fraction above which Priority::Low data is shed.
-  double watermark_low = 0.5;
-  /// Occupancy fraction above which Priority::Normal data is also shed
-  /// (High survives until the ring is physically full).
-  double watermark_high = 0.875;
   /// Worker-side age watermark: a non-High data command that waited in
   /// the ring longer than this many steady-clock ns is dropped (counted
   /// as a Priority shed) instead of fed.  0 disables.

@@ -156,8 +156,12 @@ enum class Priority : std::uint8_t {
 };
 
 /// Fixed-capacity lock-free hint table: session id -> (priority, in-flight
-/// symbol count).  Linear probing, tombstone deletion, bounded probe runs.
-/// All operations are wait-free apart from the insert CAS.
+/// symbol count).  Linear probing and tombstone deletion.  An insert
+/// probes the whole table, so it fails only when no empty or tombstone
+/// slot is left; it records the longest probe distance it ever used, and
+/// a lookup probes no further than that, so a miss stays bounded by the
+/// longest chain rather than the table size.  All operations are
+/// wait-free apart from the insert CASes.
 class SessionTable {
  public:
   struct Slot {
@@ -174,13 +178,14 @@ class SessionTable {
   SessionTable(const SessionTable&) = delete;
   SessionTable& operator=(const SessionTable&) = delete;
 
-  /// Records a session's priority.  Returns false when the probe run finds
-  /// no free slot (table effectively full) -- the session is then simply
-  /// untracked and admission falls back to Priority::Normal, no quota.
+  /// Records a session's priority.  Returns false when no slot in the
+  /// table is empty or tombstoned (table full) -- the session is then
+  /// simply untracked and admission falls back to Priority::Normal, no
+  /// quota.
   bool insert(std::uint64_t id, Priority priority) noexcept {
     if (id == kEmpty || id == kTombstone) return false;
     std::size_t pos = hash(id);
-    for (std::size_t probe = 0; probe <= kMaxProbe; ++probe, ++pos) {
+    for (std::size_t probe = 0; probe <= mask_; ++probe, ++pos) {
       Slot& slot = slots_[pos & mask_];
       std::uint64_t seen = slot.id.load(std::memory_order_acquire);
       if (seen == id) {  // re-open under the same id: refresh the priority
@@ -189,6 +194,9 @@ class SessionTable {
         return true;
       }
       if (seen == kEmpty || seen == kTombstone) {
+        // Publish the distance before the claim: whoever can see the id
+        // in this slot can then also see a probe bound that reaches it.
+        raise_probe_bound(probe);
         if (slot.id.compare_exchange_strong(seen, id,
                                             std::memory_order_acq_rel)) {
           // Stored after the claim: a concurrent finder may briefly read
@@ -216,7 +224,8 @@ class SessionTable {
   Slot* find(std::uint64_t id) noexcept {
     if (id == kEmpty || id == kTombstone) return nullptr;
     std::size_t pos = hash(id);
-    for (std::size_t probe = 0; probe <= kMaxProbe; ++probe, ++pos) {
+    const std::size_t bound = max_probe_.load();
+    for (std::size_t probe = 0; probe <= bound; ++probe, ++pos) {
       Slot& slot = slots_[pos & mask_];
       const std::uint64_t seen = slot.id.load(std::memory_order_acquire);
       if (seen == id) return &slot;
@@ -236,7 +245,6 @@ class SessionTable {
  private:
   static constexpr std::uint64_t kEmpty = 0;
   static constexpr std::uint64_t kTombstone = ~std::uint64_t{0};
-  static constexpr std::size_t kMaxProbe = 64;
 
   std::size_t hash(std::uint64_t id) const noexcept {
     // splitmix64 finalizer, same spreading the shard router uses.
@@ -246,8 +254,16 @@ class SessionTable {
     return static_cast<std::size_t>(id ^ (id >> 31)) & mask_;
   }
 
+  /// Monotone max: the probe bound only ever grows.
+  void raise_probe_bound(std::size_t probe) noexcept {
+    std::size_t bound = max_probe_.load();
+    while (bound < probe && !max_probe_.compare_exchange_weak(bound, probe)) {
+    }
+  }
+
   const std::size_t mask_;
   std::unique_ptr<Slot[]> slots_;
+  std::atomic<std::size_t> max_probe_{0};  ///< longest insert probe so far
 };
 
 }  // namespace rtw::svc

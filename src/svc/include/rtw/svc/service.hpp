@@ -33,9 +33,9 @@
 ///
 /// Backpressure is explicit and adaptive.  The data plane is bounded by
 /// `ring_capacity` ring slots; instead of first-come-first-shed, admission
-/// sheds by *priority watermarks*: above `watermark_low` occupancy only
-/// Normal and High priority sessions are admitted, above `watermark_high`
-/// only High, and a genuinely full ring sheds (or blocks) everything.
+/// sheds by *priority watermarks*: above half occupancy only Normal and
+/// High priority sessions are admitted, above seven eighths only High,
+/// and a genuinely full ring sheds (or blocks) everything.
 /// A per-session in-flight quota (`session_quota`) prevents one hot
 /// session from monopolizing the ring, and an optional age watermark
 /// (`max_queue_delay_ns`) lets the worker drop data that waited in the
@@ -68,14 +68,10 @@
 #include "rtw/svc/session.hpp"
 #include "rtw/svc/wire.hpp"
 
-namespace rtw::obs {
-class Gauge;
-}  // namespace rtw::obs
-
 namespace rtw::svc {
 
-/// Monotone service-wide tallies (mirrored into obs metrics when a sink
-/// is installed).
+/// Monotone service-wide tallies: the serving layer's one counter
+/// substrate, kept per SessionManager (never process-wide).
 struct ServiceStats {
   std::uint64_t opened = 0;
   std::uint64_t closed = 0;       ///< includes evicted
@@ -165,8 +161,8 @@ public:
   /// is already syntax-checked by the wire Decoder, but this method
   /// re-parses defensively (direct callers exist) and applies the
   /// CompileLimits resource policy; nullptr refuses the session, with
-  /// the attempt tallied under query_compiled / query_rejected and the
-  /// svc.query.* metrics (including the compile-latency histogram).
+  /// the attempt tallied under query_compiled / query_rejected.  The
+  /// compile runs under an `svc.query.compile` span.
   std::unique_ptr<core::OnlineAcceptor> build_query_acceptor(
       SessionId id, std::string_view query);
 
@@ -223,9 +219,8 @@ private:
   };
 
   struct Shard {
-    Shard(unsigned index, const IngressConfig& ingress);
+    explicit Shard(const IngressConfig& ingress);
 
-    const unsigned index;         ///< position in shards_
     MpscRing<Command> ring;
     SessionTable table;           ///< producer-readable priority/quota hints
     std::atomic<bool> scheduled{false};
@@ -234,7 +229,6 @@ private:
     // starts on its own cache line: producers RMW `scheduled` on every
     // admission, and the worker reads this block on every command.
     alignas(kCacheLine) std::uint64_t epoch = 0;  ///< drained batches so far
-    obs::Gauge* depth_gauge = nullptr;  ///< resolved on first traced epoch
     std::unordered_map<SessionId, Entry> sessions;
     std::vector<Command> staging;
     std::vector<std::uint64_t> latency_samples;

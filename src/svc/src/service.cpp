@@ -1,7 +1,6 @@
 #include "rtw/svc/service.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -11,7 +10,6 @@
 #include "rtw/cer/acceptor.hpp"
 #include "rtw/cer/compile.hpp"
 #include "rtw/cer/parser.hpp"
-#include "rtw/obs/metrics.hpp"
 #include "rtw/obs/sink.hpp"
 
 namespace rtw::svc {
@@ -40,47 +38,11 @@ constexpr std::size_t kControlHeadroom = 64;
 /// Ring slots a shard worker drains per epoch.
 constexpr std::size_t kDrainBatch = 256;
 
-/// Cold-path handle bundle for the svc metric family (names are the
-/// JSONL vocabulary: subsystem first, snake_case).
-struct Metrics {
-  obs::Counter& ingested;
-  obs::Counter& shed;
-  obs::Counter& shed_ring_full;
-  obs::Counter& shed_session_bound;
-  obs::Counter& shed_priority;
-  obs::Counter& stale;
-  obs::Counter& evicted;
-  obs::Counter& opened;
-  obs::Counter& closed;
-  obs::Counter& unknown;
-  obs::Gauge& active;
-  obs::Counter& query_compiled;
-  obs::Counter& query_rejected;
-  obs::HistogramMetric& query_compile_ns;
-
-  static Metrics& get() {
-    static Metrics m{
-        obs::MetricsRegistry::instance().counter("svc.symbols_ingested"),
-        obs::MetricsRegistry::instance().counter("svc.shed"),
-        obs::MetricsRegistry::instance().counter("svc.shed.ring_full"),
-        obs::MetricsRegistry::instance().counter("svc.shed.session_bound"),
-        obs::MetricsRegistry::instance().counter("svc.shed.priority"),
-        obs::MetricsRegistry::instance().counter("svc.stale"),
-        obs::MetricsRegistry::instance().counter("svc.sessions_evicted"),
-        obs::MetricsRegistry::instance().counter("svc.sessions_opened"),
-        obs::MetricsRegistry::instance().counter("svc.sessions_closed"),
-        obs::MetricsRegistry::instance().counter("svc.unknown_session"),
-        obs::MetricsRegistry::instance().gauge("svc.sessions_active"),
-        obs::MetricsRegistry::instance().counter("svc.query.compiled"),
-        obs::MetricsRegistry::instance().counter("svc.query.rejected"),
-        // Compile latency in log2(ns) bins: 2^0 .. 2^32 ns covers a
-        // sub-microsecond parse through a pathological multi-second one.
-        obs::MetricsRegistry::instance().histogram("svc.query.compile_ns", 0,
-                                                   32),
-    };
-    return m;
-  }
-};
+/// Priority watermarks, as fractions of `ring_capacity`: above
+/// kWatermarkLow occupancy Low-priority data sheds, above kWatermarkHigh
+/// Normal sheds too (High survives until the ring is physically full).
+constexpr double kWatermarkLow = 0.5;
+constexpr double kWatermarkHigh = 0.875;
 
 }  // namespace
 
@@ -113,9 +75,8 @@ std::string to_string(const AdmitResult& r) {
   return out;
 }
 
-SessionManager::Shard::Shard(unsigned index, const IngressConfig& ingress)
-    : index(index),
-      ring(ingress.ring_capacity + kControlHeadroom),
+SessionManager::Shard::Shard(const IngressConfig& ingress)
+    : ring(ingress.ring_capacity + kControlHeadroom),
       table(ingress.session_slots) {}
 
 SessionManager::SessionManager(ServerConfig config)
@@ -124,24 +85,17 @@ SessionManager::SessionManager(ServerConfig config)
       pool_(config.shard.count == 0 ? 1 : config.shard.count) {
   if (shard_cfg_.count == 0) shard_cfg_.count = 1;
   if (ingress_cfg_.ring_capacity == 0) ingress_cfg_.ring_capacity = 1;
-  const auto clamp01 = [](double f) {
-    return f < 0.0 ? 0.0 : (f > 1.0 ? 1.0 : f);
-  };
   // Ceil, not floor: the watermark means "shed *above* this occupancy
   // fraction", so a tiny ring must not round a threshold down into the
   // always-shedding range (e.g. 0.875 of a 2-slot ring is still 2 slots).
-  watermark_low_slots_ = static_cast<std::size_t>(
-      std::ceil(clamp01(ingress_cfg_.watermark_low) *
-                static_cast<double>(ingress_cfg_.ring_capacity)));
-  watermark_high_slots_ = static_cast<std::size_t>(
-      std::ceil(clamp01(ingress_cfg_.watermark_high) *
-                static_cast<double>(ingress_cfg_.ring_capacity)));
-  if (watermark_low_slots_ < 1) watermark_low_slots_ = 1;
-  if (watermark_high_slots_ < watermark_low_slots_)
-    watermark_high_slots_ = watermark_low_slots_;
+  const auto capacity = static_cast<double>(ingress_cfg_.ring_capacity);
+  watermark_low_slots_ =
+      static_cast<std::size_t>(std::ceil(kWatermarkLow * capacity));
+  watermark_high_slots_ =
+      static_cast<std::size_t>(std::ceil(kWatermarkHigh * capacity));
   shards_.reserve(shard_cfg_.count);
   for (unsigned i = 0; i < shard_cfg_.count; ++i)
-    shards_.push_back(std::make_unique<Shard>(i, ingress_cfg_));
+    shards_.push_back(std::make_unique<Shard>(ingress_cfg_));
 }
 
 SessionManager::SessionManager(ShardConfig shard, IngressConfig ingress)
@@ -180,16 +134,6 @@ void SessionManager::count_shed(ShedReason reason, std::size_t symbols) {
       break;
     case ShedReason::None:
       break;
-  }
-  if (obs::enabled()) {
-    auto& m = Metrics::get();
-    m.shed.add(symbols);
-    switch (reason) {
-      case ShedReason::RingFull: m.shed_ring_full.add(symbols); break;
-      case ShedReason::SessionBound: m.shed_session_bound.add(symbols); break;
-      case ShedReason::Priority: m.shed_priority.add(symbols); break;
-      case ShedReason::None: break;
-    }
   }
 }
 
@@ -316,7 +260,7 @@ void SessionManager::close(SessionId id, core::StreamEnd end) {
 std::unique_ptr<core::OnlineAcceptor> SessionManager::build_query_acceptor(
     SessionId id, std::string_view query) {
   (void)id;
-  const std::uint64_t begin_ns = steady_ns();
+  RTW_SPAN("svc.query.compile");
   std::unique_ptr<core::OnlineAcceptor> acceptor;
   auto parsed = cer::parse(query);
   if (parsed.ok()) {
@@ -325,17 +269,10 @@ std::unique_ptr<core::OnlineAcceptor> SessionManager::build_query_acceptor(
       acceptor = cer::make_online_acceptor(std::move(*compiled.compiled));
     }
   }
-  const std::uint64_t elapsed_ns = steady_ns() - begin_ns;
   if (acceptor) {
     stats_.query_compiled.fetch_add(1, std::memory_order_relaxed);
   } else {
     stats_.query_rejected.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (obs::enabled()) {
-    auto& m = Metrics::get();
-    (acceptor ? m.query_compiled : m.query_rejected).add();
-    m.query_compile_ns.add(
-        static_cast<std::int64_t>(std::bit_width(elapsed_ns | 1) - 1));
   }
   return acceptor;
 }
@@ -348,7 +285,6 @@ AdmitResult SessionManager::apply(const WireEvent& event,
           factory ? factory(event.session, event.profile) : nullptr;
       if (!acceptor) {
         stats_.unknown.fetch_add(1, std::memory_order_relaxed);
-        if (obs::enabled()) Metrics::get().unknown.add();
         return AdmitResult{Admit::Shed, ShedReason::None};
       }
       open(event.session, std::move(acceptor), event.priority);
@@ -433,11 +369,6 @@ void SessionManager::process(Shard& shard, std::uint64_t epoch) {
         }
         stats_.opened.fetch_add(1, std::memory_order_relaxed);
         stats_.active.fetch_add(1, std::memory_order_relaxed);
-        if (obs::enabled()) {
-          Metrics::get().opened.add();
-          Metrics::get().active.set(static_cast<double>(
-              stats_.active.load(std::memory_order_relaxed)));
-        }
         break;
       }
       case Command::Kind::Feed: {
@@ -501,10 +432,8 @@ void SessionManager::process(Shard& shard, std::uint64_t epoch) {
         ingested += n;
         const std::uint64_t stale_delta =
             session.stale_dropped() - stale_before;
-        if (stale_delta) {
+        if (stale_delta)
           stats_.stale.fetch_add(stale_delta, std::memory_order_relaxed);
-          if (obs::enabled()) Metrics::get().stale.add(stale_delta);
-        }
         break;
       }
       case Command::Kind::Close: {
@@ -533,22 +462,9 @@ void SessionManager::process(Shard& shard, std::uint64_t epoch) {
     }
   }
   flush_wave(shard);  // nothing staged survives the epoch
-  if (ingested) {
-    stats_.ingested.fetch_add(ingested, std::memory_order_relaxed);
-    if (obs::enabled()) Metrics::get().ingested.add(ingested);
-  }
+  if (ingested) stats_.ingested.fetch_add(ingested, std::memory_order_relaxed);
   if (aged) count_shed(ShedReason::Priority, aged);
-  if (unknown) {
-    stats_.unknown.fetch_add(unknown, std::memory_order_relaxed);
-    if (obs::enabled()) Metrics::get().unknown.add(unknown);
-  }
-  if (obs::enabled()) {
-    // Ring depth after the drain: one gauge per shard, resolved once.
-    if (!shard.depth_gauge)
-      shard.depth_gauge = &obs::MetricsRegistry::instance().gauge(
-          "svc.ring_depth.shard" + std::to_string(shard.index));
-    shard.depth_gauge->set(static_cast<double>(shard.ring.approx_size()));
-  }
+  if (unknown) stats_.unknown.fetch_add(unknown, std::memory_order_relaxed);
   if (shard_cfg_.idle_epochs > 0) evict_idle(shard, epoch);
 }
 
@@ -567,10 +483,8 @@ void SessionManager::flush_wave(Shard& shard) {
   std::uint64_t stale_after = 0;
   for (const auto& run : shard.wave) stale_after += run.filter->stale;
   const std::uint64_t stale_delta = stale_after - stale_before;
-  if (stale_delta) {
+  if (stale_delta)
     stats_.stale.fetch_add(stale_delta, std::memory_order_relaxed);
-    if (obs::enabled()) Metrics::get().stale.add(stale_delta);
-  }
   stats_.lane_symbols.fetch_add(symbols, std::memory_order_relaxed);
   stats_.lane_waves.fetch_add(1, std::memory_order_relaxed);
   for (Session* session : shard.wave_sessions) session->set_in_wave(false);
@@ -584,11 +498,6 @@ void SessionManager::finish_session(Shard& shard, Entry& entry,
   SessionReport report = entry.session.report(evicted);
   stats_.closed.fetch_add(1, std::memory_order_relaxed);
   stats_.active.fetch_sub(1, std::memory_order_relaxed);
-  if (obs::enabled()) {
-    Metrics::get().closed.add();
-    Metrics::get().active.set(static_cast<double>(
-        stats_.active.load(std::memory_order_relaxed)));
-  }
   // A sink that consumes the report keeps it out of the collect() queue.
   // It runs on the shard worker with no manager locks held, so it may call
   // back into feed/close (but must not block on shard progress).
@@ -605,7 +514,6 @@ void SessionManager::evict_idle(Shard& shard, std::uint64_t epoch) {
       finish_session(shard, it->second, core::StreamEnd::Truncated,
                      /*evicted=*/true);
       stats_.evicted.fetch_add(1, std::memory_order_relaxed);
-      if (obs::enabled()) Metrics::get().evicted.add();
       it = shard.sessions.erase(it);
     } else {
       ++it;

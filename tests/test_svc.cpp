@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -32,6 +33,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -43,10 +45,14 @@
 #include "rtw/core/online.hpp"
 #include "rtw/core/serialize.hpp"
 #include "rtw/deadline/acceptor.hpp"
+#include "rtw/deadline/lane.hpp"
 #include "rtw/deadline/online.hpp"
 #include "rtw/deadline/word.hpp"
 #include "rtw/engine/engine.hpp"
 #include "rtw/obs/export.hpp"
+#include "rtw/obs/metrics.hpp"
+#include "rtw/obs/sink.hpp"
+#include "rtw/obs/tracer.hpp"
 #include "rtw/rtdb/algebra.hpp"
 #include "rtw/rtdb/recognition.hpp"
 #include "rtw/svc/service.hpp"
@@ -810,12 +816,15 @@ GeneratedCase rtdb_gen(rtw::sim::Xoshiro256ss& rng, std::size_t size) {
   RtdbWordSpec spec;
   spec.invariants = {{"site", Value{std::string("plant")}}};
   const auto images = 1 + rng.uniform(std::uint64_t{1 + size / 12});
-  for (std::uint64_t i = 0; i < images; ++i)
-    spec.images.push_back({"s" + std::to_string(i),
-                           2 + rng.uniform(std::uint64_t{4}), [i](Tick t) {
+  for (std::uint64_t i = 0; i < images; ++i) {
+    std::string name = "s";
+    name += std::to_string(i);
+    spec.images.push_back({std::move(name), 2 + rng.uniform(std::uint64_t{4}),
+                           [i](Tick t) {
                              return Value{static_cast<std::int64_t>(
                                  10 * i + t % 5)};
                            }});
+  }
 
   const bool correct = rng.bernoulli(0.6);
   const Tuple candidate = {
@@ -1467,6 +1476,238 @@ TEST(SessionManager, ShutdownTruncatesRemainingSessions) {
   EXPECT_EQ(reports[0].verdict, Verdict::Rejecting);
   EXPECT_FALSE(reports[0].evicted);
   EXPECT_EQ(manager.stats().active, 0u);
+}
+
+// ---------------------------------------- observation never perturbs
+
+std::string fingerprint(const rtw::svc::ServiceStats& s) {
+  std::ostringstream out;
+  out << "opened=" << s.opened << " closed=" << s.closed
+      << " ingested=" << s.ingested << " shed=" << s.shed
+      << " shed_ring_full=" << s.shed_ring_full
+      << " shed_session_bound=" << s.shed_session_bound
+      << " shed_priority=" << s.shed_priority << " blocked=" << s.blocked
+      << " stale=" << s.stale << " evicted=" << s.evicted
+      << " unknown=" << s.unknown << " active=" << s.active
+      << " epochs=" << s.epochs << " batches=" << s.batches
+      << " lane_symbols=" << s.lane_symbols
+      << " lane_waves=" << s.lane_waves
+      << " query_compiled=" << s.query_compiled
+      << " query_rejected=" << s.query_rejected;
+  return out.str();
+}
+
+std::string fingerprint(const SessionReport& r) {
+  std::ostringstream out;
+  out << "id=" << r.id << " verdict=" << rtw::core::to_string(r.verdict)
+      << " " << render(r.result) << " fed=" << r.fed
+      << " stale=" << r.stale_dropped
+      << " priority=" << static_cast<int>(r.priority)
+      << " evicted=" << r.evicted;
+  return out.str();
+}
+
+struct ObservedRun {
+  rtw::svc::ServiceStats stats;
+  std::vector<std::string> reports;  ///< fingerprints, in id order
+};
+
+/// One seeded multi-session workload on a deterministic epoch schedule:
+/// every command is drained before the next one is sent (one command per
+/// epoch), except while a gate session pins the worker, when the ring
+/// fills to an exact depth and admission sheds by priority and by a full
+/// ring.  It covers direct and SubmitQuery opens (one refused by the
+/// CompileLimits caps), lane-kernel deadline runs, stale symbols, unknown
+/// ids, sheds, idle eviction, explicit closes and the shutdown sweep.
+ObservedRun run_observed_workload(std::uint64_t seed) {
+  rtw::sim::Xoshiro256ss rng(seed);
+  ShardConfig shard;
+  shard.count = 1;
+  shard.idle_epochs = 48;
+  IngressConfig ingress;
+  ingress.ring_capacity = 8;
+  SessionManager manager(shard, ingress);
+
+  // Deadline sessions: once a stream's header is parsed, its runs step
+  // through the lane kernel.
+  struct Stream {
+    SessionId id;
+    StreamPrefix prefix;
+    std::size_t next = 0;
+  };
+  RunOptions options;
+  options.horizon = 160;
+  const auto problem = std::make_shared<rtw::deadline::SortProblem>();
+  std::vector<Stream> streams;
+  for (int j = 0; j < 6; ++j) {
+    DeadlineInstance instance;
+    const auto len = 1 + rng.uniform(std::uint64_t{5});
+    for (std::uint64_t i = 0; i < len; ++i)
+      instance.input.push_back(Symbol::nat(rng.uniform(std::uint64_t{9})));
+    instance.proposed_output = rng.bernoulli(0.6)
+                                   ? problem->solve(instance.input)
+                                   : std::vector<Symbol>{Symbol::nat(1)};
+    instance.usefulness =
+        Usefulness::firm(5 + rng.uniform(std::uint64_t{30}), 10);
+    instance.min_acceptable = 1;
+    const SessionId id =
+        manager.open(rtw::deadline::make_lane_acceptor(problem, options));
+    manager.drain();
+    streams.push_back(
+        {id, stream_prefix(rtw::deadline::build_deadline_word(instance),
+                           options.horizon)});
+  }
+
+  // Engine sessions at every priority, plus one that is never fed and so
+  // ages out.
+  std::vector<SessionId> plain;
+  std::vector<Tick> plain_time;
+  for (int j = 0; j < 6; ++j) {
+    std::unique_ptr<RealTimeAlgorithm> algorithm;
+    if (j % 2 == 0)
+      algorithm = std::make_unique<AcceptAll>();
+    else
+      algorithm = std::make_unique<RejectAll>();
+    plain.push_back(manager.open(
+        std::make_unique<EngineOnlineAcceptor>(std::move(algorithm)),
+        static_cast<Priority>(j % 3)));
+    plain_time.push_back(0);
+    manager.drain();
+  }
+  manager.open(
+      std::make_unique<EngineOnlineAcceptor>(std::make_unique<AcceptAll>()));
+  manager.drain();
+
+  // SubmitQuery opens: two compile, one exceeds the CompileLimits caps.
+  std::string nested;
+  for (int i = 0; i < 33; ++i) nested += "within(1){ ";
+  nested += "a";
+  for (int i = 0; i < 33; ++i) nested += " }";
+  std::vector<SessionId> queries;
+  Tick query_time = 0;
+  for (const std::string& text :
+       {std::string("within(4){ a ; (b | c)+ }"), std::string("(a)+"),
+        nested}) {
+    WireEvent open;
+    open.kind = WireEvent::Kind::SubmitQuery;
+    open.session = 1000 + queries.size();
+    open.profile = text;
+    if (manager.apply(open, {}) == Admit::Accepted)
+      queries.push_back(open.session);
+    manager.drain();
+  }
+
+  for (int round = 0; round < 160; ++round) {
+    switch (rng.uniform(std::uint64_t{4})) {
+      case 0: {  // the next run of a deadline stream
+        auto& s = streams[rng.uniform(std::uint64_t{streams.size()})];
+        const auto& symbols = s.prefix.symbols;
+        if (s.next == symbols.size()) break;
+        const std::size_t n = std::min<std::size_t>(
+            1 + rng.uniform(std::uint64_t{8}), symbols.size() - s.next);
+        const auto first = symbols.begin() + static_cast<long>(s.next);
+        manager.feed_batch(s.id, {first, first + static_cast<long>(n)});
+        s.next += n;
+        break;
+      }
+      case 1: {  // an engine session; some elements step back in time
+        const auto k = rng.uniform(std::uint64_t{plain.size()});
+        Tick& t = plain_time[k];
+        std::vector<TimedSymbol> run;
+        const auto n = 1 + rng.uniform(std::uint64_t{6});
+        for (std::uint64_t i = 0; i < n; ++i) {
+          const Tick at = rng.bernoulli(0.3) && t >= 2
+                              ? t - 2
+                              : (t += 1 + rng.uniform(std::uint64_t{3}));
+          run.push_back({Symbol::chr('a'), at});
+        }
+        manager.feed_batch(plain[k], std::move(run));
+        break;
+      }
+      case 2: {  // a query session
+        const SessionId id =
+            queries[rng.uniform(std::uint64_t{queries.size()})];
+        const char c = static_cast<char>('a' + rng.uniform(std::uint64_t{3}));
+        manager.feed(id, Symbol::chr(c), query_time++);
+        break;
+      }
+      default:  // an id no session owns
+        manager.feed(5000 + rng.uniform(std::uint64_t{4}), Symbol::chr('z'),
+                     0);
+        break;
+    }
+    manager.drain();
+  }
+
+  // Pin the worker: ring depth is then exact, so which feeds shed is a
+  // function of the seeded session choice alone.
+  auto gate = std::make_shared<GateAcceptor::Gate>();
+  const SessionId pinned =
+      manager.open(std::make_unique<GateAcceptor>(gate), Priority::High);
+  manager.drain();
+  manager.feed(pinned, Symbol::chr('g'), 0);
+  gate->await_entry();
+  for (Tick k = 0; k < 12; ++k)
+    manager.feed(plain[rng.uniform(std::uint64_t{plain.size()})],
+                 Symbol::chr('x'), 100000 + k);
+  // High priority survives until the data plane is physically full.
+  for (Tick k = 1; k <= 8; ++k) manager.feed(pinned, Symbol::chr('g'), k);
+  gate->release();
+  manager.drain();
+
+  for (const auto& s : streams) {
+    if (!rng.bernoulli(0.5)) continue;
+    manager.close(s.id, s.prefix.end);
+    manager.drain();
+  }
+  manager.shutdown(StreamEnd::Truncated);
+
+  ObservedRun out;
+  out.stats = manager.stats();
+  auto reports = manager.collect();
+  std::sort(reports.begin(), reports.end(),
+            [](const SessionReport& a, const SessionReport& b) {
+              return a.id < b.id;
+            });
+  for (const auto& r : reports) out.reports.push_back(fingerprint(r));
+  return out;
+}
+
+/// The serving layer's counterpart of ZeroOverheadTest: a Tracer installed
+/// for a whole workload changes no ServiceStats field and no report, the
+/// registry holds no svc.* names (ServiceStats is the one tally), and the
+/// trace shows every query compile as a span.
+TEST(SessionManager, ObservationNeverPerturbsTheServingLayer) {
+  constexpr std::uint64_t kSeed = 0x0b5e7;
+  const ObservedRun baseline = run_observed_workload(kSeed);
+
+  rtw::obs::Tracer tracer;
+  rtw::obs::set_sink(&tracer);
+  const ObservedRun traced = run_observed_workload(kSeed);
+  rtw::obs::set_sink(nullptr);
+
+  EXPECT_EQ(fingerprint(traced.stats), fingerprint(baseline.stats));
+  EXPECT_EQ(traced.reports, baseline.reports);
+
+  // The workload reaches every path it claims to.
+  const auto& s = baseline.stats;
+  EXPECT_EQ(s.query_compiled, 2u);
+  EXPECT_EQ(s.query_rejected, 1u);
+  EXPECT_GT(s.shed_priority, 0u);
+  EXPECT_GT(s.shed_ring_full, 0u);
+  EXPECT_GT(s.stale, 0u);
+  EXPECT_GT(s.unknown, 0u);
+  EXPECT_GT(s.evicted, 0u);
+  EXPECT_GT(s.lane_symbols, 0u);
+  EXPECT_EQ(s.active, 0u);
+  EXPECT_EQ(baseline.reports.size(), s.opened);
+
+  for (const auto& view : rtw::obs::MetricsRegistry::instance().snapshot())
+    EXPECT_NE(view.name.rfind("svc.", 0), 0u) << view.name;
+  std::size_t compile_spans = 0;
+  for (const auto& span : tracer.drain())
+    if (std::string_view(span.name) == "svc.query.compile") ++compile_spans;
+  EXPECT_EQ(compile_spans, 3u);  // one per SubmitQuery, the refused one too
 }
 
 // ============================================= 6. fault-injected soak
