@@ -1,5 +1,6 @@
 #include "rtw/core/symbol.hpp"
 
+#include <deque>
 #include <mutex>
 #include <unordered_map>
 
@@ -10,9 +11,9 @@ namespace rtw::core {
 namespace {
 
 /// Process-wide marker intern table.  Names are stored once; Symbol carries
-/// only the index.  Guarded by a mutex: interning is rare (markers are
-/// created at startup) while lookups by id are lock-free via the stable
-/// deque-like storage below.
+/// only the index.  Guarded by a mutex: interning happens at startup and
+/// whenever a wire peer or an acceptor names a new marker, concurrently
+/// with name() lookups from other threads.
 class MarkerRegistry {
 public:
   static MarkerRegistry& instance() {
@@ -37,10 +38,11 @@ public:
 
 private:
   mutable std::mutex mutex_;
-  // Names never move after insertion (vector of std::string: the string
-  // buffers are heap-allocated and stable even if the vector reallocates,
-  // but the map keys are separate copies anyway).
-  std::vector<std::string> names_;
+  // name() hands out views into these strings, so they must never move.
+  // A deque never relocates its elements on push_back; a vector would,
+  // and moving a short (SSO) string moves its characters with it, which
+  // is the case for the usual marker names (w, d, min, ...).
+  std::deque<std::string> names_;
   std::unordered_map<std::string, std::uint64_t> ids_;
 };
 

@@ -21,7 +21,7 @@
 ///                         carrying an admission priority for the
 ///                         adaptive-shedding ingress
 ///
-/// Protocol v1 (this PR) adds a version handshake and the server->client
+/// Protocol v1 adds a version handshake and the server->client
 /// notification plane.  Ops 1-6 are byte-identical to the v0 wiring; a
 /// client that never sends Hello speaks v0 and simply receives no
 /// notifications.
@@ -29,7 +29,8 @@
 ///   op 7  Hello           client->server, body = [u8 min][u8 max]: the
 ///                         closed version range the client can speak
 ///   op 8  HelloAck        server->client, body = [u8 version]: the
-///                         version the server selected (today: 1)
+///                         version the server selected (the highest both
+///                         sides speak)
 ///   op 9  Verdict         server->client, body = [u8 verdict][u8 exact]
 ///                         [u8 evicted][u64le fed][u64le stale]: the
 ///                         session's settled acceptance verdict
@@ -47,19 +48,39 @@
 ///                         framing matter and surface as a refused open
 ///                         (ShedNotice) instead.
 ///
-/// The payload is textual on purpose: it reuses core/serialize.hpp, so a
-/// frame body is greppable in a capture and replay files double as fixture
-/// text.  The *codec* is still binary -- the length prefix makes framing
-/// O(1) and splittable at arbitrary byte boundaries.
+/// Protocol v2 adds the packed FeedBatch body, which encode_feed_batch
+/// emits:
+///
+///   op 12 FeedPacked      body = [varint n] then n elements, each
+///                         [u8 kind][payload][varint dt]:
+///                           kind 0 Char    payload = 1 byte
+///                           kind 1 Nat     payload = varint
+///                           kind 2 Marker  payload = [varint len][name]
+///                         dt = (time - previous time) mod 2^64, previous
+///                         = 0 for the first element, so any time
+///                         sequence round-trips (decreasing ones too).
+///                         Varints are LEB128 of at most 10 bytes, the
+///                         10th <= 1.  Same serving semantics as op 5: one
+///                         complete frame, one Symbols event, one ring
+///                         slot.  A served element costs 3 bytes.
+///
+/// Ops 2 and 5 are decode-only legacy: the Decoder still accepts them from
+/// v0/v1 peers (and from replay files), but the library emits one encoding
+/// per op.  The decoder is stateless about the version: op 12 decodes
+/// whether or not Hello was sent.  Text survives where it is read by
+/// people: the core::serialize fixtures and the ops 2/5 decoders.  The
+/// length prefix keeps framing O(1) and splittable at arbitrary byte
+/// boundaries.
 ///
 /// Decoder is fully incremental: push() accepts any byte-chunking
 /// (including mid-header and mid-element splits) and next() surfaces
-/// events as soon as they are decodable.  A Feed frame does not need to
-/// be complete before its symbols start flowing: the decoder runs
-/// core::parse_prefix over the received part of the body
-/// (final_chunk = false) and emits partial Symbols events, holding back
-/// only the element that might still grow ("a@3" could become "a@35").
-/// This is the satellite fix for the old full-reparse-per-split behavior.
+/// events as soon as they are decodable.  Complete frames decode in place
+/// from the pushed bytes; only an incomplete tail is copied and kept.  A
+/// Feed frame does not need to be complete before its symbols start
+/// flowing: the decoder runs core::parse_prefix over the received part of
+/// the body (final_chunk = false) and emits partial Symbols events,
+/// holding back only the element that might still grow ("a@3" could
+/// become "a@35").
 ///
 /// apply_faults() subjects an encoded frame sequence to a
 /// sim::FaultPlan at *frame* granularity (drop / duplicate / delay as
@@ -97,13 +118,15 @@ enum class Op : std::uint8_t {
   Verdict = 9,
   ShedNotice = 10,
   SubmitQuery = 11,
+  FeedPacked = 12,
 };
 
 std::string to_string(Op op);
 
 /// The protocol version this build speaks.  Version 0 is the pre-Hello
-/// frame set (ops 1-6); version 1 adds the handshake and notifications.
-inline constexpr std::uint8_t kWireVersion = 1;
+/// frame set (ops 1-6); version 1 adds the handshake and notifications;
+/// version 2 adds the packed FeedBatch body (op 12).
+inline constexpr std::uint8_t kWireVersion = 2;
 
 /// Frame size cap the Decoder enforces by default (a corrupt length
 /// prefix must not look like a 4 GiB allocation request).
@@ -117,7 +140,8 @@ std::string encode_open(SessionId session, std::string_view profile = {},
                         Priority priority = Priority::Normal);
 std::string encode_feed(SessionId session,
                         const std::vector<core::TimedSymbol>& symbols);
-/// Op 5: the run decodes as one event and admits as one ring slot.
+/// Op 12 (packed FeedBatch): the run decodes as one event and admits as
+/// one ring slot.
 std::string encode_feed_batch(SessionId session,
                               const std::vector<core::TimedSymbol>& symbols);
 std::string encode_close(SessionId session,
@@ -143,8 +167,8 @@ std::string encode_submit_query(SessionId session, std::string_view query);
 
 /// One decoded unit of the stream.  A single Feed frame may surface as
 /// several Symbols events (partial-body decoding); their concatenation is
-/// exactly the frame's element list.  A FeedBatch frame always surfaces
-/// as exactly one Symbols event.
+/// exactly the frame's element list.  A FeedBatch frame (op 5 or 12)
+/// always surfaces as exactly one Symbols event.
 struct WireEvent {
   enum class Kind : std::uint8_t {
     Open,
@@ -197,7 +221,9 @@ public:
   explicit Decoder(std::size_t max_frame_bytes = kDefaultMaxFrameBytes)
       : max_frame_bytes_(max_frame_bytes) {}
 
-  /// Appends raw bytes (any chunking) and decodes as far as possible.
+  /// Decodes raw bytes (any chunking) as far as possible.  Complete
+  /// frames decode straight from `bytes`; only an incomplete tail is
+  /// copied and kept until a later push completes it.
   void push(std::string_view bytes);
 
   /// Pops the next decoded event; false when none is ready yet.
@@ -211,12 +237,18 @@ public:
   std::uint64_t frames() const noexcept { return frames_; }
 
 private:
-  void decode();
-  void fail(DecodeError code, std::string message);
+  /// Decodes from `in` until it needs more bytes; returns bytes consumed.
+  std::size_t decode(std::string_view in);
+  /// Decodes one complete non-Feed frame into ready_; false on failure.
+  bool decode_frame(SessionId session, Op op, std::string_view body);
+  /// Bytes buffer_ must hold to complete its pending frame (for a Feed
+  /// frame, the rest of its body).
+  std::size_t pending_bytes() const;
+  /// Makes the error sticky; returns false so a step can `return fail()`.
+  bool fail(DecodeError code, std::string message);
 
   std::size_t max_frame_bytes_;
-  std::string buffer_;        ///< undecoded bytes
-  std::size_t scan_ = 0;      ///< consumed prefix of buffer_
+  std::string buffer_;  ///< an incomplete frame, or a Feed body's tail
   std::deque<WireEvent> ready_;
   std::string error_;
   DecodeError error_code_ = DecodeError::None;

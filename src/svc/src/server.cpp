@@ -65,9 +65,11 @@ bool Connection::pump() {
 bool Connection::apply_event(WireEvent& event) {
   switch (event.kind) {
     case WireEvent::Kind::Hello: {
-      // Select the highest version both sides speak.  A client whose
-      // floor is above ours is a framing-level mismatch: fail fast
-      // rather than silently dropping its notifications.
+      // Select the highest version both sides speak, so a [0..1] client
+      // is answered with its own version.  A client whose floor is above
+      // ours is a framing-level mismatch: fail fast rather than silently
+      // dropping its notifications.  The handshake gates notifications
+      // only: the Decoder accepts every op whatever was negotiated.
       if (event.version_min > kWireVersion) {
         fail_stream("wire: client requires protocol version " +
                     std::to_string(event.version_min) + ", server speaks " +

@@ -12,6 +12,7 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 4;              ///< u32le payload length
 constexpr std::size_t kPayloadHeaderBytes = 8 + 1;   ///< session + op
+constexpr std::size_t kFrameHeaderBytes = kHeaderBytes + kPayloadHeaderBytes;
 
 void put_u32le(std::string& out, std::uint32_t v) {
   out.push_back(static_cast<char>(v & 0xff));
@@ -39,9 +40,86 @@ std::uint64_t get_u64le(const char* p) {
   return v;
 }
 
+void put_varint(std::string& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+}
+
+/// LEB128 of at most 10 bytes whose 10th byte is <= 1 (exactly 64 bits).
+bool get_varint(const unsigned char*& p, const unsigned char* end,
+                std::uint64_t& v) {
+  std::uint64_t result = 0;
+  for (unsigned shift = 0; shift < 70; shift += 7) {
+    if (p == end) return false;
+    const unsigned byte = *p++;
+    if (shift == 63 && byte > 1) return false;
+    result |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+    if (byte < 0x80) {
+      v = result;
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Packed element kinds (op 12).
+enum class PackedKind : unsigned char { Char = 0, Nat = 1, Marker = 2 };
+
+/// Smallest packed element: [kind][1-byte payload][1-byte dt].
+constexpr std::size_t kMinPackedElementBytes = 3;
+
+/// Decodes an op 12 body into `out`; false on any malformation.
+bool decode_packed(std::string_view body, std::vector<core::TimedSymbol>& out) {
+  auto p = reinterpret_cast<const unsigned char*>(body.data());
+  const auto end = p + body.size();
+  std::uint64_t n = 0;
+  if (!get_varint(p, end, n)) return false;
+  // A lying count cannot reserve past what the frame cap already bounds.
+  if (n > static_cast<std::size_t>(end - p) / kMinPackedElementBytes)
+    return false;
+  out.reserve(n);
+  core::Tick time = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (p == end) return false;
+    core::Symbol sym;
+    switch (static_cast<PackedKind>(*p++)) {
+      case PackedKind::Char:
+        if (p == end) return false;
+        sym = core::Symbol::chr(static_cast<char>(*p++));
+        break;
+      case PackedKind::Nat: {
+        std::uint64_t value = 0;
+        if (!get_varint(p, end, value)) return false;
+        sym = core::Symbol::nat(value);
+        break;
+      }
+      case PackedKind::Marker: {
+        std::uint64_t len = 0;
+        if (!get_varint(p, end, len) ||
+            len > static_cast<std::uint64_t>(end - p))
+          return false;
+        sym = core::Symbol::marker(std::string_view(
+            reinterpret_cast<const char*>(p), static_cast<std::size_t>(len)));
+        p += len;
+        break;
+      }
+      default:
+        return false;
+    }
+    std::uint64_t dt = 0;
+    if (!get_varint(p, end, dt)) return false;
+    time += dt;  // mod 2^64: any time sequence round-trips
+    out.push_back({sym, time});
+  }
+  return p == end;
+}
+
 std::string encode(SessionId session, Op op, std::string_view body) {
   std::string out;
-  out.reserve(kHeaderBytes + kPayloadHeaderBytes + body.size());
+  out.reserve(kFrameHeaderBytes + body.size());
   put_u32le(out,
             static_cast<std::uint32_t>(kPayloadHeaderBytes + body.size()));
   put_u64le(out, session);
@@ -65,6 +143,7 @@ std::string to_string(Op op) {
     case Op::Verdict: return "verdict";
     case Op::ShedNotice: return "shed_notice";
     case Op::SubmitQuery: return "submit_query";
+    case Op::FeedPacked: return "feed_packed";
   }
   return "op?" + std::to_string(static_cast<unsigned>(op));
 }
@@ -97,7 +176,32 @@ std::string encode_feed(SessionId session,
 
 std::string encode_feed_batch(SessionId session,
                               const std::vector<core::TimedSymbol>& symbols) {
-  return encode(session, Op::FeedBatch, core::serialize_elements(symbols));
+  std::string body;
+  body.reserve(10 + kMinPackedElementBytes * symbols.size());
+  put_varint(body, symbols.size());
+  core::Tick previous = 0;
+  for (const auto& [sym, time] : symbols) {
+    switch (sym.kind()) {
+      case core::Symbol::Kind::Char:
+        body.push_back(static_cast<char>(PackedKind::Char));
+        body.push_back(sym.as_char());
+        break;
+      case core::Symbol::Kind::Nat:
+        body.push_back(static_cast<char>(PackedKind::Nat));
+        put_varint(body, sym.as_nat());
+        break;
+      case core::Symbol::Kind::Marker: {
+        const std::string_view name = sym.name();
+        body.push_back(static_cast<char>(PackedKind::Marker));
+        put_varint(body, name.size());
+        body.append(name);
+        break;
+      }
+    }
+    put_varint(body, time - previous);
+    previous = time;
+  }
+  return encode(session, Op::FeedPacked, body);
 }
 
 std::string encode_close(SessionId session, core::StreamEnd end) {
@@ -148,13 +252,29 @@ std::string encode_shed(SessionId session, AdmitResult admit,
 
 void Decoder::push(std::string_view bytes) {
   if (!ok()) return;
-  buffer_.append(bytes);
-  decode();
-  // Reclaim the consumed prefix so a long-lived stream stays O(frame).
-  if (scan_ > 0) {
-    buffer_.erase(0, scan_);
-    scan_ = 0;
+  // Finish what an earlier push left incomplete: copy only the bytes that
+  // complete the pending frame (for a Feed, the rest of its body), decode
+  // it from buffer_, then decode everything after it straight from the
+  // caller's view and keep only the incomplete tail.
+  std::size_t pos = 0;
+  while (!buffer_.empty() && pos < bytes.size() && ok()) {
+    const std::size_t take =
+        std::min(pending_bytes() - buffer_.size(), bytes.size() - pos);
+    buffer_.append(bytes.data() + pos, take);
+    pos += take;
+    buffer_.erase(0, decode(buffer_));
   }
+  if (ok() && buffer_.empty()) {
+    const std::string_view rest = bytes.substr(pos);
+    buffer_.assign(rest.substr(decode(rest)));
+  }
+  if (!ok()) buffer_.clear();
+}
+
+std::size_t Decoder::pending_bytes() const {
+  if (in_feed_) return feed_remaining_;
+  if (buffer_.size() < kFrameHeaderBytes) return kFrameHeaderBytes;
+  return kHeaderBytes + get_u32le(buffer_.data());
 }
 
 bool Decoder::next(WireEvent& out) {
@@ -164,17 +284,17 @@ bool Decoder::next(WireEvent& out) {
   return true;
 }
 
-void Decoder::fail(DecodeError code, std::string message) {
+bool Decoder::fail(DecodeError code, std::string message) {
   error_code_ = code;
   error_ = std::move(message);
-  buffer_.clear();
-  scan_ = 0;
   in_feed_ = false;
+  return false;
 }
 
-void Decoder::decode() {
+std::size_t Decoder::decode(std::string_view in) {
+  std::size_t pos = 0;
   while (ok()) {
-    const std::size_t available = buffer_.size() - scan_;
+    const std::size_t available = in.size() - pos;
 
     if (in_feed_) {
       // Stream the Feed body: parse as many complete elements as the
@@ -186,12 +306,11 @@ void Decoder::decode() {
         ++frames_;
         continue;
       }
-      if (available == 0) return;
+      if (available == 0) return pos;
       const std::size_t take = std::min(available, feed_remaining_);
       const bool final_chunk = take == feed_remaining_;
-      auto parsed =
-          core::parse_prefix(std::string_view(buffer_).substr(scan_, take),
-                             ~std::size_t{0}, final_chunk);
+      auto parsed = core::parse_prefix(in.substr(pos, take), ~std::size_t{0},
+                                       final_chunk);
       if (!parsed.symbols.empty()) {
         WireEvent ev;
         ev.kind = WireEvent::Kind::Symbols;
@@ -199,162 +318,174 @@ void Decoder::decode() {
         ev.symbols = std::move(parsed.symbols);
         ready_.push_back(std::move(ev));
       }
-      scan_ += parsed.consumed;
+      pos += parsed.consumed;
       feed_remaining_ -= parsed.consumed;
-      if (final_chunk) {
-        if (parsed.consumed < take)
-          return fail(DecodeError::MalformedBody,
-                      "svc::Decoder: malformed feed body");
-        continue;  // frame complete; the branch above closes it
+      if (!final_chunk) return pos;  // need more body bytes
+      if (parsed.consumed < take) {
+        fail(DecodeError::MalformedBody, "svc::Decoder: malformed feed body");
+        return pos;
       }
-      return;  // need more body bytes
+      continue;  // frame complete; the branch above closes it
     }
 
-    if (available < kHeaderBytes + kPayloadHeaderBytes) return;
-    const std::size_t len = get_u32le(buffer_.data() + scan_);
-    if (len < kPayloadHeaderBytes)
-      return fail(DecodeError::ShortFrame,
-                  "svc::Decoder: frame shorter than its payload header");
-    if (len > max_frame_bytes_)
-      return fail(DecodeError::Oversized,
-                  "svc::Decoder: frame exceeds the size cap");
-
-    const SessionId session = get_u64le(buffer_.data() + scan_ + kHeaderBytes);
+    if (available < kFrameHeaderBytes) return pos;
+    const char* header = in.data() + pos;
+    const std::size_t len = get_u32le(header);
+    if (len < kPayloadHeaderBytes) {
+      fail(DecodeError::ShortFrame,
+           "svc::Decoder: frame shorter than its payload header");
+      return pos;
+    }
+    if (len > max_frame_bytes_) {
+      fail(DecodeError::Oversized, "svc::Decoder: frame exceeds the size cap");
+      return pos;
+    }
+    const SessionId session = get_u64le(header + kHeaderBytes);
     const auto op = static_cast<Op>(
-        static_cast<unsigned char>(buffer_[scan_ + kHeaderBytes + 8]));
-    const std::size_t body_len = len - kPayloadHeaderBytes;
+        static_cast<unsigned char>(header[kHeaderBytes + 8]));
 
     if (op == Op::Feed) {
       // Body may be consumed incrementally; commit to the frame now.
-      scan_ += kHeaderBytes + kPayloadHeaderBytes;
+      pos += kFrameHeaderBytes;
       in_feed_ = true;
       feed_session_ = session;
-      feed_remaining_ = body_len;
+      feed_remaining_ = len - kPayloadHeaderBytes;
       continue;
     }
 
     // Control frames are tiny, and a FeedBatch is one all-or-nothing
     // admission unit: wait for the whole frame.
-    if (available < kHeaderBytes + len) return;
-    const std::string_view body =
-        std::string_view(buffer_).substr(scan_ + kHeaderBytes +
-                                             kPayloadHeaderBytes,
-                                         body_len);
-    WireEvent ev;
-    ev.session = session;
-    switch (op) {
-      case Op::Open:
-        ev.kind = WireEvent::Kind::Open;
-        ev.profile = std::string(body);
-        break;
-      case Op::OpenPri: {
-        if (body.empty())
-          return fail(DecodeError::MalformedBody,
-                      "svc::Decoder: OpenPri frame without a priority byte");
-        const auto raw = static_cast<unsigned char>(body[0]);
-        if (raw > static_cast<unsigned char>(Priority::High))
-          return fail(DecodeError::MalformedBody,
-                      "svc::Decoder: OpenPri with an unknown priority");
-        ev.kind = WireEvent::Kind::Open;
-        ev.priority = static_cast<Priority>(raw);
-        ev.profile = std::string(body.substr(1));
-        break;
-      }
-      case Op::FeedBatch: {
-        auto parsed = core::parse_prefix(body, ~std::size_t{0},
-                                         /*final_chunk=*/true);
-        if (parsed.consumed < body.size())
-          return fail(DecodeError::MalformedBody,
-                      "svc::Decoder: malformed feed-batch body");
-        ev.kind = WireEvent::Kind::Symbols;
-        ev.symbols = std::move(parsed.symbols);
-        break;
-      }
-      case Op::Close:
-        ev.kind = WireEvent::Kind::Close;
-        ev.end = core::StreamEnd::EndOfWord;
-        break;
-      case Op::CloseTruncated:
-        ev.kind = WireEvent::Kind::Close;
-        ev.end = core::StreamEnd::Truncated;
-        break;
-      case Op::Hello:
-        if (body.size() != 2)
-          return fail(DecodeError::MalformedBody,
-                      "svc::Decoder: Hello body must be [min][max]");
-        ev.kind = WireEvent::Kind::Hello;
-        ev.version_min = static_cast<std::uint8_t>(body[0]);
-        ev.version_max = static_cast<std::uint8_t>(body[1]);
-        if (ev.version_min > ev.version_max)
-          return fail(DecodeError::MalformedBody,
-                      "svc::Decoder: Hello with an inverted version range");
-        break;
-      case Op::HelloAck:
-        if (body.size() != 1)
-          return fail(DecodeError::MalformedBody,
-                      "svc::Decoder: HelloAck body must be [version]");
-        ev.kind = WireEvent::Kind::HelloAck;
-        ev.version = static_cast<std::uint8_t>(body[0]);
-        break;
-      case Op::Verdict: {
-        if (body.size() != 3 + 8 + 8)
-          return fail(DecodeError::MalformedBody,
-                      "svc::Decoder: Verdict body has a fixed 19-byte layout");
-        const auto raw = static_cast<unsigned char>(body[0]);
-        if (raw > static_cast<unsigned char>(core::Verdict::Rejecting))
-          return fail(DecodeError::MalformedBody,
-                      "svc::Decoder: Verdict with an unknown verdict byte");
-        ev.kind = WireEvent::Kind::Verdict;
-        ev.verdict = static_cast<core::Verdict>(raw);
-        ev.exact = body[1] != 0;
-        ev.evicted = body[2] != 0;
-        ev.fed = get_u64le(body.data() + 3);
-        ev.stale = get_u64le(body.data() + 11);
-        break;
-      }
-      case Op::SubmitQuery: {
-        // Validate the query text while the frame is in hand: a client
-        // that cannot even form a syntactically valid query is as broken
-        // as one sending a garbled Feed body, and gets the same sticky
-        // treatment.  (Compile limits are a resource policy, not a
-        // framing error -- the session layer handles those.)
-        auto parsed = cer::parse(body);
-        if (!parsed.ok()) {
-          std::string msg = "svc::Decoder: malformed query: ";
-          msg += parsed.error;
-          msg += " at offset ";
-          msg += std::to_string(parsed.offset);
-          return fail(DecodeError::MalformedBody, std::move(msg));
-        }
-        ev.kind = WireEvent::Kind::SubmitQuery;
-        ev.profile = std::string(body);
-        break;
-      }
-      case Op::ShedNotice: {
-        if (body.size() != 2 + 8)
-          return fail(DecodeError::MalformedBody,
-                      "svc::Decoder: ShedNotice body has a fixed "
-                      "10-byte layout");
-        const auto raw_admit = static_cast<unsigned char>(body[0]);
-        const auto raw_reason = static_cast<unsigned char>(body[1]);
-        if (raw_admit > static_cast<unsigned char>(Admit::Blocked) ||
-            raw_reason > static_cast<unsigned char>(ShedReason::Priority))
-          return fail(DecodeError::MalformedBody,
-                      "svc::Decoder: ShedNotice with an unknown "
-                      "admit/reason byte");
-        ev.kind = WireEvent::Kind::Shed;
-        ev.admit = AdmitResult{static_cast<Admit>(raw_admit),
-                               static_cast<ShedReason>(raw_reason)};
-        ev.shed_symbols = get_u64le(body.data() + 2);
-        break;
-      }
-      default:
-        return fail(DecodeError::UnknownOp, "svc::Decoder: unknown opcode");
-    }
-    ready_.push_back(std::move(ev));
-    scan_ += kHeaderBytes + len;
+    if (available < kHeaderBytes + len) return pos;
+    if (!decode_frame(session, op,
+                      in.substr(pos + kFrameHeaderBytes,
+                                len - kPayloadHeaderBytes)))
+      return pos;
+    pos += kHeaderBytes + len;
     ++frames_;
   }
+  return pos;
+}
+
+bool Decoder::decode_frame(SessionId session, Op op, std::string_view body) {
+  WireEvent ev;
+  ev.session = session;
+  switch (op) {
+    case Op::Open:
+      ev.kind = WireEvent::Kind::Open;
+      ev.profile = std::string(body);
+      break;
+    case Op::OpenPri: {
+      if (body.empty())
+        return fail(DecodeError::MalformedBody,
+                    "svc::Decoder: OpenPri frame without a priority byte");
+      const auto raw = static_cast<unsigned char>(body[0]);
+      if (raw > static_cast<unsigned char>(Priority::High))
+        return fail(DecodeError::MalformedBody,
+                    "svc::Decoder: OpenPri with an unknown priority");
+      ev.kind = WireEvent::Kind::Open;
+      ev.priority = static_cast<Priority>(raw);
+      ev.profile = std::string(body.substr(1));
+      break;
+    }
+    case Op::FeedPacked:
+      if (!decode_packed(body, ev.symbols))
+        return fail(DecodeError::MalformedBody,
+                    "svc::Decoder: malformed packed feed body");
+      ev.kind = WireEvent::Kind::Symbols;
+      break;
+    case Op::FeedBatch: {
+      auto parsed = core::parse_prefix(body, ~std::size_t{0},
+                                       /*final_chunk=*/true);
+      if (parsed.consumed < body.size())
+        return fail(DecodeError::MalformedBody,
+                    "svc::Decoder: malformed feed-batch body");
+      ev.kind = WireEvent::Kind::Symbols;
+      ev.symbols = std::move(parsed.symbols);
+      break;
+    }
+    case Op::Close:
+      ev.kind = WireEvent::Kind::Close;
+      ev.end = core::StreamEnd::EndOfWord;
+      break;
+    case Op::CloseTruncated:
+      ev.kind = WireEvent::Kind::Close;
+      ev.end = core::StreamEnd::Truncated;
+      break;
+    case Op::Hello:
+      if (body.size() != 2)
+        return fail(DecodeError::MalformedBody,
+                    "svc::Decoder: Hello body must be [min][max]");
+      ev.kind = WireEvent::Kind::Hello;
+      ev.version_min = static_cast<std::uint8_t>(body[0]);
+      ev.version_max = static_cast<std::uint8_t>(body[1]);
+      if (ev.version_min > ev.version_max)
+        return fail(DecodeError::MalformedBody,
+                    "svc::Decoder: Hello with an inverted version range");
+      break;
+    case Op::HelloAck:
+      if (body.size() != 1)
+        return fail(DecodeError::MalformedBody,
+                    "svc::Decoder: HelloAck body must be [version]");
+      ev.kind = WireEvent::Kind::HelloAck;
+      ev.version = static_cast<std::uint8_t>(body[0]);
+      break;
+    case Op::Verdict: {
+      if (body.size() != 3 + 8 + 8)
+        return fail(DecodeError::MalformedBody,
+                    "svc::Decoder: Verdict body has a fixed 19-byte layout");
+      const auto raw = static_cast<unsigned char>(body[0]);
+      if (raw > static_cast<unsigned char>(core::Verdict::Rejecting))
+        return fail(DecodeError::MalformedBody,
+                    "svc::Decoder: Verdict with an unknown verdict byte");
+      ev.kind = WireEvent::Kind::Verdict;
+      ev.verdict = static_cast<core::Verdict>(raw);
+      ev.exact = body[1] != 0;
+      ev.evicted = body[2] != 0;
+      ev.fed = get_u64le(body.data() + 3);
+      ev.stale = get_u64le(body.data() + 11);
+      break;
+    }
+    case Op::SubmitQuery: {
+      // Validate the query text while the frame is in hand: a client
+      // that cannot even form a syntactically valid query is as broken
+      // as one sending a garbled Feed body, and gets the same sticky
+      // treatment.  (Compile limits are a resource policy, not a
+      // framing error -- the session layer handles those.)
+      auto parsed = cer::parse(body);
+      if (!parsed.ok()) {
+        std::string msg = "svc::Decoder: malformed query: ";
+        msg += parsed.error;
+        msg += " at offset ";
+        msg += std::to_string(parsed.offset);
+        return fail(DecodeError::MalformedBody, std::move(msg));
+      }
+      ev.kind = WireEvent::Kind::SubmitQuery;
+      ev.profile = std::string(body);
+      break;
+    }
+    case Op::ShedNotice: {
+      if (body.size() != 2 + 8)
+        return fail(DecodeError::MalformedBody,
+                    "svc::Decoder: ShedNotice body has a fixed "
+                    "10-byte layout");
+      const auto raw_admit = static_cast<unsigned char>(body[0]);
+      const auto raw_reason = static_cast<unsigned char>(body[1]);
+      if (raw_admit > static_cast<unsigned char>(Admit::Blocked) ||
+          raw_reason > static_cast<unsigned char>(ShedReason::Priority))
+        return fail(DecodeError::MalformedBody,
+                    "svc::Decoder: ShedNotice with an unknown "
+                    "admit/reason byte");
+      ev.kind = WireEvent::Kind::Shed;
+      ev.admit = AdmitResult{static_cast<Admit>(raw_admit),
+                             static_cast<ShedReason>(raw_reason)};
+      ev.shed_symbols = get_u64le(body.data() + 2);
+      break;
+    }
+    default:
+      return fail(DecodeError::UnknownOp, "svc::Decoder: unknown opcode");
+  }
+  ready_.push_back(std::move(ev));
+  return true;
 }
 
 std::vector<std::string> apply_faults(const std::vector<std::string>& frames,

@@ -1,7 +1,9 @@
 /// \file test_cer_alloc.cpp
 /// Pins CerAcceptor's "no allocation per feed" property: once warmed up
-/// on a stream, feeding it allocates nothing.  Global operator new is
-/// replaced by a counting version, so this lives in its own binary.
+/// on a stream, feeding it allocates nothing.  Also pins the wire
+/// decoder's bound on what a packed FeedBatch count may reserve.  Global
+/// operator new is replaced by a counting version, so this lives in its
+/// own binary.
 
 #include <gtest/gtest.h>
 
@@ -14,12 +16,19 @@
 #include "rtw/cer/acceptor.hpp"
 #include "rtw/cer/parser.hpp"
 #include "rtw/sim/rng.hpp"
+#include "rtw/svc/wire.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::size_t> g_largest{0};  ///< largest single request
 
 void* counted_malloc(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest.load(std::memory_order_relaxed);
+  while (size > largest &&
+         !g_largest.compare_exchange_weak(largest, size,
+                                          std::memory_order_relaxed)) {
+  }
   return std::malloc(size == 0 ? 1 : size);
 }
 
@@ -110,4 +119,74 @@ TEST(CerAlloc, NestedFeedsAllocateNothingAfterWarmup) {
   EXPECT_EQ(allocations_per_10k_feeds(
                 "nested", "(within(4){ a ; b })+ | (c ; d)+"),
             0u);
+}
+
+namespace {
+
+/// Largest single allocation made while pushing one op 12 frame whose body
+/// is `body`; the decoder must reject it as MalformedBody.
+std::size_t largest_allocation_decoding_packed(const std::string& body) {
+  std::string frame;
+  const auto len = static_cast<std::uint32_t>(9 + body.size());
+  for (int i = 0; i < 4; ++i)
+    frame.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
+  frame.append(8, '\0');  // session 0
+  frame.push_back(static_cast<char>(rtw::svc::Op::FeedPacked));
+  frame += body;
+  rtw::svc::Decoder decoder;
+  g_largest.store(0);
+  decoder.push(frame);
+  const std::size_t largest = g_largest.load();
+  EXPECT_EQ(decoder.error_code(), rtw::svc::DecodeError::MalformedBody);
+  return largest;
+}
+
+/// A 20-byte body: the count varint, `count` elements [Char 'a'][dt 1],
+/// then stray bytes up to 20.
+std::string packed_body(const std::string& count_varint, int count) {
+  std::string body = count_varint;
+  for (int i = 0; i < count; ++i) body += std::string("\0a\1", 3);
+  body.resize(20, 'x');
+  return body;
+}
+
+}  // namespace
+
+TEST(WireAlloc, PackedCountWithinTheBodyIsReservedExactly) {
+  // 6 elements fit the 19 bytes after the count, so the count passes the
+  // bound and is reserved; the stray byte then fails the frame.  This
+  // shows the hook sees the decoder's reservation.
+  EXPECT_EQ(largest_allocation_decoding_packed(packed_body("\x06", 6)),
+            6 * sizeof(TimedSymbol));
+}
+
+TEST(WireAlloc, LyingPackedCountNeverReservesPastTheBody) {
+  // n = 2^40 (a 6-byte varint) over a 20-byte body: no request may exceed
+  // body/3 elements.
+  const auto body = packed_body("\x80\x80\x80\x80\x80\x20", 4);
+  EXPECT_LE(largest_allocation_decoding_packed(body),
+            body.size() / 3 * sizeof(TimedSymbol));
+}
+
+TEST(WireAlloc, CompleteFramesDecodeInPlace) {
+  // 64 KiB reads of 256-symbol FeedBatch frames.  Only the one frame that
+  // straddles a read boundary is copied, never the read itself, so the
+  // largest request is a decoded run.
+  std::vector<TimedSymbol> run;
+  for (Tick t = 0; t < 256; ++t) run.push_back({Symbol::chr('a'), t});
+  std::string stream;
+  while (stream.size() < 4 * 65536)
+    stream += rtw::svc::encode_feed_batch(1, run);
+  rtw::svc::Decoder decoder;
+  rtw::svc::WireEvent ev;
+  std::uint64_t runs = 0;
+  g_largest.store(0);
+  for (std::size_t off = 0; off < stream.size(); off += 65536) {
+    decoder.push(std::string_view(stream).substr(off, 65536));
+    while (decoder.next(ev)) runs += ev.symbols == run;
+  }
+  const std::size_t largest = g_largest.load();
+  EXPECT_TRUE(decoder.ok()) << decoder.error();
+  EXPECT_EQ(runs, decoder.frames());
+  EXPECT_LE(largest, run.size() * sizeof(TimedSymbol));
 }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "rtw/core/error.hpp"
 #include "rtw/core/symbol.hpp"
 #include "rtw/core/timed_word.hpp"
@@ -29,6 +32,20 @@ TEST(SymbolTest, AccessorsRoundTrip) {
   EXPECT_EQ(Symbol::chr('z').as_char(), 'z');
   EXPECT_EQ(Symbol::nat(41).as_nat(), 41u);
   EXPECT_EQ(Symbol::marker("hello").name(), "hello");
+}
+
+TEST(SymbolTest, MarkerNameViewOutlivesLaterInterning) {
+  // name() returns a view into the intern table.  Short names live inside
+  // their std::string (SSO), so the table must never relocate its strings
+  // when it grows; under ASan a relocating table is a heap-use-after-free.
+  const std::string_view name = Symbol::marker("w_probe").name();
+  for (int i = 0; i < 5000; ++i) {
+    std::string grow = "grow_";
+    grow += std::to_string(i);
+    Symbol::marker(grow);
+  }
+  EXPECT_EQ(name, "w_probe");
+  EXPECT_EQ(Symbol::marker("w_probe").name().data(), name.data());
 }
 
 TEST(SymbolTest, WrongAccessorThrows) {

@@ -172,6 +172,20 @@ std::vector<TimedSymbol> sample_elements() {
           {Symbol::chr('z'), 9}};
 }
 
+/// Hand-assembles a frame: [u32le len][u64le session][u8 op][body].
+std::string raw_frame(std::uint8_t op, std::string_view body,
+                      SessionId session = 1) {
+  std::string frame;
+  const std::uint32_t len = static_cast<std::uint32_t>(9 + body.size());
+  for (int i = 0; i < 4; ++i)
+    frame.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
+  for (int i = 0; i < 8; ++i)
+    frame.push_back(static_cast<char>((session >> (8 * i)) & 0xff));
+  frame.push_back(static_cast<char>(op));
+  frame.append(body);
+  return frame;
+}
+
 TEST(WireCodec, FramesRoundTrip) {
   const auto elements = sample_elements();
   std::string stream = rtw::svc::encode_open(7, "deadline");
@@ -324,11 +338,208 @@ TEST(WireCodec, FeedBatchDecodesAsExactlyOneEvent) {
 }
 
 TEST(WireCodec, MalformedFeedBatchBodyIsFatal) {
-  auto frame = rtw::svc::encode_feed_batch(1, sample_elements());
+  // The legacy text body (op 5), which encode_feed_batch no longer emits.
+  auto frame = raw_frame(5, serialize_elements(sample_elements()));
   frame[frame.size() - 2] = '!';
   Decoder decoder;
   decoder.push(frame);
   EXPECT_FALSE(decoder.ok());
+}
+
+/// Random packed-feed element list: the Char values the text format has to
+/// escape, Nat and time extremes, markers, and equal, decreasing and
+/// 2^64-1 times.  Length 0 (the empty run) is drawn too.
+std::vector<TimedSymbol> random_feed_elements(rtw::sim::Xoshiro256ss& rng,
+                                              std::size_t size) {
+  static constexpr char kChars[] = {'0', '7', '9', '\'', '<', ' ', '@',
+                                    '\0', '|', '>', 'a', 'z'};
+  static const char* const kMarkers[] = {"w", "d", "min", "", "a b",
+                                         "x@y", "q'<", "long_marker_name"};
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const std::size_t len = rng.uniform(std::uint64_t{4 * size + 1});
+  std::vector<TimedSymbol> out;
+  out.reserve(len);
+  Tick t = rng.uniform(std::uint64_t{4});
+  for (std::size_t i = 0; i < len; ++i) {
+    Symbol sym;
+    switch (rng.uniform(std::uint64_t{3})) {
+      case 0:
+        sym = Symbol::chr(kChars[rng.uniform(std::uint64_t{sizeof kChars})]);
+        break;
+      case 1: {
+        const std::uint64_t values[] = {0, kMax, rng.uniform(std::uint64_t{7}),
+                                        rng.uniform(std::uint64_t{1} << 20),
+                                        rng()};
+        sym = Symbol::nat(values[rng.uniform(std::uint64_t{5})]);
+        break;
+      }
+      default:
+        sym = Symbol::marker(
+            kMarkers[rng.uniform(std::uint64_t{std::size(kMarkers)})]);
+    }
+    switch (rng.uniform(std::uint64_t{6})) {
+      case 0: break;                                   // equal
+      case 1: t = rng.uniform(t + 1); break;           // decreasing
+      case 2: t = kMax; break;
+      case 3: t = rng(); break;
+      default: t += 1 + rng.uniform(std::uint64_t{3});  // the served shape
+    }
+    out.push_back({sym, t});
+  }
+  return out;
+}
+
+/// Pushes `stream` in chunks drawn from [1, max_chunk] and returns every
+/// event decoded, or nullopt when the decoder failed.
+std::optional<std::vector<WireEvent>> decode_chunked(
+    std::string_view stream, rtw::sim::Xoshiro256ss& rng,
+    std::uint64_t max_chunk) {
+  Decoder decoder;
+  std::vector<WireEvent> events;
+  WireEvent ev;
+  for (std::size_t off = 0; off < stream.size();) {
+    const std::size_t n = std::min<std::size_t>(
+        1 + rng.uniform(max_chunk), stream.size() - off);
+    decoder.push(stream.substr(off, n));
+    off += n;
+    while (decoder.next(ev)) events.push_back(std::move(ev));
+  }
+  if (!decoder.ok()) return std::nullopt;
+  return events;
+}
+
+/// encode_feed_batch emits op 12.  Whatever the chunking, its frame decodes
+/// to exactly one Symbols event equal to the input, that event surfaces
+/// only with the frame's last byte, and the legacy text bodies (op 5, and
+/// op 2 streamed in pieces) of the same elements decode to the same run.
+TEST(WireCodec, PackedFeedBatchRoundTripsAndMatchesTheTextBodies) {
+  rtw::proptest::Config cfg;
+  cfg.seed = 0x7061636bULL;  // "pack"
+  cfg.cases = 400;
+  cfg.max_size = 24;
+  const auto result = rtw::proptest::run_property(
+      "svc.packed_feed_batch", cfg,
+      [](rtw::sim::Xoshiro256ss& rng, std::size_t size)
+          -> std::optional<std::string> {
+        const auto elements = random_feed_elements(rng, size);
+        const std::string packed = rtw::svc::encode_feed_batch(9, elements);
+        if (static_cast<unsigned char>(packed[12]) != 12)
+          return "encode_feed_batch did not emit op 12";
+
+        // Byte-at-a-time: nothing before the last byte, then one event.
+        Decoder slow;
+        WireEvent ev;
+        for (std::size_t i = 0; i < packed.size(); ++i) {
+          slow.push(std::string_view(packed).substr(i, 1));
+          if (i + 1 < packed.size() && slow.next(ev))
+            return "event surfaced at byte " + std::to_string(i);
+        }
+        if (!slow.ok()) return "1-byte pushes: " + slow.error();
+        if (!slow.next(ev) || ev.kind != WireEvent::Kind::Symbols ||
+            ev.session != 9u || ev.symbols != elements)
+          return std::string("1-byte pushes: wrong event");
+        if (ev.symbols.capacity() != elements.size())
+          return std::string("run not sized exactly");
+        if (slow.next(ev) || slow.frames() != 1u)
+          return std::string("1-byte pushes: more than one event");
+
+        // The legacy text FeedBatch body decodes to the same event.
+        Decoder text;
+        text.push(raw_frame(5, serialize_elements(elements), 9));
+        WireEvent text_ev;
+        if (!text.ok() || !text.next(text_ev) ||
+            text_ev.kind != WireEvent::Kind::Symbols ||
+            text_ev.session != 9u || text_ev.symbols != elements)
+          return std::string("op 5 text body decodes differently");
+
+        // A mixed stream under random chunkings: the packed run stays one
+        // event, the op 2 pieces concatenate to the same run.
+        std::string stream = rtw::svc::encode_open(9, "p");
+        stream += packed;
+        stream += rtw::svc::encode_feed(9, elements);
+        stream += packed;
+        stream += rtw::svc::encode_close(9);
+        for (const std::uint64_t max_chunk : {2u, 7u, 64u, 4096u}) {
+          const auto events = decode_chunked(stream, rng, max_chunk);
+          if (!events) return "mixed stream failed to decode";
+          const auto& evs = *events;
+          if (evs.size() < 4 || evs.front().kind != WireEvent::Kind::Open ||
+              evs.back().kind != WireEvent::Kind::Close)
+            return std::string("mixed stream lost its open or close");
+          if (evs[1].symbols != elements ||
+              evs[evs.size() - 2].symbols != elements)
+            return std::string("packed run split or changed");
+          std::vector<TimedSymbol> streamed;
+          for (std::size_t i = 2; i + 2 < evs.size(); ++i)
+            streamed.insert(streamed.end(), evs[i].symbols.begin(),
+                            evs[i].symbols.end());
+          if (streamed != elements)
+            return "op 2 pieces differ, max_chunk=" +
+                   std::to_string(max_chunk);
+        }
+        return std::nullopt;
+      });
+  EXPECT_TRUE(result.ok()) << rtw::proptest::describe(
+      "svc.packed_feed_batch", cfg, *result.failure);
+}
+
+TEST(WireCodec, HostilePackedBodiesAreStickyMalformedBody) {
+  using rtw::svc::DecodeError;
+  const auto bytes = [](std::initializer_list<unsigned> list) {
+    std::string out;
+    for (const unsigned b : list) out.push_back(static_cast<char>(b));
+    return out;
+  };
+  struct Case {
+    const char* what;
+    std::string body;
+  };
+  const Case cases[] = {
+      {"no count", ""},
+      {"truncated count", bytes({0x80})},
+      {"truncated element", bytes({2, 2, 3, 'x', 'y', 'z', 1, 0, 'b'})},
+      {"truncated char payload", bytes({2, 2, 3, 'x', 'y', 'z', 1, 0})},
+      {"truncated dt", bytes({1, 0, 'a', 0x80})},
+      {"unknown kind", bytes({1, 3, 'a', 1})},
+      {"over-long varint (11 bytes)",
+       bytes({1, 0, 'a', 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+              0x80, 0x80, 0x00})},
+      {"10th varint byte above 1",
+       bytes({1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+              0x02, 1})},
+      {"marker length past the body", bytes({1, 2, 50, 'x', 1})},
+      {"bytes after n elements", bytes({1, 0, 'a', 1, 0xff})},
+      {"count lie upward", bytes({3, 0, 'a', 1, 0, 'b', 1})},
+      {"count lie upward within the size bound",
+       bytes({2, 0, 'a', 1, 1, 0x81, 0x80, 0x01})},
+      {"count lie downward", bytes({1, 0, 'a', 1, 0, 'b', 1})},
+  };
+  for (const auto& c : cases) {
+    Decoder decoder;
+    decoder.push(rtw::svc::encode_open(1, "p"));
+    decoder.push(raw_frame(12, c.body));
+    EXPECT_FALSE(decoder.ok()) << c.what;
+    EXPECT_EQ(decoder.error_code(), DecodeError::MalformedBody) << c.what;
+    // Sticky: well-formed frames afterwards stay rejected.
+    decoder.push(rtw::svc::encode_feed_batch(1, sample_elements()));
+    decoder.push(rtw::svc::encode_close(1));
+    WireEvent ev;
+    ASSERT_TRUE(decoder.next(ev)) << c.what;  // the open before the fault
+    EXPECT_EQ(ev.kind, WireEvent::Kind::Open);
+    EXPECT_FALSE(decoder.next(ev)) << c.what;
+    EXPECT_EQ(decoder.error_code(), DecodeError::MalformedBody) << c.what;
+  }
+  // The empty run is a valid body: one empty Symbols event, like an
+  // empty op 5 body.
+  for (const std::uint8_t op : {std::uint8_t{12}, std::uint8_t{5}}) {
+    Decoder decoder;
+    decoder.push(raw_frame(op, op == 12 ? bytes({0}) : std::string()));
+    ASSERT_TRUE(decoder.ok()) << decoder.error();
+    WireEvent ev;
+    ASSERT_TRUE(decoder.next(ev));
+    EXPECT_EQ(ev.kind, WireEvent::Kind::Symbols);
+    EXPECT_TRUE(ev.symbols.empty());
+  }
 }
 
 TEST(WireCodec, OpenPriorityRoundTrips) {
@@ -358,33 +569,20 @@ TEST(WireCodec, OpenPriorityRejectsUnknownPriorityByte) {
   EXPECT_FALSE(decoder.ok());
 }
 
-/// Hand-assembles a frame: [u32le len][u64le session][u8 op][body].
-std::string raw_frame(std::uint8_t op, std::string_view body,
-                      SessionId session = 1) {
-  std::string frame;
-  const std::uint32_t len = static_cast<std::uint32_t>(9 + body.size());
-  for (int i = 0; i < 4; ++i)
-    frame.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
-  for (int i = 0; i < 8; ++i)
-    frame.push_back(static_cast<char>((session >> (8 * i)) & 0xff));
-  frame.push_back(static_cast<char>(op));
-  frame.append(body);
-  return frame;
-}
-
 TEST(WireCodec, OpToStringIsExhaustive) {
   using rtw::svc::Op;
   // Every enumerator prints a distinct, non-empty, non-fallback name.
   std::set<std::string> names;
   for (const auto op : {Op::Open, Op::Feed, Op::Close, Op::CloseTruncated,
                         Op::FeedBatch, Op::OpenPri, Op::Hello, Op::HelloAck,
-                        Op::Verdict, Op::ShedNotice}) {
+                        Op::Verdict, Op::ShedNotice, Op::SubmitQuery,
+                        Op::FeedPacked}) {
     const auto name = rtw::svc::to_string(op);
     EXPECT_FALSE(name.empty());
     EXPECT_EQ(name.find("Op("), std::string::npos) << name;
     names.insert(name);
   }
-  EXPECT_EQ(names.size(), 10u);
+  EXPECT_EQ(names.size(), 12u);
   // Out-of-range values fall back to a numeric form instead of aliasing.
   EXPECT_NE(rtw::svc::to_string(static_cast<Op>(99)).find("99"),
             std::string::npos);
@@ -458,7 +656,7 @@ TEST(WireCodec, ShedNoticeFramesRoundTripEveryEnumerator) {
 
 TEST(WireCodec, UnknownOpsAreTypedRejections) {
   using rtw::svc::DecodeError;
-  for (const std::uint8_t op : {std::uint8_t{0}, std::uint8_t{12},
+  for (const std::uint8_t op : {std::uint8_t{0}, std::uint8_t{13},
                                 std::uint8_t{99}, std::uint8_t{255}}) {
     Decoder decoder;
     decoder.push(raw_frame(op, "body"));

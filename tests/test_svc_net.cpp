@@ -216,6 +216,42 @@ TEST(NetLoopback, SingleClientHelloAndVerdictRoundTrip) {
   EXPECT_EQ(ev.stale, 0u);
 }
 
+TEST(NetLoopback, HelloAnswersEachClientWithItsHighestVersion) {
+  Harness h;
+  ASSERT_TRUE(h.start()) << h.transport.error();
+
+  // A v0/v1 peer keeps its version; packed FeedBatch frames decode
+  // whatever was negotiated.
+  struct Range {
+    std::uint8_t min, max, chosen;
+  };
+  for (const Range r : {Range{0, 1, 1}, Range{1, 1, 1}, Range{1, 2, 2},
+                        Range{2, 2, kWireVersion}, Range{0, 9, kWireVersion}}) {
+    TestClient client;
+    ASSERT_TRUE(client.connect_to(h.transport.port()));
+    std::string stream = encode_hello(r.min, r.max);
+    stream += encode_open(1, "count:3");
+    stream += encode_feed_batch(1, word_of(3));
+    stream += encode_close(1);
+    ASSERT_TRUE(client.send_all(stream));
+    WireEvent ev;
+    ASSERT_TRUE(client.next_event(ev));
+    EXPECT_EQ(ev.kind, WireEvent::Kind::HelloAck);
+    EXPECT_EQ(ev.version, r.chosen)
+        << unsigned(r.min) << ".." << unsigned(r.max);
+    ASSERT_TRUE(client.next_event(ev));
+    EXPECT_EQ(ev.kind, WireEvent::Kind::Verdict);
+    EXPECT_EQ(ev.verdict, Verdict::Accepting);
+  }
+
+  // A floor above the server's version fails at the handshake.
+  TestClient future;
+  ASSERT_TRUE(future.connect_to(h.transport.port()));
+  const auto above = static_cast<std::uint8_t>(kWireVersion + 1);
+  ASSERT_TRUE(future.send_all(encode_hello(above, above)));
+  EXPECT_TRUE(future.drain_until_eof(5000).empty());
+}
+
 TEST(NetLoopback, UnknownProfileDrawsAShedNotice) {
   Harness h;
   ASSERT_TRUE(h.start()) << h.transport.error();
@@ -242,7 +278,7 @@ TEST(NetLoopback, AdversarialByteSplitsDecodeIdentically) {
   std::string stream = encode_hello();
   stream += encode_open(1, "count:5");
   // Feed (op 2, textual body) exercises the parse_prefix hold-back;
-  // FeedBatch (op 5) the one-event path.  Split both.
+  // FeedBatch (op 12, packed) the one-event path.  Split both.
   const auto word = word_of(5);
   stream += encode_feed(
       1, std::vector<TimedSymbol>(word.begin(), word.begin() + 2));
