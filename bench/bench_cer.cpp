@@ -1,15 +1,25 @@
 // EXP-CER: timed-pattern query serving throughput.
 //
 // Sweeps a fixed catalog of CER queries (a plain sequence, an iterated
-// disjunction, a windowed phrase, and a nested window-under-iteration)
-// across session and shard counts.  Every session is opened through the
-// SubmitQuery wire-event path -- parse, compile to the clocked position
-// automaton, admit -- so the *open* phase prices query compilation and
-// the *feed* phase prices the config-set runtime, separately:
+// disjunction, a windowed phrase, a nested window-under-iteration, and
+// an iteration under one long window whose clock drifts) across session
+// and shard counts.  Every session is opened through the SubmitQuery
+// wire-event path -- parse, compile to the clocked position automaton,
+// admit -- and three rates are reported:
 //
 //   * open_rate:  SubmitQuery opens (parse + compile + admit) per second,
-//   * symbols_rate: symbols accepted and processed per second once the
-//     sessions are live (the steady-state serving cost of the query).
+//   * symbols_rate: symbols admitted and processed per second through the
+//     SessionManager.  The word cycles a, b, c, d, on which `seq`,
+//     `window` and `nested` die within four symbols, and one producer
+//     feeds every shard, so this prices the serving path (admission,
+//     rings, the settled-session fast path) more than the runtime;
+//   * step_rate: symbols per second fed straight into one CerAcceptor on
+//     a word that keeps the query live where one exists (`alt_iter` and
+//     `drift`: random a-d with 1-2 tick gaps; `nested`: a/b alternating
+//     with 1-3 tick gaps).  `seq` and `window` have no such word: they
+//     are fed the cycling word and reset whenever they lock, so every
+//     counted symbol steps the acceptor.  This prices the runtime alone.
+//     It depends only on the query, so every row of a query repeats it.
 //
 // Stdout carries the human table; `--json=PATH` appends JSONL under the
 // standard bench envelope (schema "cer").  CI runs a smoke-sized sweep
@@ -32,8 +42,10 @@
 #include <thread>
 #include <vector>
 
+#include "rtw/cer/acceptor.hpp"
 #include "rtw/cer/parser.hpp"
 #include "rtw/sim/jsonl.hpp"
+#include "rtw/sim/rng.hpp"
 #include "rtw/svc/service.hpp"
 
 namespace {
@@ -44,17 +56,68 @@ using rtw::svc::SessionId;
 using rtw::svc::SessionManager;
 using rtw::svc::WireEvent;
 
+/// The word step_rate feeds (see the file comment).
+enum class StepWord { Cycle, RandomAD, AlternateAB };
+
 struct QuerySpec {
   const char* label;
   const char* text;
+  StepWord step_word;
 };
 
 constexpr QuerySpec kQueries[] = {
-    {"seq", "a ; b ; c ; d"},
-    {"alt_iter", "(a | b | c | d)+"},
-    {"window", "within(8){ a ; (b | c)+ ; d }"},
-    {"nested", "(within(4){ a ; b })+ | (c ; d)+"},
+    {"seq", "a ; b ; c ; d", StepWord::Cycle},
+    {"alt_iter", "(a | b | c | d)+", StepWord::RandomAD},
+    {"window", "within(8){ a ; (b | c)+ ; d }", StepWord::Cycle},
+    {"nested", "(within(4){ a ; b })+ | (c ; d)+", StepWord::AlternateAB},
+    {"drift", "within(65536){ (a | b | c | d)+ }", StepWord::RandomAD},
 };
+
+/// step_rate's word.  16384 elements with gaps of at most 3 ticks span
+/// under 65536 ticks, so `drift` stays inside its window.
+std::vector<TimedSymbol> step_word(StepWord kind) {
+  constexpr std::size_t kLength = 16384;
+  rtw::sim::Xoshiro256ss rng(7);
+  std::vector<TimedSymbol> word;
+  word.reserve(kLength);
+  Tick t = 0;
+  for (std::size_t i = 0; i < kLength; ++i) {
+    char c = static_cast<char>('a' + (i & 3));
+    Tick gap = 1;
+    if (kind == StepWord::RandomAD) {
+      c = static_cast<char>('a' + rng.uniform(std::uint64_t{4}));
+      gap = 1 + rng.uniform(std::uint64_t{2});
+    } else if (kind == StepWord::AlternateAB) {
+      c = i % 2 ? 'b' : 'a';
+      gap = 1 + rng.uniform(std::uint64_t{3});
+    }
+    t += gap;
+    word.push_back({Symbol::chr(c), t});
+  }
+  return word;
+}
+
+/// Symbols per second fed straight into one CerAcceptor: one warm-up
+/// pass, then 128 timed passes over step_word, with a reset() before
+/// each pass and after each lock.
+double step_rate(const QuerySpec& query) {
+  using clock = std::chrono::steady_clock;
+  constexpr int kPasses = 128;
+  auto compiled = rtw::cer::compile(*rtw::cer::parse(query.text).query);
+  rtw::cer::CerAcceptor acceptor(std::move(*compiled.compiled));
+  const auto word = step_word(query.step_word);
+  const auto pass = [&] {
+    acceptor.reset();
+    for (const auto& e : word)
+      if (final_verdict(acceptor.feed(e.sym, e.time))) acceptor.reset();
+  };
+  pass();
+  const auto start = clock::now();
+  for (int p = 0; p < kPasses; ++p) pass();
+  const double wall =
+      std::chrono::duration<double>(clock::now() - start).count();
+  return wall > 0 ? static_cast<double>(word.size()) * kPasses / wall : 0;
+}
 
 struct Cell {
   const QuerySpec* query = nullptr;
@@ -103,8 +166,6 @@ Cell run_cell(const QuerySpec& query, unsigned sessions, unsigned shards,
                        ? static_cast<double>(sessions) / cell.open_wall_s
                        : 0;
 
-  // The word cycles the query alphabet, so configs stay live (worst case
-  // for the config-set sweep) instead of dying on the first mismatch.
   std::vector<TimedSymbol> run;
   run.reserve(batch);
   const auto feed_start = clock::now();
@@ -197,16 +258,18 @@ int main(int argc, char** argv) {
   std::cout << " EXP-CER: timed-pattern query serving throughput\n";
   std::cout << " " << symbols << " symbols/session, batch " << batch << "\n";
   std::cout << "==========================================================\n\n";
-  std::cout << " query      sessions  shards   opens/s    Msym/s\n";
-  std::cout << " -------------------------------------------------\n";
+  std::cout << " query      sessions  shards   opens/s    Msym/s  step Msym/s\n";
+  std::cout << " ---------------------------------------------------------------\n";
 
   std::vector<std::string> json;
   for (const auto& query : kQueries) {
+    const double query_step_rate = step_rate(query);
     for (const auto sessions : session_counts) {
       for (const auto shards : shard_counts) {
         const auto cell = run_cell(query, sessions, shards, symbols, batch);
-        std::printf(" %-9s  %8u  %6u  %8.0f  %8.3f\n", query.label, sessions,
-                    shards, cell.open_rate, cell.symbols_rate / 1e6);
+        std::printf(" %-9s  %8u  %6u  %8.0f  %8.3f  %11.3f\n", query.label,
+                    sessions, shards, cell.open_rate, cell.symbols_rate / 1e6,
+                    query_step_rate / 1e6);
         json.push_back(rtw::sim::bench_record("cer")
                            .field("query", query.label)
                            .field("query_text", query.text)
@@ -218,6 +281,7 @@ int main(int argc, char** argv) {
                            .field("open_rate", cell.open_rate)
                            .field("feed_wall_s", cell.feed_wall_s)
                            .field("symbols_rate", cell.symbols_rate)
+                           .field("step_rate", query_step_rate)
                            .field("ingested", cell.ingested)
                            .field("shed", cell.shed)
                            .field("query_compiled", cell.query_compiled)

@@ -14,6 +14,16 @@ using automata::ClockValue;
 /// End of a dedup chain.
 constexpr std::uint32_t kNoConfig = ~std::uint32_t{0};
 
+// Transition-cache bounds.  Set ids fit the uint8_t slots; edge slots
+// are a power of two for masking and flushed at half load, so a probe
+// always reaches an empty slot.
+constexpr std::uint32_t kMaxSets = 64;
+constexpr std::uint32_t kSetSlots = 2 * kMaxSets;
+constexpr std::uint32_t kEdgeSlots = 256;
+constexpr std::size_t kArenaBytes = 3 * 1024;
+
+constexpr std::uint64_t kMix = 0x9e3779b97f4a7c15ull;
+
 /// nu' subsumes nu when nu' <= nu pointwise: every guard is an upper
 /// bound, so anything nu can still do, nu' can too.
 bool dominates(const ClockValue* lo, const ClockValue* hi, std::uint32_t n) {
@@ -45,6 +55,9 @@ void CerAcceptor::reset() {
   states_.assign(1, 0);
   clocks_.assign(compiled_.num_clocks, 0);
   any_accepting_ = compiled_.accepting[0];
+  current_ = kNoSet;
+  stale_ = false;
+  cache_off_ = false;
   verdict_ = core::Verdict::Undetermined;
   result_ = {};
   last_time_ = 0;
@@ -57,12 +70,12 @@ core::Verdict CerAcceptor::feed(core::Symbol symbol, core::Tick at) {
   if (any_fed_ && at < last_time_) {
     throw core::ModelError("CerAcceptor: non-monotone feed time");
   }
-  step(symbol, at);
+  const bool live = step(symbol, at);
   last_time_ = at;
   any_fed_ = true;
   ++result_.symbols_consumed;
   result_.ticks = at;
-  if (states_.empty()) {
+  if (!live) {
     // No configuration survives: no extension of the stream is in the
     // language, the strongest statement an anchored matcher can make.
     verdict_ = core::Verdict::Rejecting;
@@ -75,13 +88,14 @@ core::Verdict CerAcceptor::feed(core::Symbol symbol, core::Tick at) {
   return verdict_;
 }
 
-void CerAcceptor::step(core::Symbol symbol, core::Tick at) {
-  const core::Tick elapsed = any_fed_ ? at - last_time_ : 0;
+// Inlined into step(), so a feed with the cache off costs what the
+// sweep alone did (one call, not two).
+[[gnu::always_inline]] inline void CerAcceptor::sweep(std::uint32_t cls,
+                                                     ClockValue elapsed) {
   const std::uint32_t nc = compiled_.num_clocks;
   const ClockValue cap = compiled_.clock_cap;
   const ClockValue* window = compiled_.window.data();
   const CompiledQuery::Transition* edges = compiled_.transitions.data();
-  const std::uint32_t cls = compiled_.classify(symbol);
 
   next_states_.clear();
   next_clocks_.clear();
@@ -123,6 +137,36 @@ void CerAcceptor::step(core::Symbol symbol, core::Tick at) {
   clocks_.swap(next_clocks_);
 }
 
+bool CerAcceptor::step(core::Symbol symbol, core::Tick at) {
+  const std::uint32_t cls = compiled_.classify(symbol);
+  // Valuations saturate at clock_cap, so every gap >= clock_cap advances
+  // them alike: capping the gap is exact and bounds the cache key.
+  const ClockValue elapsed =
+      compiled_.num_clocks == 0
+          ? 0
+          : std::min<ClockValue>(any_fed_ ? at - last_time_ : 0,
+                                 compiled_.clock_cap);
+  if (!cache_off_) {
+    if (edges_.empty()) allocate_cache();
+    if (current_ == kNoSet) current_ = intern();
+    if (current_ != kNoSet) {
+      const std::uint32_t to = find_edge(current_, cls, elapsed);
+      if (to != kNoSet) {
+        ++cache_stats_.hits;
+        current_ = to;
+        stale_ = true;
+        any_accepting_ = sets_[to].accepting;
+        return sets_[to].size != 0;
+      }
+      if (stale_) load(current_);
+    }
+  }
+  const std::uint32_t from = current_;
+  sweep(cls, elapsed);
+  if (!cache_off_) record(from, cls, elapsed);
+  return !states_.empty();
+}
+
 void CerAcceptor::add_successor(StateId to, const ClockValue* nu) {
   const std::uint32_t nc = compiled_.num_clocks;
   std::uint64_t& head = chain_head_[to];
@@ -143,6 +187,132 @@ void CerAcceptor::add_successor(StateId to, const ClockValue* nu) {
   chain_next_.push_back(first);
   head = (std::uint64_t{stamp_} << 32) | index;
   if (compiled_.accepting[to]) any_accepting_ = true;
+}
+
+void CerAcceptor::allocate_cache() {
+  static_assert(kEdgeSlots * sizeof(Edge) + kSetSlots +
+                    kMaxSets * sizeof(CachedSet) + kArenaBytes <=
+                kMaxCacheBytes);
+  set_slots_.assign(kSetSlots, 0);
+  sets_.reserve(kMaxSets);
+  const std::uint32_t nc = compiled_.num_clocks;
+  const auto capacity = static_cast<std::uint32_t>(
+      kArenaBytes / (sizeof(StateId) + nc * sizeof(ClockValue)));
+  arena_states_.reserve(capacity);
+  arena_clocks_.reserve(std::size_t{capacity} * nc);
+  arena_capacity_ = capacity;
+  // Last: a non-empty edge table means every table is in place, so a
+  // feed that threw bad_alloc here retries the allocation.
+  edges_.assign(kEdgeSlots, Edge{});
+}
+
+std::uint32_t CerAcceptor::intern() {
+  const std::size_t size = states_.size();
+  if (size > arena_capacity_) return kNoSet;
+  std::uint64_t h = size;
+  for (const StateId s : states_) h = (h ^ s) * kMix;
+  for (const ClockValue v : clocks_) h = (h ^ v) * kMix;
+  const auto hash = static_cast<std::uint32_t>(h >> 32);
+  const std::size_t nc = compiled_.num_clocks;
+  std::uint32_t slot = hash & (kSetSlots - 1);
+  for (; set_slots_[slot] != 0; slot = (slot + 1) & (kSetSlots - 1)) {
+    const std::uint32_t id = set_slots_[slot] - 1u;
+    const CachedSet& set = sets_[id];
+    if (set.hash == hash && set.size == size &&
+        std::equal(states_.begin(), states_.end(),
+                   arena_states_.begin() + set.first) &&
+        std::equal(clocks_.begin(), clocks_.end(),
+                   arena_clocks_.begin() + set.first * nc))
+      return id;
+  }
+  if (sets_.size() == kMaxSets ||
+      arena_states_.size() + size > arena_capacity_) {
+    if (!flush()) return kNoSet;
+    slot = hash & (kSetSlots - 1);  // the tables are empty now
+  }
+  const auto id = static_cast<std::uint32_t>(sets_.size());
+  sets_.push_back({hash, static_cast<std::uint32_t>(arena_states_.size()),
+                   static_cast<std::uint32_t>(size), any_accepting_});
+  arena_states_.insert(arena_states_.end(), states_.begin(), states_.end());
+  arena_clocks_.insert(arena_clocks_.end(), clocks_.begin(), clocks_.end());
+  set_slots_[slot] = static_cast<std::uint8_t>(id + 1);
+  return id;
+}
+
+namespace {
+
+/// The edge key: nonzero, unique per (set, class).  cls < num_classes,
+/// and the compiled class table already holds num_classes^2 entries, so
+/// cls * kMaxSets cannot overflow for any query that compiled.
+std::uint32_t edge_key(std::uint32_t from, std::uint32_t cls) {
+  return cls * kMaxSets + from + 1;
+}
+
+/// The top 8 bits of a multiplicative hash: one of the kEdgeSlots.
+std::uint32_t edge_slot(std::uint32_t key, ClockValue elapsed) {
+  static_assert(kEdgeSlots == 256);
+  return static_cast<std::uint32_t>(
+      (((std::uint64_t{key} << 32) ^ elapsed) * kMix) >> 56);
+}
+
+}  // namespace
+
+std::uint32_t CerAcceptor::find_edge(std::uint32_t from, std::uint32_t cls,
+                                     ClockValue elapsed) const {
+  const std::uint32_t key = edge_key(from, cls);
+  for (std::uint32_t i = edge_slot(key, elapsed);;
+       i = (i + 1) & (kEdgeSlots - 1)) {
+    const Edge& e = edges_[i];
+    if (e.key == key && e.elapsed == elapsed) return e.to;
+    if (e.key == 0) return kNoSet;
+  }
+}
+
+void CerAcceptor::record(std::uint32_t from, std::uint32_t cls,
+                         ClockValue elapsed) {
+  ++cache_stats_.misses;
+  if (from != kNoSet && edge_count_ >= kEdgeSlots / 2) {
+    if (!flush()) return;
+    from = kNoSet;  // flushed with the tables
+  }
+  const std::uint64_t flushes = cache_stats_.flushes;
+  current_ = intern();
+  if (from == kNoSet || current_ == kNoSet || cache_stats_.flushes != flushes)
+    return;
+  const std::uint32_t key = edge_key(from, cls);
+  std::uint32_t i = edge_slot(key, elapsed);
+  while (edges_[i].key != 0) i = (i + 1) & (kEdgeSlots - 1);
+  edges_[i] = {elapsed, key, current_};
+  ++edge_count_;
+}
+
+bool CerAcceptor::flush() {
+  const std::uint64_t hits = cache_stats_.hits - hits_at_flush_;
+  const std::uint64_t misses = cache_stats_.misses - misses_at_flush_;
+  hits_at_flush_ = cache_stats_.hits;
+  misses_at_flush_ = cache_stats_.misses;
+  std::fill(edges_.begin(), edges_.end(), Edge{});
+  std::fill(set_slots_.begin(), set_slots_.end(), 0);
+  sets_.clear();
+  arena_states_.clear();
+  arena_clocks_.clear();
+  edge_count_ = 0;
+  current_ = kNoSet;
+  ++cache_stats_.flushes;
+  if (hits >= misses) return true;
+  ++cache_stats_.trips;
+  cache_off_ = true;
+  return false;
+}
+
+void CerAcceptor::load(std::uint32_t id) {
+  const CachedSet& set = sets_[id];
+  const std::size_t nc = compiled_.num_clocks;
+  const auto states = arena_states_.begin() + set.first;
+  const auto clocks = arena_clocks_.begin() + set.first * nc;
+  states_.assign(states, states + set.size);
+  clocks_.assign(clocks, clocks + set.size * nc);
+  stale_ = false;
 }
 
 core::Verdict CerAcceptor::finish(core::StreamEnd end) {

@@ -2,7 +2,9 @@
 /// The timed-pattern query subsystem: parser, compiler, runtime acceptor,
 /// reference evaluator, the compiled-vs-reference differential property
 /// (standalone and through SessionManager at 1 and 8 shards), and a
-/// RunResult-exact differential against the earlier config-set runtime.
+/// RunResult-exact differential against the earlier config-set runtime,
+/// on short words and on long streams that exercise the transition
+/// cache.
 
 #include <gtest/gtest.h>
 
@@ -727,6 +729,68 @@ std::optional<std::string> diff_runs(const cer::CerAcceptor& flat,
   return "differs in" + out;
 }
 
+/// Runs `word` through `flat` and a legacy acceptor for the same query,
+/// twice (the second pass checks reset()), comparing after every feed
+/// and after finish.  Empty when they agree throughout.
+std::optional<std::string> run_against_legacy(
+    cer::CerAcceptor& flat, const cer::Query& query,
+    const std::vector<TimedSymbol>& word, StreamEnd end) {
+  LegacyCerAcceptor legacy{LegacyQuery(flat.compiled())};
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < word.size(); ++i) {
+      flat.feed(word[i].sym, word[i].time);
+      legacy.feed(word[i].sym, word[i].time);
+      if (auto d = diff_runs(flat, legacy))
+        return *d + " after element " + std::to_string(i) + " (pass " +
+               std::to_string(pass) + ") of query " + query.to_string();
+    }
+    flat.finish(end);
+    legacy.finish(end);
+    if (auto d = diff_runs(flat, legacy))
+      return *d + " after finish of query " + query.to_string();
+    flat.reset();
+    legacy.reset();
+  }
+  return std::nullopt;
+}
+
+/// An iterated sub-query, often under a small window (its sets recur)
+/// and often inside one large window (its clock drifts, so its sets do
+/// not).  Each symbol the body names is usually also a one-symbol
+/// branch, so words over those symbols keep the iteration alive.
+cer::Query long_stream_query(rtw::sim::Xoshiro256ss& rng) {
+  cer::Query body = random_query(rng, 2 + rng.uniform(std::uint64_t{6}));
+  if (rng.bernoulli(0.5))
+    body = cer::within(1 + rng.uniform(std::uint64_t{12}), body);
+  std::vector<Symbol> named;
+  leaf_symbols(body.root(), named);
+  std::sort(named.begin(), named.end());
+  named.erase(std::unique(named.begin(), named.end()), named.end());
+  for (const Symbol s : named)
+    if (rng.bernoulli(0.7)) body = cer::alt(body, cer::sym(s));
+  cer::Query query = cer::iter(body);
+  if (rng.bernoulli(0.5))
+    query = cer::within(rng.uniform(std::uint64_t{2001}), query);
+  return query;
+}
+
+/// 1000-3000 symbols the query names ('a'..'d' when it names none),
+/// with gaps of 0-3 ticks.
+std::vector<TimedSymbol> long_stream_word(rtw::sim::Xoshiro256ss& rng,
+                                          const cer::Query& query) {
+  std::vector<Symbol> named;
+  leaf_symbols(query.root(), named);
+  if (named.empty())
+    for (char c = 'a'; c <= 'd'; ++c) named.push_back(Symbol::chr(c));
+  std::vector<TimedSymbol> word(1000 + rng.uniform(std::uint64_t{2001}));
+  Tick t = rng.uniform(std::uint64_t{4});
+  for (auto& e : word) {
+    t += rng.uniform(std::uint64_t{4});
+    e = {named[rng.uniform(named.size())], t};
+  }
+  return word;
+}
+
 }  // namespace
 
 TEST(CerOracle, FlatRuntimeMatchesLegacyRunResultsAfterEveryFeed) {
@@ -745,31 +809,49 @@ TEST(CerOracle, FlatRuntimeMatchesLegacyRunResultsAfterEveryFeed) {
         const auto word = random_mutated_word(rng, size, query);
         const StreamEnd end = rng.bernoulli(0.5) ? StreamEnd::EndOfWord
                                                  : StreamEnd::Truncated;
-
         cer::CerAcceptor flat(*compiled.compiled);
-        LegacyCerAcceptor legacy{LegacyQuery(*compiled.compiled)};
-        // Two passes over the same word: the second checks reset().
-        for (int pass = 0; pass < 2; ++pass) {
-          for (std::size_t i = 0; i < word.size(); ++i) {
-            flat.feed(word[i].sym, word[i].time);
-            legacy.feed(word[i].sym, word[i].time);
-            if (auto d = diff_runs(flat, legacy))
-              return *d + " after element " + std::to_string(i) +
-                     " (pass " + std::to_string(pass) + ") of query " +
-                     query.to_string();
-          }
-          flat.finish(end);
-          legacy.finish(end);
-          if (auto d = diff_runs(flat, legacy))
-            return *d + " after finish of query " + query.to_string();
-          flat.reset();
-          legacy.reset();
-        }
-        return std::nullopt;
+        return run_against_legacy(flat, query, word, end);
       });
   EXPECT_TRUE(result.ok()) << rtw::proptest::describe("cer_flat_vs_legacy",
                                                       cfg, *result.failure);
   EXPECT_EQ(result.cases_run, cfg.cases);
+}
+
+TEST(CerOracle, LongStreamsFillFlushAndTripTheTransitionCache) {
+  // Thousands of symbols per word push the transition cache through
+  // every path: hits, misses after hits (the sweep reloads an interned
+  // set), flushes that re-intern the current set, and guard trips.
+  rtw::proptest::Config cfg;
+  cfg.cases = 400;
+  cfg.seed ^= 0x10a65;
+  cer::CerAcceptor::CacheStats total;
+  const auto result = rtw::proptest::run_property(
+      "cer_long_streams_vs_legacy", cfg,
+      [&](rtw::sim::Xoshiro256ss& rng,
+          std::size_t) -> std::optional<std::string> {
+        const cer::Query query = long_stream_query(rng);
+        auto compiled = cer::compile(query);
+        if (!compiled.ok()) return std::nullopt;  // limits are not a bug
+        const auto word = long_stream_word(rng, query);
+        const StreamEnd end = rng.bernoulli(0.5) ? StreamEnd::EndOfWord
+                                                 : StreamEnd::Truncated;
+        cer::CerAcceptor flat(*compiled.compiled);
+        auto failure = run_against_legacy(flat, query, word, end);
+        const auto& stats = flat.cache_stats();
+        total.hits += stats.hits;
+        total.misses += stats.misses;
+        total.flushes += stats.flushes;
+        total.trips += stats.trips;
+        return failure;
+      });
+  EXPECT_TRUE(result.ok()) << rtw::proptest::describe(
+      "cer_long_streams_vs_legacy", cfg, *result.failure);
+  EXPECT_EQ(result.cases_run, cfg.cases);
+  // Every cache path ran: a trip is a flush, so flushes must outnumber
+  // trips for some flush to have kept the cache on.
+  EXPECT_GT(total.hits, total.misses);
+  EXPECT_GT(total.trips, 0u);
+  EXPECT_GT(total.flushes, total.trips);
 }
 
 namespace {

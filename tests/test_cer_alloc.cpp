@@ -1,9 +1,11 @@
 /// \file test_cer_alloc.cpp
 /// Pins CerAcceptor's "no allocation per feed" property: once warmed up
-/// on a stream, feeding it allocates nothing.  Also pins the wire
-/// decoder's bound on what a packed FeedBatch count may reserve.  Global
-/// operator new is replaced by a counting version, so this lives in its
-/// own binary.
+/// on a stream, feeding it allocates nothing, through transition-cache
+/// flushes and thrash-guard trips too; and the cache's tables are
+/// allocated on the first feed, within kMaxCacheBytes.  Also pins the
+/// wire decoder's bound on what a packed FeedBatch count may reserve.
+/// Global operator new is replaced by a counting version, so this lives
+/// in its own binary.
 
 #include <gtest/gtest.h>
 
@@ -20,10 +22,12 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};  ///< bytes requested
 std::atomic<std::size_t> g_largest{0};  ///< largest single request
 
 void* counted_malloc(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   std::size_t largest = g_largest.load(std::memory_order_relaxed);
   while (size > largest &&
          !g_largest.compare_exchange_weak(largest, size,
@@ -68,7 +72,8 @@ using rtw::core::Verdict;
 namespace {
 
 /// The serving benchmark's word shapes: `nested` alternates a/b with 1-3
-/// tick gaps, the others draw 'a'..'d' with 1-2 tick gaps.
+/// tick gaps, the others draw 'a'..'d' with 1-2 tick gaps.  11k elements
+/// span under 33k ticks, inside `drift`'s window.
 std::vector<TimedSymbol> word_for(const std::string& label, std::size_t n) {
   rtw::sim::Xoshiro256ss rng(7);
   std::vector<TimedSymbol> word;
@@ -119,6 +124,76 @@ TEST(CerAlloc, NestedFeedsAllocateNothingAfterWarmup) {
   EXPECT_EQ(allocations_per_10k_feeds(
                 "nested", "(within(4){ a ; b })+ | (c ; d)+"),
             0u);
+}
+
+namespace {
+
+constexpr const char* kDrift = "within(65536){ (a | b | c | d)+ }";
+
+rtw::cer::CompiledQuery compile_text(const char* text) {
+  return std::move(*rtw::cer::compile(*rtw::cer::parse(text).query).compiled);
+}
+
+}  // namespace
+
+TEST(CerAlloc, DriftFeedsAllocateNothingAfterWarmup) {
+  // Its clock drifts, so no config set repeats: the cache fills within
+  // 64 feeds, and the flush then trips the thrash guard.
+  EXPECT_EQ(allocations_per_10k_feeds("drift", kDrift), 0u);
+}
+
+TEST(CerAlloc, DriftRefillsFlushesAndTripsAllocateNothing) {
+  // reset() turns the cache back on, so every pass refills it with
+  // `drift`'s sets, flushes it and trips the guard again.
+  const auto word = word_for("drift", 4000);
+  rtw::cer::CerAcceptor acceptor(compile_text(kDrift));
+  const auto pass = [&] {
+    for (const auto& e : word) acceptor.feed(e);
+    EXPECT_EQ(acceptor.verdict(), Verdict::Undetermined);
+    acceptor.reset();
+  };
+  pass();
+  const auto warm = acceptor.cache_stats();
+  const std::uint64_t before = g_allocations.load();
+  for (int p = 0; p < 3; ++p) pass();
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  const auto stats = acceptor.cache_stats();
+  EXPECT_EQ(stats.flushes - warm.flushes, 3u);
+  EXPECT_EQ(stats.trips - warm.trips, 3u);
+  EXPECT_EQ(stats.hits, 0u);
+}
+
+TEST(CerAlloc, TheCacheIsAllocatedOnTheFirstFeedWithinItsBound) {
+  const auto compiled = compile_text("(within(4){ a ; b })+ | (c ; d)+");
+  g_largest.store(0);
+  rtw::cer::CerAcceptor acceptor(compiled);
+  const std::size_t constructor_largest = g_largest.load();
+
+  // reset() allocates nothing, before and after the cache exists.
+  std::uint64_t before = g_allocations.load();
+  acceptor.reset();
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+
+  // The first feed allocates the tables: requests larger than any the
+  // constructor made, summing to at most kMaxCacheBytes.
+  const auto word = word_for("nested", 11000);
+  g_largest.store(0);
+  const std::uint64_t bytes_before = g_bytes.load();
+  before = g_allocations.load();
+  acceptor.feed(word[0]);
+  EXPECT_GT(g_allocations.load() - before, 0u);
+  EXPECT_GT(g_largest.load(), constructor_largest);
+  EXPECT_LE(g_bytes.load() - bytes_before,
+            rtw::cer::CerAcceptor::kMaxCacheBytes);
+
+  for (std::size_t i = 1; i < word.size(); ++i) acceptor.feed(word[i]);
+  EXPECT_EQ(acceptor.verdict(), Verdict::Undetermined);
+  EXPECT_LE(g_largest.load(), rtw::cer::CerAcceptor::kMaxCacheBytes);
+
+  before = g_allocations.load();
+  acceptor.reset();
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_GT(acceptor.cache_stats().hits, 0u);
 }
 
 namespace {
