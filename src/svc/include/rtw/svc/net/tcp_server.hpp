@@ -98,13 +98,13 @@ private:
   void loop();
   void do_accept();
   /// Drains read(2) to EAGAIN (or a pause/teardown condition).
-  void handle_readable(int fd, Conn& conn);
+  void handle_readable(std::uint64_t id, Conn& conn);
   /// Flushes staged + queued output; false = connection torn down.
-  bool flush_writes(int fd, Conn& conn);
-  void maybe_resume_reads(int fd, Conn& conn);
+  bool flush_writes(std::uint64_t id, Conn& conn);
+  void maybe_resume_reads(std::uint64_t id, Conn& conn);
   /// True when the conn should be torn down (complete or dead).
-  bool reap_if_finished(int fd, Conn& conn);
-  void close_conn(int fd);
+  bool reap_if_finished(std::uint64_t id, Conn& conn);
+  void close_conn(std::uint64_t id);
   void drain_wakeups();
 
   Server& server_;
@@ -118,8 +118,8 @@ private:
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
 
-  std::unordered_map<int, Conn> conns_;                 ///< fd -> state
-  std::unordered_map<std::uint64_t, int> by_logical_;   ///< conn id -> fd
+  /// Connection::id() -> state; the id is also the socket's epoll tag.
+  std::unordered_map<std::uint64_t, Conn> conns_;
   std::size_t admission_paused_count_ = 0;
   /// accept4 failed with EMFILE/ENFILE-class errno: the edge-triggered
   /// listener event is spent, so poll-retry accepts each loop tick.

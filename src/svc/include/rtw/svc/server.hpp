@@ -18,29 +18,34 @@
 ///   ---------          -------------------               --------------
 ///   bytes arrive  -->  Decoder -> WireEvents
 ///                      Open: client id -> fresh global id,
-///                            owner registered         --> open()
+///                            opened with its route    --> open()
 ///                      Symbols: id remapped           --> feed_batch()
 ///                      Close: id remapped             --> close()
 ///                      Hello: version negotiated,
 ///                             HelloAck queued on the output buffer
 ///   writable      <--  take_output(): HelloAck / Verdict / ShedNotice
 ///                      frames, byte-exact wire format
-///                                                     <-- report sink:
-///                      finished sessions route back to their owning
-///                      connection as Verdict frames (client-side ids)
+///                                                     <-- session route:
+///                      a finished session's route queues its Verdict
+///                      frame (client-side id) on the connection that
+///                      opened it, then calls the wake hook
 ///
 /// Session ids on the wire are *client-chosen*; two connections may both
 /// open "session 1".  The connection remaps every client id to a fresh
 /// global id before it touches the manager, so wire sessions never
-/// collide with each other or with in-process open() callers.
+/// collide with each other or with in-process open() callers.  The way
+/// back needs no lookup: each session carries its own route, which holds
+/// the connection (a strong reference) and the client id.
 ///
 /// Thread model: a connection's input plane (on_bytes / finish_input /
 /// retry_pending) is single-threaded -- the transport's event loop.  The
 /// output buffer is also fed by shard workers delivering verdicts, so it
-/// is mutex-guarded; take_output() may race deliver_report() safely.
-/// Lock order is Server::mutex_ before Connection::mutex_ (never
-/// inverted: the input plane takes the server mutex only between
-/// connection-mutex critical sections).
+/// is guarded by Connection::mutex_; take_output() may race a delivery
+/// safely.  No lock spans connections.  A verdict takes its connection's
+/// mutex_ once, releases it, then calls the wake hook (which takes only
+/// the hook's own mutex), so the hook may call take_output().  Routes
+/// keep a connection alive until its last session settles, so the last
+/// reference may drop on a shard worker.
 ///
 /// Fault tolerance mirrors the manager: duplicate Opens, Closes for
 /// unknown ids and Symbols for never-opened sessions are counted and
@@ -100,11 +105,8 @@ public:
   /// Moves up to max_bytes of queued output into `out` (appended).
   /// Returns the number of bytes appended.
   std::size_t take_output(std::string& out, std::size_t max_bytes);
-  /// Re-queues the unwritten tail of a partial write, in front.
-  void push_front_output(std::string_view bytes);
 
   std::size_t output_size() const;
-  bool has_output() const { return output_size() > 0; }
 
   /// True while an admission-blocked event is parked (shed_on_full off).
   /// The transport should stop reading until retry_pending() succeeds.
@@ -118,13 +120,8 @@ public:
   /// such connections.
   bool complete() const;
 
+  /// Unique per Server; never 0.
   std::uint64_t id() const noexcept { return id_; }
-  /// Sessions opened on this connection whose verdict has not yet been
-  /// delivered.
-  std::size_t owned_sessions() const;
-  bool input_finished() const noexcept {
-    return input_finished_.load(std::memory_order_acquire);
-  }
   /// Negotiated protocol version (0 until a Hello arrives).
   std::uint8_t version() const noexcept {
     return version_.load(std::memory_order_acquire);
@@ -149,8 +146,10 @@ private:
   void queue_output(std::string frame);
   void fail_stream(std::string message);
 
-  /// Report delivery (shard-worker thread, via Server::on_report).
-  void deliver_report(SessionId client, const SessionReport& report);
+  /// Report delivery (shard-worker thread, via the session's route).
+  /// False when the connection is detached: the verdict is dropped and
+  /// nobody is woken.
+  bool deliver_report(SessionId client, const SessionReport& report);
 
   Server& server_;
   const std::uint64_t id_;
@@ -171,9 +170,9 @@ private:
 
   mutable std::mutex mutex_;  ///< guards everything below
   std::string output_;
-  std::unordered_map<SessionId, Owned> sessions_;   ///< client id -> state
-  std::unordered_map<SessionId, SessionId> remap_;  ///< global -> client id
+  std::unordered_map<SessionId, Owned> sessions_;  ///< client id -> state
   ConnectionStats stats_;
+  bool detached_ = false;  ///< Server::disconnect() ran
 };
 
 /// The serving facade.  Owns the SessionManager; transports own the
@@ -189,12 +188,13 @@ public:
   Server& operator=(const Server&) = delete;
 
   /// Binds a new logical client stream.  The transport keeps the
-  /// shared_ptr; the server holds a registry entry until disconnect().
+  /// shared_ptr; each session opened on it holds another until its
+  /// verdict is delivered.
   std::shared_ptr<Connection> connect();
 
-  /// Hard teardown: truncate-closes the connection's live sessions and
-  /// drops it from the registry.  Verdicts still in flight for it are
-  /// consumed and discarded (never leak into collect()).
+  /// Hard teardown: marks the connection detached and truncate-closes its
+  /// live sessions.  Verdicts still in flight for it are consumed and
+  /// discarded (never queued, never woken, never leaked into collect()).
   void disconnect(const std::shared_ptr<Connection>& conn);
 
   /// Graceful drain: truncate-closes every session (wire and direct),
@@ -214,29 +214,16 @@ public:
 
   SessionManager& manager() noexcept { return manager_; }
   const ServerConfig& config() const noexcept { return config_; }
-  std::size_t connection_count() const;
 
 private:
   friend class Connection;
 
-  /// Report sink installed on the manager: routes a finished session's
-  /// report to its owning connection as a Verdict frame.  Returns true
-  /// (consumed) for wire-owned sessions, false for direct open() callers.
-  bool on_report(const SessionReport& report);
-
   SessionId allocate_session();
-  void register_owner(SessionId global, std::shared_ptr<Connection> conn);
   void wake(const std::shared_ptr<Connection>& conn);
 
   ServerConfig config_;
   AcceptorFactory factory_;
   SessionManager manager_;
-
-  mutable std::mutex mutex_;  ///< guards owners_ and connections_
-  /// Global session id -> owning connection.  A null mapped value is a
-  /// tombstone: the owner died, consume and discard the report.
-  std::unordered_map<SessionId, std::shared_ptr<Connection>> owners_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Connection>> connections_;
 
   mutable std::mutex wakeup_mutex_;  ///< guards wakeup_ (workers vs teardown)
   std::function<void(const std::shared_ptr<Connection>&)> wakeup_;

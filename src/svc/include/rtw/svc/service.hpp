@@ -98,12 +98,13 @@ struct ServiceStats {
 using AcceptorFactory = std::function<std::unique_ptr<core::OnlineAcceptor>(
     SessionId, std::string_view profile)>;
 
-/// Observer for finished sessions, installed with set_report_sink().
-/// Invoked on the shard worker that finished the session, outside any
-/// manager lock.  Return true to consume the report (it will NOT be
-/// queued for collect()); false to fall through to the collect() queue.
-/// The Server facade uses this to push Verdict frames to the owning
-/// connection the moment a stream settles.
+/// Observer for finished sessions: manager-wide with set_report_sink(),
+/// or per session as open()'s `route`, which takes precedence.  Invoked
+/// on the shard worker that finished the session, outside any manager
+/// lock.  Return true to consume the report (it will NOT be queued for
+/// collect()); false to fall through to the collect() queue.  The Server
+/// facade opens each wire session with a route that pushes its Verdict
+/// frame to the owning connection the moment the stream settles.
 using ReportSink = std::function<bool(const SessionReport&)>;
 
 class SessionManager {
@@ -124,9 +125,11 @@ public:
                  Priority priority = Priority::Normal);
   /// Opens a session under a caller-chosen id (wire replay).  Opening an
   /// id that is already live is counted as `unknown` and ignored by the
-  /// shard worker.
+  /// shard worker.  A non-null `route` receives this session's report in
+  /// place of the manager-wide sink; the shard worker destroys it once the
+  /// session is finished.
   void open(SessionId id, std::unique_ptr<core::OnlineAcceptor> acceptor,
-            Priority priority = Priority::Normal);
+            Priority priority = Priority::Normal, ReportSink route = nullptr);
 
   /// Routes one symbol to the session's shard (data plane: bounded) as a
   /// run of one.  Returns the admission outcome with its structured shed
@@ -143,7 +146,7 @@ public:
   AdmitResult feed_batch(SessionId id, std::vector<core::TimedSymbol> run);
 
   /// Finishes the session and queues its SessionReport for collect()
-  /// (or hands it to the report sink when one is installed).
+  /// (or hands it to the session's route or the report sink).
   void close(SessionId id, core::StreamEnd end = core::StreamEnd::EndOfWord);
 
   // --------------------------------------------------- wire-driven API
@@ -156,6 +159,13 @@ public:
   /// are not servable traffic and report Shed; the Server facade handles
   /// those before they reach the manager.
   AdmitResult apply(const WireEvent& event, const AcceptorFactory& factory);
+
+  /// Builds the acceptor an Open or SubmitQuery event asks for: the
+  /// factory's for an Open (profile = the frame's body, verbatim), a
+  /// compiled query for a SubmitQuery.  nullptr refuses the session.
+  /// Both wire paths (apply() and the Server facade) open through this.
+  std::unique_ptr<core::OnlineAcceptor> build_acceptor(
+      SessionId id, const WireEvent& event, const AcceptorFactory& factory);
 
   /// Compiles a SubmitQuery body into a per-session acceptor.  The text
   /// is already syntax-checked by the wire Decoder, but this method
@@ -199,6 +209,13 @@ public:
   std::size_t ring_depth(unsigned shard) const noexcept;
 
 private:
+  /// What an Open command carries, behind one pointer so the ring slot
+  /// stays the size the Feed commands need.
+  struct Opening {
+    std::unique_ptr<core::OnlineAcceptor> acceptor;
+    ReportSink route;
+  };
+
   struct Command {
     enum class Kind : std::uint8_t { Open, Feed, Close, CloseAll };
     Kind kind = Kind::Feed;
@@ -208,14 +225,17 @@ private:
     std::uint64_t enqueue_ns = 0;  ///< steady-clock stamp; 0 = unstamped
     SessionTable::Slot* slot = nullptr;  ///< paired in-flight decrement
     std::vector<core::TimedSymbol> run;  ///< Feed only; never empty
-    std::unique_ptr<core::OnlineAcceptor> acceptor;  ///< Open only
+    std::unique_ptr<Opening> opening;    ///< Open only
   };
+  // Every ring slot holds one Command: keep Open's payload from growing it.
+  static_assert(sizeof(Command) == 72, "Command is one 72-byte ring slot");
 
   struct Entry {
     Session session;
     std::uint64_t last_active;
-    Entry(Session s, std::uint64_t epoch)
-        : session(std::move(s)), last_active(epoch) {}
+    ReportSink route;  ///< per-session sink; empty = the manager-wide one
+    Entry(Session s, std::uint64_t epoch, ReportSink r)
+        : session(std::move(s)), last_active(epoch), route(std::move(r)) {}
   };
 
   struct Shard {

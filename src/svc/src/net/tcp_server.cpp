@@ -21,6 +21,11 @@ constexpr std::size_t kStageBytes = 256 * 1024;
 /// ring drain has no doorbell, so unblocking is polled.
 constexpr int kRetryTickMs = 2;
 
+/// Epoll tags.  A connection is tagged with its Connection::id(), which
+/// is never 0, so neither of these collides with one.
+constexpr std::uint64_t kListenerTag = 0;
+constexpr std::uint64_t kWakeupTag = ~std::uint64_t{0};
+
 std::uint64_t now_ms() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -51,10 +56,8 @@ bool TcpServer::start() {
     return false;
   }
   port_ = listener_.port;
-  if (!epoll_.add(listener_.fd.get(), EPOLLIN | EPOLLET,
-                  static_cast<std::uint64_t>(listener_.fd.get())) ||
-      !epoll_.add(wakeup_.fd(), EPOLLIN,
-                  static_cast<std::uint64_t>(wakeup_.fd()))) {
+  if (!epoll_.add(listener_.fd.get(), EPOLLIN | EPOLLET, kListenerTag) ||
+      !epoll_.add(wakeup_.fd(), EPOLLIN, kWakeupTag)) {
     error_ = std::string("epoll_ctl: ") + std::strerror(errno);
     return false;
   }
@@ -109,7 +112,7 @@ void TcpServer::loop() {
         listener_.fd.reset();
         accept_retry_ = false;
       }
-      for (auto& [fd, conn] : conns_) conn.logical->finish_input();
+      for (auto& [id, conn] : conns_) conn.logical->finish_input();
       // Phase 2: settle every verdict into the output buffers.  Blocks
       // this thread, but wakeups only enqueue to pending_, so the drain
       // cannot deadlock on us.
@@ -122,11 +125,11 @@ void TcpServer::loop() {
       // Phase 3: flush.  Exit once every connection completed (or gave
       // up) or the drain budget is spent.
       for (auto it = conns_.begin(); it != conns_.end();) {
-        const int fd = it->first;
+        const std::uint64_t id = it->first;
         Conn& conn = it->second;
         ++it;  // flush/reap may erase
-        if (!flush_writes(fd, conn)) continue;
-        reap_if_finished(fd, conn);
+        if (!flush_writes(id, conn)) continue;
+        reap_if_finished(id, conn);
       }
       if (conns_.empty() || now_ms() >= drain_deadline_ms) break;
     }
@@ -140,33 +143,33 @@ void TcpServer::loop() {
     if (accept_retry_ && listener_.fd.valid()) do_accept();
 
     for (const auto& ev : ready) {
-      const int fd = static_cast<int>(ev.data.u64);
-      if (listener_.fd.valid() && fd == listener_.fd.get()) {
-        do_accept();
+      const std::uint64_t id = ev.data.u64;
+      if (id == kListenerTag) {
+        if (listener_.fd.valid()) do_accept();
         continue;
       }
-      if (fd == wakeup_.fd()) {
+      if (id == kWakeupTag) {
         wakeup_.drain();
         continue;  // pending_ handled below
       }
-      const auto it = conns_.find(fd);
+      const auto it = conns_.find(id);
       if (it == conns_.end()) continue;  // closed earlier this batch
       Conn& conn = it->second;
 
       if (ev.events & (EPOLLHUP | EPOLLERR)) {
-        close_conn(fd);
+        close_conn(id);
         continue;
       }
       if (ev.events & EPOLLOUT) {
-        if (!flush_writes(fd, conn)) continue;
-        maybe_resume_reads(fd, conn);
-        if (conns_.count(fd) == 0) continue;  // resume read tore it down
+        if (!flush_writes(id, conn)) continue;
+        maybe_resume_reads(id, conn);
+        if (conns_.count(id) == 0) continue;  // resume read tore it down
       }
       if (ev.events & (EPOLLIN | EPOLLRDHUP)) {
         if (conn.read_paused) {
           conn.read_ready = true;  // remember the edge for the resume
         } else {
-          handle_readable(fd, conn);
+          handle_readable(id, conn);
         }
       }
     }
@@ -177,10 +180,10 @@ void TcpServer::loop() {
     // doorbell, so this is polled at kRetryTickMs.
     if (admission_paused_count_ > 0) {
       for (auto it = conns_.begin(); it != conns_.end();) {
-        const int fd = it->first;
+        const std::uint64_t id = it->first;
         Conn& conn = it->second;
         ++it;
-        if (conn.admission_paused) maybe_resume_reads(fd, conn);
+        if (conn.admission_paused) maybe_resume_reads(id, conn);
       }
     }
   }
@@ -210,31 +213,30 @@ void TcpServer::do_accept() {
       stats_.rejected_capacity.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    Fd fd(raw);
+    Conn conn;
+    conn.fd = Fd(raw);
     set_tcp_nodelay(raw);
     if (net_.sndbuf > 0) set_sndbuf(raw, net_.sndbuf);
     if (net_.rcvbuf > 0) set_rcvbuf(raw, net_.rcvbuf);
-    if (!epoll_.add(raw, EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET,
-                    static_cast<std::uint64_t>(raw))) {
-      continue;  // fd closes via RAII
-    }
-    Conn conn;
-    conn.fd = std::move(fd);
     conn.logical = server_.connect();
-    by_logical_.emplace(conn.logical->id(), raw);
-    conns_.emplace(raw, std::move(conn));
+    const std::uint64_t id = conn.logical->id();
+    if (!epoll_.add(raw, EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET, id)) {
+      continue;  // fd closes via RAII; the unused Connection just drops
+    }
+    conns_.emplace(id, std::move(conn));
     stats_.accepted.fetch_add(1, std::memory_order_relaxed);
     stats_.active.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void TcpServer::handle_readable(int fd, Conn& conn) {
+void TcpServer::handle_readable(std::uint64_t id, Conn& conn) {
   for (;;) {
-    const ssize_t n = ::read(fd, read_buffer_.data(), read_buffer_.size());
+    const ssize_t n =
+        ::read(conn.fd.get(), read_buffer_.data(), read_buffer_.size());
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
-      close_conn(fd);  // ECONNRESET and friends
+      close_conn(id);  // ECONNRESET and friends
       return;
     }
     if (n == 0) {
@@ -248,7 +250,7 @@ void TcpServer::handle_readable(int fd, Conn& conn) {
             std::string_view(read_buffer_.data(),
                              static_cast<std::size_t>(n)))) {
       stats_.frame_errors.fetch_add(1, std::memory_order_relaxed);
-      close_conn(fd);
+      close_conn(id);
       return;
     }
     if (conn.logical->paused()) {
@@ -262,7 +264,7 @@ void TcpServer::handle_readable(int fd, Conn& conn) {
     if (conn.logical->output_size() > net_.write_buffer_limit) {
       // Slow reader: flush what the socket takes, then pause reads until
       // the buffer drains below half the limit.
-      if (!flush_writes(fd, conn)) return;
+      if (!flush_writes(id, conn)) return;
       if (conn.logical->output_size() > net_.write_buffer_limit) {
         conn.read_paused = true;
         stats_.read_pauses.fetch_add(1, std::memory_order_relaxed);
@@ -272,24 +274,25 @@ void TcpServer::handle_readable(int fd, Conn& conn) {
   }
   // Replies (HelloAck, notices) usually fit the socket buffer: write
   // eagerly instead of waiting for an EPOLLOUT edge.
-  if (conns_.count(fd) == 0) return;  // closed above
-  if (!flush_writes(fd, conn)) return;
-  reap_if_finished(fd, conn);
+  if (conns_.count(id) == 0) return;  // closed above
+  if (!flush_writes(id, conn)) return;
+  reap_if_finished(id, conn);
 }
 
-bool TcpServer::flush_writes(int fd, Conn& conn) {
+bool TcpServer::flush_writes(std::uint64_t id, Conn& conn) {
   for (;;) {
     if (conn.out_off == conn.outbuf.size()) {
       conn.outbuf.clear();
       conn.out_off = 0;
       if (conn.logical->take_output(conn.outbuf, kStageBytes) == 0) break;
     }
-    const ssize_t n = ::write(fd, conn.outbuf.data() + conn.out_off,
-                              conn.outbuf.size() - conn.out_off);
+    const ssize_t n =
+        ::write(conn.fd.get(), conn.outbuf.data() + conn.out_off,
+                conn.outbuf.size() - conn.out_off);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return true;  // EPOLLOUT edge pending
       if (errno == EINTR) continue;
-      close_conn(fd);  // EPIPE/ECONNRESET
+      close_conn(id);  // EPIPE/ECONNRESET
       return false;
     }
     conn.out_off += static_cast<std::size_t>(n);
@@ -299,7 +302,7 @@ bool TcpServer::flush_writes(int fd, Conn& conn) {
   return true;
 }
 
-void TcpServer::maybe_resume_reads(int fd, Conn& conn) {
+void TcpServer::maybe_resume_reads(std::uint64_t id, Conn& conn) {
   if (!conn.read_paused) return;
   if (conn.admission_paused) {
     if (!conn.logical->retry_pending()) return;  // rings still full
@@ -318,32 +321,31 @@ void TcpServer::maybe_resume_reads(int fd, Conn& conn) {
   // unconditional read -- read_ready alone would stall any stream whose
   // tail arrived before the pause lifted.  A spurious resume costs one
   // EAGAIN.  May tear the connection down (framing error, EOF + complete):
-  // callers must re-look-up `fd` before touching `conn` again.
-  handle_readable(fd, conn);
+  // callers must re-look-up `id` before touching `conn` again.
+  handle_readable(id, conn);
 }
 
-bool TcpServer::reap_if_finished(int fd, Conn& conn) {
+bool TcpServer::reap_if_finished(std::uint64_t id, Conn& conn) {
   if (conn.logical->dead()) {
-    close_conn(fd);
+    close_conn(id);
     return true;
   }
   // complete() implies input finished -- via physical FIN (peer_eof) or
   // the drain's finish_input() -- so no peer_eof check: a drained conn
   // whose verdicts are flushed closes without waiting for the client.
   if (conn.logical->complete() && conn.out_off == conn.outbuf.size()) {
-    close_conn(fd);
+    close_conn(id);
     return true;
   }
   return false;
 }
 
-void TcpServer::close_conn(int fd) {
-  const auto it = conns_.find(fd);
+void TcpServer::close_conn(std::uint64_t id) {
+  const auto it = conns_.find(id);
   if (it == conns_.end()) return;
   Conn& conn = it->second;
   if (conn.admission_paused) --admission_paused_count_;
-  epoll_.del(fd);
-  by_logical_.erase(conn.logical->id());
+  epoll_.del(conn.fd.get());
   server_.disconnect(conn.logical);
   conns_.erase(it);  // Fd RAII closes the socket
   stats_.closed.fetch_add(1, std::memory_order_relaxed);
@@ -357,17 +359,14 @@ void TcpServer::drain_wakeups() {
     ids.swap(pending_);
   }
   for (const std::uint64_t id : ids) {
-    const auto lit = by_logical_.find(id);
-    if (lit == by_logical_.end()) continue;  // conn already closed
-    const int fd = lit->second;
-    const auto it = conns_.find(fd);
-    if (it == conns_.end()) continue;
+    const auto it = conns_.find(id);
+    if (it == conns_.end()) continue;  // conn already closed
     Conn& conn = it->second;
-    if (!flush_writes(fd, conn)) continue;
-    maybe_resume_reads(fd, conn);
-    const auto again = conns_.find(fd);  // resume read may have closed it
+    if (!flush_writes(id, conn)) continue;
+    maybe_resume_reads(id, conn);
+    const auto again = conns_.find(id);  // resume read may have closed it
     if (again == conns_.end()) continue;
-    reap_if_finished(fd, again->second);
+    reap_if_finished(id, again->second);
   }
 }
 

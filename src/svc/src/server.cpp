@@ -92,16 +92,10 @@ bool Connection::apply_event(WireEvent& event) {
         }
       }
       const SessionId global = server_.allocate_session();
-      // An Open names a profile for the server's factory; a SubmitQuery
-      // carries an inline query (already syntax-checked by the Decoder)
-      // compiled into a per-session acceptor.  Both refuse identically:
-      // a CompileLimits hit is the query-plane twin of an unknown
-      // profile, not a framing error.
+      // Both kinds refuse identically: a CompileLimits hit is the
+      // query-plane twin of an unknown profile, not a framing error.
       auto acceptor =
-          event.kind == WireEvent::Kind::SubmitQuery
-              ? server_.manager().build_query_acceptor(global, event.profile)
-              : (server_.factory_ ? server_.factory_(global, event.profile)
-                                  : nullptr);
+          server_.manager().build_acceptor(global, event, server_.factory_);
       if (!acceptor) {
         std::lock_guard lock(mutex_);
         ++stats_.refused_opens;
@@ -111,16 +105,20 @@ bool Connection::apply_event(WireEvent& event) {
                                  0);
         return true;
       }
-      // Owner first, then the session maps, then the manager: a verdict
-      // cannot arrive before open() runs, and open() runs last.
-      server_.register_owner(global, shared_from_this());
       {
         std::lock_guard lock(mutex_);
         sessions_.emplace(event.session, Owned{global, false});
-        remap_.emplace(global, event.session);
         ++stats_.opens;
       }
-      server_.manager().open(global, std::move(acceptor), event.priority);
+      // The session's route holds this connection until the verdict is
+      // delivered (or dropped, once detached).
+      server_.manager().open(
+          global, std::move(acceptor), event.priority,
+          [conn = shared_from_this(),
+           client = event.session](const SessionReport& report) {
+            if (conn->deliver_report(client, report)) conn->server_.wake(conn);
+            return true;
+          });
       return true;
     }
     case WireEvent::Kind::Symbols:
@@ -191,15 +189,16 @@ bool Connection::submit_symbols(SessionId client,
   return true;
 }
 
-void Connection::deliver_report(SessionId client, const SessionReport& report) {
+bool Connection::deliver_report(SessionId client, const SessionReport& report) {
   std::lock_guard lock(mutex_);
+  if (detached_) return false;
   sessions_.erase(client);
-  remap_.erase(report.id);
   ++stats_.verdicts;
   if (version() >= 1)
     output_ += encode_verdict(client, report.verdict, report.result.exact,
                               report.evicted, report.fed,
                               report.stale_dropped);
+  return true;
 }
 
 std::size_t Connection::take_output(std::string& out, std::size_t max_bytes) {
@@ -211,11 +210,6 @@ std::size_t Connection::take_output(std::string& out, std::size_t max_bytes) {
   return n;
 }
 
-void Connection::push_front_output(std::string_view bytes) {
-  std::lock_guard lock(mutex_);
-  output_.insert(0, bytes);
-}
-
 std::size_t Connection::output_size() const {
   std::lock_guard lock(mutex_);
   return output_.size();
@@ -225,11 +219,6 @@ bool Connection::complete() const {
   if (!input_finished_.load(std::memory_order_acquire)) return false;
   std::lock_guard lock(mutex_);
   return sessions_.empty() && output_.empty();
-}
-
-std::size_t Connection::owned_sessions() const {
-  std::lock_guard lock(mutex_);
-  return sessions_.size();
 }
 
 ConnectionStats Connection::stats() const {
@@ -254,50 +243,35 @@ void Connection::fail_stream(std::string message) {
 Server::Server(ServerConfig config, AcceptorFactory factory)
     : config_(std::move(config)),
       factory_(std::move(factory)),
-      manager_(config_) {
-  manager_.set_report_sink(
-      [this](const SessionReport& report) { return on_report(report); });
-}
+      manager_(config_) {}
 
 Server::~Server() {
-  // Drain with the sink still wired so wire-owned verdicts are consumed,
-  // then unhook it: nothing may call back into a half-destroyed server.
+  // Settle every session while the wake hook is still a member: routes
+  // call wake(), and the hook is destroyed before the manager.
   shutdown();
-  manager_.set_report_sink(nullptr);
 }
 
 std::shared_ptr<Connection> Server::connect() {
   const std::uint64_t id =
       next_conn_id_.fetch_add(1, std::memory_order_relaxed);
   // make_shared needs a public ctor; std::shared_ptr + new keeps it private.
-  std::shared_ptr<Connection> conn(
+  return std::shared_ptr<Connection>(
       new Connection(*this, id, config_.net.max_frame_bytes));
-  std::lock_guard lock(mutex_);
-  connections_.emplace(id, conn);
-  return conn;
 }
 
 void Server::disconnect(const std::shared_ptr<Connection>& conn) {
   if (!conn) return;
   std::vector<SessionId> live;
   {
-    std::lock_guard conn_lock(conn->mutex_);
+    // Detached first: verdicts already in flight are dropped by their
+    // routes, and so are those of the sessions closed below.
+    std::lock_guard lock(conn->mutex_);
+    conn->detached_ = true;
     for (auto& [client, owned] : conn->sessions_) {
       if (!owned.close_sent) {
         owned.close_sent = true;
         live.push_back(owned.global);
       }
-    }
-  }
-  {
-    std::lock_guard lock(mutex_);
-    connections_.erase(conn->id_);
-    // Tombstone the owner entries: in-flight and upcoming verdicts for
-    // this connection are consumed and dropped, not queued for collect().
-    std::lock_guard conn_lock(conn->mutex_);
-    for (const auto& [global, client] : conn->remap_) {
-      const auto it = owners_.find(global);
-      if (it != owners_.end()) it->second = nullptr;
     }
   }
   for (SessionId global : live)
@@ -311,39 +285,8 @@ void Server::shutdown() {
   manager_.shutdown(core::StreamEnd::Truncated);
 }
 
-std::size_t Server::connection_count() const {
-  std::lock_guard lock(mutex_);
-  return connections_.size();
-}
-
-bool Server::on_report(const SessionReport& report) {
-  std::shared_ptr<Connection> conn;
-  SessionId client = 0;
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = owners_.find(report.id);
-    if (it == owners_.end()) return false;  // direct open(): collect() path
-    conn = std::move(it->second);
-    owners_.erase(it);
-    if (!conn) return true;  // tombstone: owner died, discard
-    std::lock_guard conn_lock(conn->mutex_);
-    const auto rit = conn->remap_.find(report.id);
-    if (rit == conn->remap_.end()) return true;
-    client = rit->second;
-  }
-  conn->deliver_report(client, report);
-  wake(conn);
-  return true;
-}
-
 SessionId Server::allocate_session() {
   return next_session_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Server::register_owner(SessionId global,
-                            std::shared_ptr<Connection> conn) {
-  std::lock_guard lock(mutex_);
-  owners_.emplace(global, std::move(conn));
 }
 
 void Server::wake(const std::shared_ptr<Connection>& conn) {

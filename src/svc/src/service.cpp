@@ -225,7 +225,7 @@ SessionId SessionManager::open(std::unique_ptr<core::OnlineAcceptor> acceptor,
 
 void SessionManager::open(SessionId id,
                           std::unique_ptr<core::OnlineAcceptor> acceptor,
-                          Priority priority) {
+                          Priority priority, ReportSink route) {
   // Register the admission hint before the command is queued so feeds
   // racing right behind the open already see the session's priority.
   Shard& shard = *shards_[shard_of(id)];
@@ -234,7 +234,8 @@ void SessionManager::open(SessionId id,
   c.kind = Command::Kind::Open;
   c.id = id;
   c.priority = priority;
-  c.acceptor = std::move(acceptor);
+  c.opening = std::make_unique<Opening>(
+      Opening{std::move(acceptor), std::move(route)});
   enqueue_control(shard, std::move(c));
 }
 
@@ -277,14 +278,23 @@ std::unique_ptr<core::OnlineAcceptor> SessionManager::build_query_acceptor(
   return acceptor;
 }
 
+std::unique_ptr<core::OnlineAcceptor> SessionManager::build_acceptor(
+    SessionId id, const WireEvent& event, const AcceptorFactory& factory) {
+  if (event.kind == WireEvent::Kind::SubmitQuery)
+    return build_query_acceptor(id, event.profile);
+  return factory ? factory(id, event.profile) : nullptr;
+}
+
 AdmitResult SessionManager::apply(const WireEvent& event,
                                   const AcceptorFactory& factory) {
   switch (event.kind) {
-    case WireEvent::Kind::Open: {
-      auto acceptor =
-          factory ? factory(event.session, event.profile) : nullptr;
+    case WireEvent::Kind::Open:
+    case WireEvent::Kind::SubmitQuery: {
+      auto acceptor = build_acceptor(event.session, event, factory);
       if (!acceptor) {
-        stats_.unknown.fetch_add(1, std::memory_order_relaxed);
+        // A refused query is already tallied as query_rejected.
+        if (event.kind == WireEvent::Kind::Open)
+          stats_.unknown.fetch_add(1, std::memory_order_relaxed);
         return AdmitResult{Admit::Shed, ShedReason::None};
       }
       open(event.session, std::move(acceptor), event.priority);
@@ -299,12 +309,6 @@ AdmitResult SessionManager::apply(const WireEvent& event,
         if (a != Admit::Blocked) return a;
         std::this_thread::yield();
       }
-    }
-    case WireEvent::Kind::SubmitQuery: {
-      auto acceptor = build_query_acceptor(event.session, event.profile);
-      if (!acceptor) return AdmitResult{Admit::Shed, ShedReason::None};
-      open(event.session, std::move(acceptor), event.priority);
-      return AdmitResult{};
     }
     case WireEvent::Kind::Close:
       close(event.session, event.end);
@@ -358,11 +362,12 @@ void SessionManager::process(Shard& shard, std::uint64_t epoch) {
   for (auto& command : shard.staging) {
     switch (command.kind) {
       case Command::Kind::Open: {
+        Opening& opening = *command.opening;
         const auto [it, inserted] = shard.sessions.try_emplace(
             command.id,
-            Session(command.id, std::move(command.acceptor),
+            Session(command.id, std::move(opening.acceptor),
                     command.priority),
-            epoch);
+            epoch, std::move(opening.route));
         if (!inserted) {
           ++unknown;  // double open: id already live on this shard
           break;
@@ -500,8 +505,10 @@ void SessionManager::finish_session(Shard& shard, Entry& entry,
   stats_.active.fetch_sub(1, std::memory_order_relaxed);
   // A sink that consumes the report keeps it out of the collect() queue.
   // It runs on the shard worker with no manager locks held, so it may call
-  // back into feed/close (but must not block on shard progress).
-  if (report_sink_ && report_sink_(report)) return;
+  // back into feed/close (but must not block on shard progress).  The
+  // session's own route, when it has one, replaces the manager-wide sink.
+  const ReportSink& sink = entry.route ? entry.route : report_sink_;
+  if (sink && sink(report)) return;
   std::lock_guard lock(shard.reports_mutex);
   shard.reports.push_back(std::move(report));
 }

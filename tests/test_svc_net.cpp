@@ -14,6 +14,9 @@
 //      read-pause hysteresis; every verdict must still arrive.
 //   5. Graceful drain: stop() truncate-closes abandoned sessions and
 //      flushes their verdicts before the socket closes.
+//   6. ServerFacade: the Server/Connection pair driven with no sockets --
+//      verdict routing per connection, disconnect, id reuse, duplicate
+//      opens, and a disconnect storm against live shard workers.
 //
 // Everything binds port 0 on 127.0.0.1: no fixed ports, no external
 // daemon, safe for parallel ctest.
@@ -34,6 +37,8 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -730,6 +735,277 @@ TEST(NetLoopback, TruncatedSubmitQueryBodyNeverHangsTheConnection) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(h.server.manager().stats().opened, 0u);
   EXPECT_EQ(h.server.manager().stats().active, 0u);
+}
+
+// ------------------------------------------------------------ facade
+
+/// Decodes every whole frame in `bytes`; false on a framing error.
+bool decode_frames(std::string_view bytes, std::vector<WireEvent>& events) {
+  Decoder decoder;
+  decoder.push(bytes);
+  WireEvent ev;
+  while (decoder.next(ev)) events.push_back(ev);
+  return decoder.ok();
+}
+
+/// Takes and decodes everything queued on `conn`.
+std::vector<WireEvent> take_events(Connection& conn) {
+  std::string out;
+  conn.take_output(out, SIZE_MAX);
+  std::vector<WireEvent> events;
+  EXPECT_TRUE(decode_frames(out, events));
+  return events;
+}
+
+/// One whole session on the wire: open, a word of `n` symbols, close.
+std::string session_frames(SessionId client, const std::string& profile,
+                           std::size_t n) {
+  std::string frames = encode_open(client, profile);
+  frames += encode_feed_batch(client, word_of(n));
+  frames += encode_close(client);
+  return frames;
+}
+
+/// Counts wake-hook calls per connection id.  The hook runs on shard
+/// workers, so the map is mutex-guarded.
+struct WakeCounter {
+  void install(Server& server) {
+    server.set_wakeup([this](const std::shared_ptr<Connection>& conn) {
+      std::lock_guard lock(mutex);
+      ++wakes[conn->id()];
+    });
+  }
+  std::size_t of(std::uint64_t id) {
+    std::lock_guard lock(mutex);
+    const auto it = wakes.find(id);
+    return it == wakes.end() ? 0 : it->second;
+  }
+
+  std::mutex mutex;
+  std::map<std::uint64_t, std::size_t> wakes;
+};
+
+ServerConfig facade_config() {
+  ServerConfig config;
+  config.shard.count = 2;
+  return config;
+}
+
+TEST(ServerFacade, DisconnectDropsInFlightVerdictsButNotDirectReports) {
+  WakeCounter wakes;  // declared first: outlives the server's drain
+  Server server(facade_config(), profile_factory());
+  wakes.install(server);
+
+  auto conn = server.connect();
+  std::string stream = encode_hello();
+  for (SessionId s = 1; s <= 4; ++s) {
+    stream += encode_open(s, "count:8");
+    stream += encode_feed_batch(s, word_of(3));
+  }
+  ASSERT_TRUE(conn->on_bytes(stream));
+  ASSERT_EQ(take_events(*conn).size(), 1u);  // the HelloAck
+
+  const SessionId direct =
+      server.manager().open(profile_factory()(0, "count:2"));
+  server.manager().feed_batch(direct, word_of(2));
+  server.disconnect(conn);  // truncate-closes the four wire sessions
+  server.manager().close(direct);
+  server.manager().drain();
+
+  EXPECT_EQ(conn->output_size(), 0u);
+  EXPECT_EQ(wakes.of(conn->id()), 0u);
+  EXPECT_EQ(conn->stats().verdicts, 0u);
+  const auto reports = server.manager().collect();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].id, direct);
+  EXPECT_EQ(reports[0].verdict, Verdict::Accepting);
+  EXPECT_EQ(reports[0].fed, 2u);
+  EXPECT_EQ(server.manager().stats().closed, 5u);
+  EXPECT_EQ(server.manager().stats().active, 0u);
+}
+
+TEST(ServerFacade, TwoConnectionsSharingAClientIdEachGetTheirOwnVerdict) {
+  WakeCounter wakes;
+  Server server(facade_config(), profile_factory());
+  wakes.install(server);
+
+  auto a = server.connect();
+  auto b = server.connect();
+  ASSERT_TRUE(a->on_bytes(encode_hello() + session_frames(7, "count:3", 3)));
+  ASSERT_TRUE(b->on_bytes(encode_hello() + session_frames(7, "count:3", 5)));
+  server.manager().drain();
+
+  struct Want {
+    Connection& conn;
+    std::uint64_t fed;
+    Verdict verdict;
+  };
+  for (const Want want : {Want{*a, 3, Verdict::Accepting},
+                          Want{*b, 5, Verdict::Rejecting}}) {
+    const auto events = take_events(want.conn);
+    ASSERT_EQ(events.size(), 2u) << "connection " << want.conn.id();
+    EXPECT_EQ(events[0].kind, WireEvent::Kind::HelloAck);
+    EXPECT_EQ(events[1].kind, WireEvent::Kind::Verdict);
+    EXPECT_EQ(events[1].session, 7u);
+    EXPECT_EQ(events[1].fed, want.fed);
+    EXPECT_EQ(events[1].verdict, want.verdict);
+    EXPECT_EQ(wakes.of(want.conn.id()), 1u);
+    EXPECT_EQ(want.conn.stats().opens, 1u);
+    EXPECT_EQ(want.conn.stats().verdicts, 1u);
+  }
+  EXPECT_TRUE(server.manager().collect().empty());
+}
+
+TEST(ServerFacade, AClientIdReopensAfterItsVerdict) {
+  Server server(facade_config(), profile_factory());
+  auto conn = server.connect();
+
+  ASSERT_TRUE(conn->on_bytes(encode_hello() + session_frames(1, "count:2", 2)));
+  server.manager().drain();
+  const auto first = take_events(*conn);
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(first[1].kind, WireEvent::Kind::Verdict);
+  EXPECT_EQ(first[1].verdict, Verdict::Accepting);
+  EXPECT_EQ(first[1].fed, 2u);
+
+  ASSERT_TRUE(conn->on_bytes(session_frames(1, "count:2", 4)));
+  server.manager().drain();
+  const auto second = take_events(*conn);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].kind, WireEvent::Kind::Verdict);
+  EXPECT_EQ(second[0].session, 1u);
+  EXPECT_EQ(second[0].verdict, Verdict::Rejecting);
+  EXPECT_EQ(second[0].fed, 4u);
+
+  const ConnectionStats stats = conn->stats();
+  EXPECT_EQ(stats.opens, 2u);
+  EXPECT_EQ(stats.dup_opens, 0u);
+  EXPECT_EQ(stats.unknown_frames, 0u);
+  EXPECT_EQ(stats.verdicts, 2u);
+  conn->finish_input();
+  EXPECT_TRUE(conn->complete());
+}
+
+TEST(ServerFacade, DuplicateOpenWhileLiveCountsDupOpens) {
+  Server server(facade_config(), profile_factory());
+  auto conn = server.connect();
+
+  std::string stream = encode_hello();
+  stream += encode_open(1, "count:3");
+  stream += encode_feed_batch(1, word_of(2));
+  stream += encode_open(1, "count:9");  // duplicate: ignored, counted
+  stream += encode_feed_batch(1, {{Symbol::nat(0), 3}});
+  stream += encode_close(1);
+  ASSERT_TRUE(conn->on_bytes(stream));
+  server.manager().drain();
+
+  const auto events = take_events(*conn);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[1].kind, WireEvent::Kind::Verdict);
+  EXPECT_EQ(events[1].verdict, Verdict::Accepting);  // count:3 kept
+  EXPECT_EQ(events[1].fed, 3u);
+  EXPECT_EQ(conn->stats().opens, 1u);
+  EXPECT_EQ(conn->stats().dup_opens, 1u);
+  EXPECT_EQ(server.manager().stats().opened, 1u);
+}
+
+/// One thread opens, feeds and disconnects connections at seeded points
+/// while the shard workers finish their sessions and the wake hook drains
+/// each connection on the worker that delivered, as perfbench's
+/// in-process path does.  The test drops its own reference right after
+/// disconnect() or finish_input(), so the last reference to a Connection
+/// may be released on a shard worker; the sanitizer builds check that.
+TEST(ServerFacade, DisconnectStormReleasesConnectionsOnShardWorkers) {
+  struct Delivered {
+    std::mutex mutex;
+    std::map<std::uint64_t, std::size_t> verdicts;
+    std::atomic<bool> framing_ok{true};
+  } delivered;
+  Server server(facade_config(), profile_factory());
+  server.set_wakeup([&delivered](const std::shared_ptr<Connection>& conn) {
+    std::string out;
+    conn->take_output(out, SIZE_MAX);
+    std::vector<WireEvent> events;
+    if (!decode_frames(out, events)) delivered.framing_ok = false;
+    std::size_t n = 0;
+    for (const auto& ev : events) n += ev.kind == WireEvent::Kind::Verdict;
+    std::lock_guard lock(delivered.mutex);
+    delivered.verdicts[conn->id()] += n;
+  });
+
+  struct Plan {
+    std::weak_ptr<Connection> conn;
+    std::uint64_t id = 0;
+    std::size_t opened = 0;
+    bool detached = false;
+  };
+  std::vector<Plan> plans;
+  std::mt19937_64 rng(0x5eed'd15c);
+  constexpr std::size_t kConnections = 2000;
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    auto conn = server.connect();
+    ASSERT_TRUE(conn->on_bytes(encode_hello()));
+    ASSERT_EQ(take_events(*conn).size(), 1u);  // HelloAck, before any wake
+    Plan plan;
+    plan.conn = conn;
+    plan.id = conn->id();
+    // Disconnect after session `cut` (0 = before any frame past the
+    // Hello); a cut past the last session keeps the connection attached
+    // and ends it with finish_input() instead.
+    const std::size_t sessions = 1 + rng() % 4;
+    const std::size_t cut = rng() % (sessions + 2);
+    for (std::size_t s = 1; s <= sessions && !plan.detached; ++s) {
+      if (s - 1 == cut) {
+        server.disconnect(conn);
+        plan.detached = true;
+        break;
+      }
+      std::string frames = encode_open(s, "count:" + std::to_string(rng() % 48));
+      frames += encode_feed_batch(s, word_of(1 + rng() % 64));
+      if (rng() % 2) frames += encode_close(s);  // else left in flight
+      ASSERT_TRUE(conn->on_bytes(frames));
+      ++plan.opened;
+    }
+    if (!plan.detached) {
+      if (cut == sessions) {
+        server.disconnect(conn);  // every session already sent
+        plan.detached = true;
+      } else {
+        conn->finish_input();
+      }
+    }
+    plans.push_back(std::move(plan));
+  }
+  server.manager().drain();
+
+  EXPECT_TRUE(delivered.framing_ok.load());
+  EXPECT_TRUE(server.manager().collect().empty());
+  EXPECT_EQ(server.manager().stats().active, 0u);
+  std::size_t attached = 0;
+  {
+    std::lock_guard lock(delivered.mutex);
+    for (const Plan& plan : plans) {
+      const auto it = delivered.verdicts.find(plan.id);
+      const std::size_t got = it == delivered.verdicts.end() ? 0 : it->second;
+      if (plan.detached) {
+        EXPECT_LE(got, plan.opened) << "connection " << plan.id;
+      } else {
+        ++attached;
+        EXPECT_EQ(got, plan.opened) << "connection " << plan.id;
+      }
+    }
+  }
+  EXPECT_GT(attached, 0u);
+  EXPECT_LT(attached, kConnections);
+
+  // Nothing outlives its sessions: once every connection is detached and
+  // every verdict settled, no Connection is left alive.
+  for (const Plan& plan : plans)
+    if (auto conn = plan.conn.lock()) server.disconnect(conn);
+  server.manager().drain();
+  for (const Plan& plan : plans)
+    EXPECT_TRUE(plan.conn.expired()) << "connection " << plan.id;
+  server.set_wakeup(nullptr);
 }
 
 // The slow-reader test can race a close into a write: never die on
