@@ -8,8 +8,6 @@
 ///     (seed, job index) only, so results are bit-identical regardless of
 ///     thread count or scheduling order;
 ///   * deterministic result order -- results land at their job's index;
-///   * a configurable concurrency cap (max_in_flight) independent of the
-///     pool size, for jobs with large working sets;
 ///   * exceptions thrown by a job propagate to the caller of map().
 ///
 /// Each engine run is already single-threaded and self-contained (private
@@ -34,8 +32,7 @@ namespace rtw::engine {
 
 /// Fan-out configuration.
 struct BatchOptions {
-  unsigned threads = 0;        ///< pool size; 0 = hardware concurrency
-  unsigned max_in_flight = 0;  ///< concurrency cap; 0 = uncapped (pool-wide)
+  unsigned threads = 0;  ///< pool size; 0 = hardware concurrency
   std::uint64_t seed = 0x72747765ULL;  ///< base seed for per-run RNG streams
 };
 
@@ -97,7 +94,6 @@ public:
                count) {
           const std::size_t end = std::min(count, begin + chunk);
           for (std::size_t i = begin; i < end; ++i) {
-            Gate gate(*this);
             try {
               auto rng = rng_for(options_.seed, i);
               results[i] = job(i, rng);
@@ -154,20 +150,8 @@ public:
       const std::optional<rtw::sim::FaultPlan>& faults = std::nullopt);
 
 private:
-  /// RAII slot in the max_in_flight window.
-  struct Gate {
-    explicit Gate(BatchRunner& runner) : runner(runner) { runner.acquire(); }
-    ~Gate() { runner.release(); }
-    BatchRunner& runner;
-  };
-  void acquire();
-  void release();
-
   BatchOptions options_;
   rtw::sim::ThreadPool pool_;
-  std::mutex gate_mutex_;
-  std::condition_variable gate_cv_;
-  unsigned in_flight_ = 0;
 };
 
 /// Batch membership: the engine verdict for every word, fanned across a

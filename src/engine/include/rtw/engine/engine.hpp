@@ -16,7 +16,8 @@
 ///     never walked tick by tick (Definition 3.3 puts all timing
 ///     constraints on the input; idle time is unobservable);
 ///   * every run produces a RunTrace (observability) in addition to the
-///     RunResult verdict, and feeds the process-wide engine::Counters.
+///     RunResult verdict, and folds into the `engine.*` registry counters
+///     while an obs sink is installed.
 ///
 /// Verdict semantics are exactly those of the original core::run_acceptor,
 /// which has been fully retired (declaration deleted;

@@ -1,12 +1,12 @@
 #pragma once
 /// \file trace.hpp
-/// Observability for the execution engine: a per-run RunTrace plus
-/// process-wide atomic counters.
+/// Observability for the execution engine: a per-run RunTrace.
 ///
 /// Every Engine::run produces a RunTrace alongside the Definition 3.4
-/// verdict; BatchRunner aggregates them.  Both export one-line JSON
-/// (rtw::sim::JsonLine) so bench harnesses can stream machine-readable
-/// trajectories to stdout.
+/// verdict and exports it as one-line JSON (rtw::sim::JsonLine) so bench
+/// harnesses can stream machine-readable trajectories to stdout.  Totals
+/// across runs live in the obs::MetricsRegistry (`engine.*`, `faults.*`),
+/// folded in only while an obs sink is installed.
 
 #include <cstdint>
 #include <optional>
@@ -42,44 +42,12 @@ struct RunTrace {
   std::string to_json() const;
 };
 
-/// A point-in-time copy of the process-wide engine counters.
-struct CountersSnapshot {
-  std::uint64_t runs = 0;         ///< Engine::run invocations completed
-  std::uint64_t locked_runs = 0;  ///< runs decided by a lock (exact verdict)
-  std::uint64_t ticks = 0;        ///< driver steps across all runs
-  std::uint64_t events = 0;       ///< EventQueue events across all runs
-  std::uint64_t symbols = 0;      ///< input symbols delivered
-  std::uint64_t batch_jobs = 0;   ///< BatchRunner jobs completed
-  std::uint64_t wall_ns = 0;      ///< summed wall-clock across runs
-  std::uint64_t faults = 0;       ///< injected faults across all runs
-
-  std::string to_json() const;
-
-  friend bool operator==(const CountersSnapshot&,
-                         const CountersSnapshot&) = default;
-};
-
-/// Field-wise difference of two snapshots -- the canonical way to measure
-/// one section (a batch, a bench loop) against the process-wide
-/// accumulators without a racy global reset.  Callers pass the earlier
-/// snapshot on the right.
-CountersSnapshot operator-(const CountersSnapshot& later,
-                           const CountersSnapshot& earlier);
-
-/// Process-wide atomic counters over every engine run in this process
-/// (all threads).  Cheap relaxed atomics; intended for bench export and
-/// coarse health checks, not for synchronization.
-class Counters {
-public:
-  static CountersSnapshot snapshot() noexcept;
-  /// Zeroes all counters (tests and bench section boundaries).
-  static void reset() noexcept;
-};
-
 namespace detail {
-/// Internal: folds a finished run into the process-wide counters.
+/// Internal: folds a finished run into the `engine.*` / `faults.*`
+/// registry counters while obs is enabled.
 void record_run(const RunTrace& trace, bool locked) noexcept;
-/// Internal: counts one finished BatchRunner job.
+/// Internal: counts one finished BatchRunner job (`engine.batch_jobs`)
+/// while obs is enabled.
 void record_batch_job() noexcept;
 }  // namespace detail
 

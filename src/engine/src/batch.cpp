@@ -1,7 +1,5 @@
 #include "rtw/engine/batch.hpp"
 
-#include <algorithm>
-
 namespace rtw::engine {
 
 BatchRunner::BatchRunner(BatchOptions options)
@@ -13,22 +11,6 @@ rtw::sim::Xoshiro256ss BatchRunner::rng_for(std::uint64_t seed,
   // land 2^64/phi apart in its sequence.
   rtw::sim::SplitMix64 mix(seed ^ (index * 0x9e3779b97f4a7c15ULL));
   return rtw::sim::Xoshiro256ss(mix());
-}
-
-void BatchRunner::acquire() {
-  if (options_.max_in_flight == 0) return;
-  std::unique_lock lock(gate_mutex_);
-  gate_cv_.wait(lock, [this] { return in_flight_ < options_.max_in_flight; });
-  ++in_flight_;
-}
-
-void BatchRunner::release() {
-  if (options_.max_in_flight == 0) return;
-  {
-    std::lock_guard lock(gate_mutex_);
-    --in_flight_;
-  }
-  gate_cv_.notify_one();
 }
 
 std::vector<EngineResult> BatchRunner::run_words(

@@ -1,7 +1,5 @@
 #include "rtw/engine/trace.hpp"
 
-#include <atomic>
-
 #include "rtw/obs/metrics.hpp"
 #include "rtw/obs/sink.hpp"
 #include "rtw/sim/jsonl.hpp"
@@ -34,88 +32,12 @@ std::string RunTrace::to_json() const {
   return line.str();
 }
 
-std::string CountersSnapshot::to_json() const {
-  // Same names the obs::MetricsRegistry registers, so the legacy counter
-  // export and the registry export can be diffed line against line.
-  return rtw::sim::JsonLine()
-      .field("engine.runs", runs)
-      .field("engine.locked_runs", locked_runs)
-      .field("engine.ticks", ticks)
-      .field("engine.events", events)
-      .field("engine.symbols", symbols)
-      .field("engine.batch_jobs", batch_jobs)
-      .field("engine.wall_ns", wall_ns)
-      .field("faults.injected", faults)
-      .str();
-}
+namespace detail {
 
-CountersSnapshot operator-(const CountersSnapshot& later,
-                           const CountersSnapshot& earlier) {
-  CountersSnapshot d;
-  d.runs = later.runs - earlier.runs;
-  d.locked_runs = later.locked_runs - earlier.locked_runs;
-  d.ticks = later.ticks - earlier.ticks;
-  d.events = later.events - earlier.events;
-  d.symbols = later.symbols - earlier.symbols;
-  d.batch_jobs = later.batch_jobs - earlier.batch_jobs;
-  d.wall_ns = later.wall_ns - earlier.wall_ns;
-  d.faults = later.faults - earlier.faults;
-  return d;
-}
-
-namespace {
-
-struct AtomicCounters {
-  std::atomic<std::uint64_t> runs{0};
-  std::atomic<std::uint64_t> locked_runs{0};
-  std::atomic<std::uint64_t> ticks{0};
-  std::atomic<std::uint64_t> events{0};
-  std::atomic<std::uint64_t> symbols{0};
-  std::atomic<std::uint64_t> batch_jobs{0};
-  std::atomic<std::uint64_t> wall_ns{0};
-  std::atomic<std::uint64_t> faults{0};
-};
-
-AtomicCounters& counters() {
-  static AtomicCounters instance;
-  return instance;
-}
-
-}  // namespace
-
-CountersSnapshot Counters::snapshot() noexcept {
-  auto& c = counters();
-  CountersSnapshot s;
-  s.runs = c.runs.load(std::memory_order_relaxed);
-  s.locked_runs = c.locked_runs.load(std::memory_order_relaxed);
-  s.ticks = c.ticks.load(std::memory_order_relaxed);
-  s.events = c.events.load(std::memory_order_relaxed);
-  s.symbols = c.symbols.load(std::memory_order_relaxed);
-  s.batch_jobs = c.batch_jobs.load(std::memory_order_relaxed);
-  s.wall_ns = c.wall_ns.load(std::memory_order_relaxed);
-  s.faults = c.faults.load(std::memory_order_relaxed);
-  return s;
-}
-
-void Counters::reset() noexcept {
-  auto& c = counters();
-  c.runs.store(0, std::memory_order_relaxed);
-  c.locked_runs.store(0, std::memory_order_relaxed);
-  c.ticks.store(0, std::memory_order_relaxed);
-  c.events.store(0, std::memory_order_relaxed);
-  c.symbols.store(0, std::memory_order_relaxed);
-  c.batch_jobs.store(0, std::memory_order_relaxed);
-  c.wall_ns.store(0, std::memory_order_relaxed);
-  c.faults.store(0, std::memory_order_relaxed);
-}
-
-namespace {
-
-/// Folds a finished run into the rtw::obs MetricsRegistry -- the named,
-/// exporter-visible mirror of the legacy Counters.  Handles resolve once
-/// (function-local statics) so the per-run cost is a handful of relaxed
-/// adds; the caller gates on obs::enabled().
-void fold_run_into_registry(const RunTrace& trace, bool locked) noexcept {
+// Handles resolve once (function-local statics), so a folded run costs a
+// handful of relaxed adds; with no obs sink installed, one relaxed load.
+void record_run(const RunTrace& trace, bool locked) noexcept {
+  if (!rtw::obs::enabled()) return;
   auto& reg = rtw::obs::MetricsRegistry::instance();
   static auto& runs = reg.counter("engine.runs");
   static auto& locked_runs = reg.counter("engine.locked_runs");
@@ -152,25 +74,7 @@ void fold_run_into_registry(const RunTrace& trace, bool locked) noexcept {
   }
 }
 
-}  // namespace
-
-namespace detail {
-
-void record_run(const RunTrace& trace, bool locked) noexcept {
-  auto& c = counters();
-  c.runs.fetch_add(1, std::memory_order_relaxed);
-  if (locked) c.locked_runs.fetch_add(1, std::memory_order_relaxed);
-  c.ticks.fetch_add(trace.ticks_executed, std::memory_order_relaxed);
-  c.events.fetch_add(trace.events_executed, std::memory_order_relaxed);
-  c.symbols.fetch_add(trace.symbols_consumed, std::memory_order_relaxed);
-  c.wall_ns.fetch_add(trace.wall_ns, std::memory_order_relaxed);
-  if (const auto injected = trace.faults.injected())
-    c.faults.fetch_add(injected, std::memory_order_relaxed);
-  if (rtw::obs::enabled()) fold_run_into_registry(trace, locked);
-}
-
 void record_batch_job() noexcept {
-  counters().batch_jobs.fetch_add(1, std::memory_order_relaxed);
   if (rtw::obs::enabled()) {
     static auto& jobs =
         rtw::obs::MetricsRegistry::instance().counter("engine.batch_jobs");

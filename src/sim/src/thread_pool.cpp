@@ -8,96 +8,49 @@ namespace rtw::sim {
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0)
     threads = std::max(1u, std::thread::hardware_concurrency());
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i)
-    workers_.push_back(std::make_unique<Worker>());
   threads_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i)
-    threads_.emplace_back([this, i] { worker_loop(i); });
+    threads_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard lock(sleep_mutex_);
-    stopping_.store(true, std::memory_order_relaxed);
+    std::lock_guard lock(mutex_);
+    stopping_ = true;
   }
   wake_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
 void ThreadPool::post(Task task) {
-  if (stopping_.load(std::memory_order_relaxed))
-    throw std::runtime_error("ThreadPool: post after shutdown");
-  const unsigned target =
-      round_robin_.fetch_add(1, std::memory_order_relaxed) %
-      static_cast<unsigned>(workers_.size());
   {
-    std::lock_guard lock(workers_[target]->mutex);
-    workers_[target]->tasks.push_back(std::move(task));
-  }
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  // Publish-then-notify under sleep_mutex_ so a worker between its
-  // predicate check and its wait cannot miss the wakeup.
-  {
-    std::lock_guard lock(sleep_mutex_);
-    queued_.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard lock(mutex_);
+    if (stopping_) throw std::runtime_error("ThreadPool: post after shutdown");
+    tasks_.push_back(std::move(task));
   }
   wake_.notify_one();
 }
 
-bool ThreadPool::try_pop(unsigned self, Task& out) {
-  const unsigned n = static_cast<unsigned>(workers_.size());
-  // Own queue first (front: FIFO for locally assigned work)...
-  {
-    Worker& w = *workers_[self];
-    std::lock_guard lock(w.mutex);
-    if (!w.tasks.empty()) {
-      out = std::move(w.tasks.front());
-      w.tasks.pop_front();
-      return true;
-    }
-  }
-  // ...then steal from siblings (back: leaves their oldest work in place).
-  for (unsigned k = 1; k < n; ++k) {
-    Worker& victim = *workers_[(self + k) % n];
-    std::lock_guard lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      out = std::move(victim.tasks.back());
-      victim.tasks.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(unsigned self) {
+void ThreadPool::worker_loop() {
+  std::unique_lock lock(mutex_);
   for (;;) {
-    Task task;
-    if (try_pop(self, task)) {
-      queued_.fetch_sub(1, std::memory_order_relaxed);
+    wake_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+    if (tasks_.empty()) return;  // stopping, and the queue is drained
+    {
+      Task task = std::move(tasks_.front());
+      tasks_.pop_front();
+      ++running_;
+      lock.unlock();
       task();
-      if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lock(sleep_mutex_);
-        idle_.notify_all();
-      }
-      continue;
-    }
-    std::unique_lock lock(sleep_mutex_);
-    wake_.wait(lock, [this] {
-      return stopping_.load(std::memory_order_relaxed) ||
-             queued_.load(std::memory_order_relaxed) > 0;
-    });
-    if (stopping_.load(std::memory_order_relaxed) &&
-        queued_.load(std::memory_order_relaxed) == 0)
-      return;
+    }  // the task's captures are destroyed outside the lock
+    lock.lock();
+    if (--running_ == 0 && tasks_.empty()) idle_.notify_all();
   }
 }
 
 void ThreadPool::wait_idle() {
-  std::unique_lock lock(sleep_mutex_);
-  idle_.wait(lock, [this] {
-    return in_flight_.load(std::memory_order_acquire) == 0;
-  });
+  std::unique_lock lock(mutex_);
+  idle_.wait(lock, [this] { return running_ == 0 && tasks_.empty(); });
 }
 
 }  // namespace rtw::sim

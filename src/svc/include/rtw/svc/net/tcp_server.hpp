@@ -91,8 +91,6 @@ private:
     std::size_t out_off = 0;   ///< written prefix of outbuf
     bool read_paused = false;  ///< PAUSED state (either cause)
     bool admission_paused = false;  ///< paused on a parked Blocked event
-    bool read_ready = false;   ///< EPOLLIN edge arrived while paused
-    bool peer_eof = false;     ///< FIN/RDHUP observed
   };
 
   void loop();

@@ -184,11 +184,19 @@ class SessionTable {
   /// quota.
   bool insert(std::uint64_t id, Priority priority) noexcept {
     if (id == kEmpty || id == kTombstone) return false;
+    // Re-open under a live id: refresh its own slot in place.  Claiming
+    // the first tombstone on the probe chain instead would leave the id
+    // in two slots, and the later one would survive erase().
+    if (Slot* live = find(id)) {
+      live->priority.store(static_cast<std::uint8_t>(priority),
+                           std::memory_order_relaxed);
+      return true;
+    }
     std::size_t pos = hash(id);
     for (std::size_t probe = 0; probe <= mask_; ++probe, ++pos) {
       Slot& slot = slots_[pos & mask_];
       std::uint64_t seen = slot.id.load(std::memory_order_acquire);
-      if (seen == id) {  // re-open under the same id: refresh the priority
+      if (seen == id) {  // a concurrent insert of the same id got here first
         slot.priority.store(static_cast<std::uint8_t>(priority),
                             std::memory_order_relaxed);
         return true;

@@ -138,6 +138,9 @@ private:
 
   Connection(Server& server, std::uint64_t id, std::size_t max_frame_bytes);
 
+  /// Truncate-closes every session the client has not closed; with
+  /// `detach`, first marks the connection detached under the same lock.
+  void close_open_sessions(bool detach);
   /// Drains decoder events (and the parked event first); false = died.
   bool pump();
   bool apply_event(WireEvent& event);

@@ -165,13 +165,9 @@ void TcpServer::loop() {
         maybe_resume_reads(id, conn);
         if (conns_.count(id) == 0) continue;  // resume read tore it down
       }
-      if (ev.events & (EPOLLIN | EPOLLRDHUP)) {
-        if (conn.read_paused) {
-          conn.read_ready = true;  // remember the edge for the resume
-        } else {
-          handle_readable(id, conn);
-        }
-      }
+      // A paused conn drops the edge: maybe_resume_reads re-reads anyway.
+      if ((ev.events & (EPOLLIN | EPOLLRDHUP)) && !conn.read_paused)
+        handle_readable(id, conn);
     }
 
     drain_wakeups();
@@ -240,7 +236,6 @@ void TcpServer::handle_readable(std::uint64_t id, Conn& conn) {
       return;
     }
     if (n == 0) {
-      conn.peer_eof = true;
       conn.logical->finish_input();
       break;
     }
@@ -315,13 +310,12 @@ void TcpServer::maybe_resume_reads(std::uint64_t id, Conn& conn) {
       conn.outbuf.size() - conn.out_off + conn.logical->output_size();
   if (staged > net_.write_buffer_limit / 2) return;
   conn.read_paused = false;
-  conn.read_ready = false;
   // Edge-triggered sockets never re-announce bytes that were already in
-  // the kernel rcvbuf when the pause began, so resume with an
-  // unconditional read -- read_ready alone would stall any stream whose
-  // tail arrived before the pause lifted.  A spurious resume costs one
-  // EAGAIN.  May tear the connection down (framing error, EOF + complete):
-  // callers must re-look-up `id` before touching `conn` again.
+  // the kernel rcvbuf when the pause began, and edges that arrive during
+  // the pause are dropped, so resume with an unconditional read.  A
+  // spurious resume costs one EAGAIN.  May tear the connection down
+  // (framing error, EOF + complete): callers must re-look-up `id` before
+  // touching `conn` again.
   handle_readable(id, conn);
 }
 
@@ -330,9 +324,9 @@ bool TcpServer::reap_if_finished(std::uint64_t id, Conn& conn) {
     close_conn(id);
     return true;
   }
-  // complete() implies input finished -- via physical FIN (peer_eof) or
-  // the drain's finish_input() -- so no peer_eof check: a drained conn
-  // whose verdicts are flushed closes without waiting for the client.
+  // complete() implies input finished -- via physical FIN or the drain's
+  // finish_input() -- so a drained conn whose verdicts are flushed closes
+  // without waiting for the client.
   if (conn.logical->complete() && conn.out_off == conn.outbuf.size()) {
     close_conn(id);
     return true;

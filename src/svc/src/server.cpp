@@ -18,12 +18,16 @@ bool Connection::on_bytes(std::string_view bytes) {
 
 void Connection::finish_input() {
   if (input_finished_.exchange(true, std::memory_order_acq_rel)) return;
-  // Truncate-close everything the client left open.  Closes enqueue on
-  // the control plane (never shed), and each session's verdict flows back
-  // through the report sink like any other close.
+  // Truncate-close everything the client left open; each verdict flows
+  // back through its session's route like any other close.
+  close_open_sessions(/*detach=*/false);
+}
+
+void Connection::close_open_sessions(bool detach) {
   std::vector<SessionId> open_globals;
   {
     std::lock_guard lock(mutex_);
+    if (detach) detached_ = true;
     for (auto& [client, owned] : sessions_) {
       if (!owned.close_sent) {
         owned.close_sent = true;
@@ -31,6 +35,7 @@ void Connection::finish_input() {
       }
     }
   }
+  // Closes enqueue on the control plane: never shed.
   for (SessionId global : open_globals)
     server_.manager().close(global, core::StreamEnd::Truncated);
 }
@@ -261,21 +266,10 @@ std::shared_ptr<Connection> Server::connect() {
 
 void Server::disconnect(const std::shared_ptr<Connection>& conn) {
   if (!conn) return;
-  std::vector<SessionId> live;
-  {
-    // Detached first: verdicts already in flight are dropped by their
-    // routes, and so are those of the sessions closed below.
-    std::lock_guard lock(conn->mutex_);
-    conn->detached_ = true;
-    for (auto& [client, owned] : conn->sessions_) {
-      if (!owned.close_sent) {
-        owned.close_sent = true;
-        live.push_back(owned.global);
-      }
-    }
-  }
-  for (SessionId global : live)
-    manager_.close(global, core::StreamEnd::Truncated);
+  // Detached in the same critical section as the sweep: verdicts already
+  // in flight are dropped by their routes, and so are those of the
+  // sessions the sweep closes.
+  conn->close_open_sessions(/*detach=*/true);
 }
 
 void Server::shutdown() {

@@ -1,7 +1,6 @@
 #include "rtw/svc/service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <string>
 #include <thread>
@@ -22,13 +21,6 @@ std::uint64_t mix(std::uint64_t x) noexcept {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-std::uint64_t steady_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 /// Physical slots reserved above the data-plane bound so control
@@ -180,12 +172,12 @@ AdmitResult SessionManager::admit_data(Command command, std::size_t symbols) {
 
   // 3. Stamp for latency sampling and the age watermark.
   if (ingress_cfg_.max_queue_delay_ns > 0) {
-    command.enqueue_ns = steady_ns();
+    command.enqueue_ns = obs::now_ns();
   } else if (ingress_cfg_.latency_sample_every > 0 &&
              sample_tick_.fetch_add(1, std::memory_order_relaxed) %
                      ingress_cfg_.latency_sample_every ==
                  0) {
-    command.enqueue_ns = steady_ns();
+    command.enqueue_ns = obs::now_ns();
   }
 
   // 4. Claim a ring slot.  The occupancy check above is approximate under
@@ -357,7 +349,7 @@ void SessionManager::process(Shard& shard, std::uint64_t epoch) {
   const std::uint64_t now_ns =
       (ingress_cfg_.max_queue_delay_ns > 0 ||
        ingress_cfg_.latency_sample_every > 0)
-          ? steady_ns()
+          ? obs::now_ns()
           : 0;
   for (auto& command : shard.staging) {
     switch (command.kind) {

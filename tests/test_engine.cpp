@@ -16,6 +16,9 @@
 #include "rtw/deadline/acceptor.hpp"
 #include "rtw/engine/batch.hpp"
 #include "rtw/engine/engine.hpp"
+#include "rtw/obs/metrics.hpp"
+#include "rtw/obs/sink.hpp"
+#include "rtw/obs/tracer.hpp"
 
 namespace {
 
@@ -24,6 +27,13 @@ using rtw::engine::BatchOptions;
 using rtw::engine::BatchRunner;
 using rtw::engine::Engine;
 using rtw::engine::EngineResult;
+
+/// Installs an obs sink for one scope, so engine runs fold into the
+/// `engine.*` / `faults.*` registry counters.
+struct SinkGuard {
+  explicit SinkGuard(rtw::obs::Sink* s) { rtw::obs::set_sink(s); }
+  ~SinkGuard() { rtw::obs::set_sink(nullptr); }
+};
 
 /// Locks (accept) as soon as `count` 'a' symbols with timestamps <= window
 /// have been seen and the window has elapsed; rejects otherwise.
@@ -232,17 +242,27 @@ TEST(EngineTraceTest, JsonIsOneLine) {
 }
 
 TEST(EngineCountersTest, RunsAreCounted) {
-  rtw::engine::Counters::reset();
-  AcceptAll algo;
-  rtw::engine::run(algo, TimedWord::text_at("a", 0));
-  rtw::engine::run(algo, TimedWord::text_at("b", 0));
-  const auto snap = rtw::engine::Counters::snapshot();
-  EXPECT_EQ(snap.runs, 2u);
-  EXPECT_EQ(snap.locked_runs, 2u);
-  EXPECT_GE(snap.ticks, 2u);
-  EXPECT_EQ(snap.symbols, 2u);
-  const std::string json = snap.to_json();
-  EXPECT_NE(json.find("\"engine.runs\":2"), std::string::npos);
+  // Engine runs fold into the obs registry while a sink is installed;
+  // the registry is process-wide, so the test reads deltas.
+  auto& reg = rtw::obs::MetricsRegistry::instance();
+  const auto value = [&reg](const char* name) {
+    return reg.counter(name).value();
+  };
+  const auto runs = value("engine.runs");
+  const auto locked_runs = value("engine.locked_runs");
+  const auto ticks = value("engine.ticks");
+  const auto symbols = value("engine.symbols");
+  {
+    rtw::obs::Tracer tracer;
+    SinkGuard guard(&tracer);
+    AcceptAll algo;
+    rtw::engine::run(algo, TimedWord::text_at("a", 0));
+    rtw::engine::run(algo, TimedWord::text_at("b", 0));
+  }
+  EXPECT_EQ(value("engine.runs") - runs, 2u);
+  EXPECT_EQ(value("engine.locked_runs") - locked_runs, 2u);
+  EXPECT_GE(value("engine.ticks") - ticks, 2u);
+  EXPECT_EQ(value("engine.symbols") - symbols, 2u);
 }
 
 // --------------------------------------------------------- BatchRunner
@@ -256,31 +276,15 @@ TEST(BatchRunnerTest, MapPreservesIndexOrder) {
 }
 
 TEST(BatchRunnerTest, PerRunRngIsThreadCountInvariant) {
-  const BatchOptions serial{.threads = 1, .max_in_flight = 0, .seed = 42};
-  const BatchOptions wide{.threads = 4, .max_in_flight = 0, .seed = 42};
+  const BatchOptions serial{.threads = 1, .seed = 42};
+  const BatchOptions wide{.threads = 4, .seed = 42};
   auto draw = [](std::size_t, rtw::sim::Xoshiro256ss& rng) { return rng(); };
   const auto a = BatchRunner(serial).map(100, draw);
   const auto b = BatchRunner(wide).map(100, draw);
   EXPECT_EQ(a, b);
   // And a different base seed gives a different stream.
-  const BatchOptions other{.threads = 4, .max_in_flight = 0, .seed = 43};
+  const BatchOptions other{.threads = 4, .seed = 43};
   EXPECT_NE(a, BatchRunner(other).map(100, draw));
-}
-
-TEST(BatchRunnerTest, ConcurrencyCapIsRespected) {
-  std::atomic<int> in_flight{0};
-  std::atomic<int> hwm{0};
-  BatchRunner runner(BatchOptions{.threads = 4, .max_in_flight = 2});
-  runner.map(32, [&](std::size_t, rtw::sim::Xoshiro256ss&) {
-    const int now = ++in_flight;
-    int seen = hwm.load();
-    while (seen < now && !hwm.compare_exchange_weak(seen, now)) {
-    }
-    --in_flight;
-    return 0;
-  });
-  EXPECT_LE(hwm.load(), 2);
-  EXPECT_GE(hwm.load(), 1);
 }
 
 TEST(BatchRunnerTest, ExceptionsPropagate) {

@@ -489,9 +489,9 @@ TEST(ThreadPoolPost, PostedTasksAllRunBeforeWaitIdleReturns) {
   EXPECT_EQ(ran.load(), 500);
 }
 
-TEST(ThreadPoolPost, StealingDrainsAnUnbalancedBurst) {
-  // One long task pins a worker; short tasks posted round-robin must still
-  // complete via stealing from the pinned worker's siblings.
+TEST(ThreadPoolPost, LongTaskDoesNotStrandShortOnes) {
+  // One long task pins a worker; the short tasks posted after it must
+  // still complete on the other worker while the long one runs.
   rtw::sim::ThreadPool pool(2);
   std::atomic<int> ran{0};
   std::atomic<bool> release{false};
@@ -503,12 +503,6 @@ TEST(ThreadPoolPost, StealingDrainsAnUnbalancedBurst) {
   release.store(true);
   pool.wait_idle();
   EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(ThreadPoolPost, SubmitStillReturnsWorkingFutures) {
-  rtw::sim::ThreadPool pool(2);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
 }
 
 }  // namespace

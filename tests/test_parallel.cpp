@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 
 #include "rtw/core/error.hpp"
 #include "rtw/par/pram.hpp"
@@ -213,36 +216,46 @@ TEST(RtProcTest, Validation) {
 
 // ------------------------------------------------------------ ThreadPool
 
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  auto a = pool.submit([] { return 6 * 7; });
-  auto b = pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(a.get(), 42);
-  EXPECT_EQ(b.get(), "ok");
-}
-
 TEST(ThreadPoolTest, ManyTasksAllComplete) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i)
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  for (auto& f : futures) f.get();
+  for (int i = 0; i < 200; ++i) pool.post([&counter] { ++counter; });
+  pool.wait_idle();
   EXPECT_EQ(counter.load(), 200);
 }
 
 TEST(ThreadPoolTest, WaitIdleDrains) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) pool.submit([&counter] { ++counter; });
+  for (int i = 0; i < 50; ++i) pool.post([&counter] { ++counter; });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 50);
 }
 
-TEST(ThreadPoolTest, ExceptionsPropagateThroughFutures) {
-  ThreadPool pool(1);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
+TEST(ThreadPoolTest, PostAfterShutdownThrows) {
+  // The task keeps posting no-ops until the destructor has begun the
+  // shutdown; that post throws, and the destructor still runs every task
+  // queued before it.
+  std::atomic<bool> threw{false};
+  std::atomic<int> noops{0};
+  int posted = 0;
+  {
+    ThreadPool pool(1);
+    pool.post([&] {
+      for (;;) {
+        try {
+          pool.post([&noops] { ++noops; });
+        } catch (const std::runtime_error&) {
+          threw = true;
+          return;
+        }
+        ++posted;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    });
+  }
+  EXPECT_TRUE(threw.load());
+  EXPECT_EQ(noops.load(), posted);
 }
 
 }  // namespace

@@ -13,7 +13,8 @@
 //      field.
 //   5. Session / SessionManager: stale filtering, lifecycle, explicit
 //      backpressure, idle eviction, shard-count invariance (1 vs 8),
-//      wire-driven operation.
+//      wire-driven operation, and the shard worker handoff under
+//      producers x shards park/wake storms.
 //   6. The fault-injected soak: mangled frame streams through the decoder
 //      into the manager, mirrored by a reference state machine --
 //      asserting zero verdict divergences (scaled by RTW_SVC_SOAK_SECONDS
@@ -1674,6 +1675,142 @@ TEST(SessionManager, ShutdownTruncatesRemainingSessions) {
   EXPECT_EQ(reports[0].verdict, Verdict::Rejecting);
   EXPECT_FALSE(reports[0].evicted);
   EXPECT_EQ(manager.stats().active, 0u);
+}
+
+// ------------------------------------------------ worker handoff stress
+
+/// Seeded producers open sessions, feed short feed_batch runs with yields
+/// and sleeps in between (so the shard workers park and are re-elected
+/// thousands of times) and close them, while another thread drains and
+/// collects at seeded points.  Blocked runs are retried, never shed, so
+/// every offered symbol must be ingested and every session reported once.
+TEST(SessionManager, HandoffStressReportsEverySessionExactlyOnce) {
+  constexpr int kSessionsPerProducer = 128;
+  for (unsigned producers : {1u, 2u, 4u}) {
+    for (unsigned shards : {1u, 2u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << producers << " producers x " << shards << " shards");
+      const std::uint64_t seed = 0x4a4d0ffULL + producers * 8 + shards;
+      ShardConfig shard;
+      shard.count = shards;
+      IngressConfig ingress;
+      ingress.ring_capacity = 8;  // small enough that producers block
+      ingress.shed_on_full = false;
+      SessionManager manager(shard, ingress);
+
+      std::atomic<std::uint64_t> offered{0};
+      std::mutex opened_mutex;
+      std::vector<SessionId> opened;
+      std::vector<std::thread> threads;
+      for (unsigned p = 0; p < producers; ++p) {
+        threads.emplace_back([&, p] {
+          auto rng = rtw::proptest::rng_for(seed, p);
+          for (int s = 0; s < kSessionsPerProducer; ++s) {
+            const SessionId id =
+                manager.open(std::make_unique<EngineOnlineAcceptor>(
+                    std::make_unique<AcceptAll>()));
+            {
+              std::lock_guard lock(opened_mutex);
+              opened.push_back(id);
+            }
+            Tick t = 0;
+            const int runs = 1 + static_cast<int>(rng() % 4);
+            for (int r = 0; r < runs; ++r) {
+              std::vector<TimedSymbol> run(1 + rng() % 8);
+              for (auto& element : run)
+                element = {Symbol::chr('a'), t += rng() % 2};
+              while (manager.feed_batch(id, run) == Admit::Blocked)
+                std::this_thread::yield();
+              offered.fetch_add(run.size(), std::memory_order_relaxed);
+              if (rng() % 2)
+                std::this_thread::yield();
+              else
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(rng() % 40));
+            }
+            manager.close(id, StreamEnd::Truncated);
+          }
+        });
+      }
+
+      std::atomic<bool> producing{true};
+      std::vector<SessionReport> reports;
+      std::thread drainer([&] {
+        auto rng = rtw::proptest::rng_for(seed, 99);
+        while (producing.load(std::memory_order_acquire)) {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(100 + rng() % 400));
+          manager.drain();
+          for (auto& r : manager.collect()) reports.push_back(r);
+        }
+      });
+      for (auto& t : threads) t.join();
+      producing.store(false, std::memory_order_release);
+      drainer.join();
+      manager.drain();
+      for (auto& r : manager.collect()) reports.push_back(r);
+
+      std::map<SessionId, int> seen;
+      for (const auto& r : reports) ++seen[r.id];
+      ASSERT_EQ(opened.size(), producers * kSessionsPerProducer);
+      EXPECT_EQ(reports.size(), opened.size());
+      for (SessionId id : opened) EXPECT_EQ(seen[id], 1) << "session " << id;
+      const auto stats = manager.stats();
+      EXPECT_EQ(stats.opened, opened.size());
+      EXPECT_EQ(stats.opened, stats.closed);
+      EXPECT_EQ(stats.ingested, offered.load());
+      EXPECT_EQ(stats.shed, 0u);
+      EXPECT_EQ(stats.active, 0u);
+    }
+  }
+}
+
+/// One shard's worker is pinned inside an acceptor's feed.  The other
+/// shard's sessions must still be served to completion meanwhile: a
+/// blocked shard task may not strand another shard's task behind it.
+TEST(SessionManager, PinnedShardDoesNotStallItsSibling) {
+  ShardConfig shard;
+  shard.count = 2;
+  SessionManager manager(shard, IngressConfig{});
+  auto ids_on = [&manager](unsigned target, std::size_t n) {
+    std::vector<SessionId> ids;
+    for (SessionId id = 1; ids.size() < n; ++id)
+      if (manager.shard_of(id) == target) ids.push_back(id);
+    return ids;
+  };
+  const SessionId pinned = ids_on(0, 1).front();
+  const auto free_ids = ids_on(1, 16);
+
+  auto gate = std::make_shared<GateAcceptor::Gate>();
+  manager.open(pinned, std::make_unique<GateAcceptor>(gate));
+  ASSERT_EQ(manager.feed(pinned, Symbol::chr('a'), 0), Admit::Accepted);
+  gate->await_entry();  // shard 0's worker is now blocked inside feed
+
+  for (SessionId id : free_ids) {
+    manager.open(id, std::make_unique<EngineOnlineAcceptor>(
+                         std::make_unique<AcceptAll>()));
+    for (Tick t = 0; t < 4; ++t)
+      ASSERT_EQ(manager.feed(id, Symbol::chr('a'), t), Admit::Accepted);
+    manager.close(id, StreamEnd::Truncated);
+  }
+  // drain() would wait on the pinned shard, so poll for the reports.
+  std::set<SessionId> reported;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (reported.size() < free_ids.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (const auto& r : manager.collect()) reported.insert(r.id);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(reported, std::set<SessionId>(free_ids.begin(), free_ids.end()));
+
+  gate->release();
+  manager.close(pinned, StreamEnd::Truncated);
+  manager.drain();
+  const auto last = manager.collect();
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(last[0].id, pinned);
+  EXPECT_EQ(manager.stats().closed, free_ids.size() + 1);
 }
 
 // ---------------------------------------- observation never perturbs

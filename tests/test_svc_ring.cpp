@@ -208,6 +208,27 @@ TEST(SessionTable, ReopenRefreshesPriority) {
             static_cast<std::uint8_t>(Priority::High));
 }
 
+TEST(SessionTable, ReinsertBehindATombstoneKeepsOneSlot) {
+  // Ids 1 and 25 share a home slot in an 8-slot table, so 25 sits one
+  // probe behind 1.  Once 1 is erased, re-inserting the live 25 must
+  // refresh its own slot rather than claim the tombstone ahead of it:
+  // a second slot would outlive erase(25) with the old priority and
+  // in-flight count.
+  SessionTable table(8);
+  ASSERT_TRUE(table.insert(1, Priority::Normal));
+  ASSERT_TRUE(table.insert(25, Priority::Low));
+  SessionTable::Slot* original = table.find(25);
+  ASSERT_NE(original, nullptr);
+  original->inflight.fetch_add(5);
+  table.erase(1);
+  ASSERT_TRUE(table.insert(25, Priority::High));
+  EXPECT_EQ(table.find(25), original);
+  EXPECT_EQ(original->priority.load(),
+            static_cast<std::uint8_t>(Priority::High));
+  table.erase(25);
+  EXPECT_EQ(table.find(25), nullptr);
+}
+
 TEST(SessionTable, TombstonesDoNotBreakProbeChains) {
   // With a 4-slot table, ids are forced to collide; erasing one in the
   // middle of a probe chain must leave the others findable.
