@@ -30,7 +30,20 @@
 //   --workload=deadline   section 4.1 deadline sessions whose completion
 //                         sits past the horizon, so every session stays in
 //                         the compressed Working phase for the whole run --
-//                         the batch-lane target workload.
+//                         the batch-lane target workload;
+//   --workload=wire       the in-process wire-replay cell, instead of the
+//                         sweep: a Server with 2 shards (or the first
+//                         --shards value), one Connection, 8 SubmitQuery
+//                         sessions over the bench_cer catalog queries,
+//                         each fed --symbols (default 16384) Char symbols
+//                         in op-12 frames of 256, pushed through
+//                         Connection::on_bytes in 64 KiB chunks; --rounds
+//                         (default 256) fresh sets of sessions, after one
+//                         unmeasured warm-up round.  It prices the two
+//                         stages a frame crosses: the reader's on_bytes
+//                         (thread CPU ns per frame) and the shard workers
+//                         (process CPU minus the reader's, ns per ring
+//                         command), plus the frames' wall Msym/s.
 // Acceptors (deadline workload only):
 //   --acceptor=engine     deadline::make_online_acceptor (engine replica,
 //                         per-symbol drive loop);
@@ -47,10 +60,13 @@
 //   --sessions=100,1000   session counts to sweep
 //   --shards=1,2,4,8      shard counts to sweep
 //   --symbols=2000        symbols per session
+//   --rounds=256          measured rounds (--workload=wire only)
 //   --batch=256           producer-side run length (1 = per-symbol feeds)
 //   --ring=4096           ring slots per shard
 //   --warmup=0.2          warmup fraction excluded from measurement
 //   --json=PATH           append JSONL records
+
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
@@ -69,7 +85,11 @@
 #include "rtw/deadline/online.hpp"
 #include "rtw/deadline/problem.hpp"
 #include "rtw/sim/jsonl.hpp"
+#include "rtw/sim/rng.hpp"
+#include "rtw/svc/profiles.hpp"
+#include "rtw/svc/server.hpp"
 #include "rtw/svc/service.hpp"
+#include "rtw/svc/wire.hpp"
 
 namespace {
 
@@ -289,6 +309,121 @@ Cell run_cell(const CellConfig& cc) {
   return cell;
 }
 
+/// CPU time of `clock` (a thread or the process) in ns.
+double cpu_ns(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
+}
+
+struct WireCell {
+  std::uint64_t frames = 0;    ///< op-12 frames pushed in measurement
+  std::uint64_t commands = 0;  ///< ring commands the shards drained
+  std::uint64_t symbols = 0;   ///< symbols ingested in measurement
+  std::uint64_t sheds = 0;
+  double wall_s = 0;
+  double symbols_per_sec = 0;
+  double reactor_ns_per_frame = 0;
+  double shard_ns_per_command = 0;
+};
+
+/// The wire-replay cell (see the file comment).  Only the frames are
+/// measured: opens and closes go through on_bytes outside the window.
+WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
+                       unsigned rounds) {
+  using clock = std::chrono::steady_clock;
+  constexpr unsigned kSessions = 8;
+  constexpr std::size_t kFrameSymbols = 256;
+  constexpr std::size_t kReadChunk = 64 * 1024;
+  static const char* const kQueries[] = {
+      "a ; b ; c ; d", "(a | b | c | d)+", "within(8){ a ; (b | c)+ ; d }",
+      "(within(4){ a ; b })+ | (c ; d)+"};
+
+  rtw::svc::ServerConfig config;
+  config.shard.count = shards;
+  config.ingress.ring_capacity = 4096;
+  rtw::svc::Server server(config, rtw::svc::profile_factory());
+
+  // The words of bench_cer's catalog shapes: a->b pairs for `nested`,
+  // random a-d for the rest (so alt_iter stays alive), 1-2 tick gaps.
+  rtw::sim::Xoshiro256ss rng(1);
+  std::string opens, frames, closes;
+  std::uint64_t frame_count = 0;
+  std::vector<std::vector<TimedSymbol>> words(kSessions);
+  for (unsigned s = 0; s < kSessions; ++s) {
+    const bool nested = s % 4 == 3;
+    Tick t = 0;
+    for (std::uint64_t i = 0; i < symbols_per_session; ++i) {
+      const char c = nested ? (i % 2 ? 'b' : 'a')
+                            : static_cast<char>('a' + rng.uniform(std::uint64_t{4}));
+      t += 1 + rng.uniform(std::uint64_t{nested ? 3u : 2u});
+      words[s].push_back({Symbol::chr(c), t});
+    }
+    opens += rtw::svc::encode_submit_query(s + 1, kQueries[s % 4]);
+    closes += rtw::svc::encode_close(s + 1);
+  }
+  for (std::size_t first = 0; first < symbols_per_session;
+       first += kFrameSymbols) {
+    const std::size_t last = std::min<std::size_t>(
+        first + kFrameSymbols, static_cast<std::size_t>(symbols_per_session));
+    for (unsigned s = 0; s < kSessions; ++s) {
+      frames += rtw::svc::encode_feed_batch(
+          s + 1, {words[s].begin() + static_cast<long>(first),
+                  words[s].begin() + static_cast<long>(last)});
+      ++frame_count;
+    }
+  }
+
+  WireCell cell;
+  double reactor_ns = 0;
+  double process_ns = 0;
+  double wall_s = 0;
+  std::string out;
+  for (unsigned round = 0; round <= rounds; ++round) {
+    auto conn = server.connect();
+    conn->on_bytes(rtw::svc::encode_hello() + opens);
+    server.manager().drain();
+    const auto before = server.manager().stats();
+    const auto start = clock::now();
+    const double process0 = cpu_ns(CLOCK_PROCESS_CPUTIME_ID);
+    double reader = 0;
+    for (std::size_t off = 0; off < frames.size(); off += kReadChunk) {
+      const double t0 = cpu_ns(CLOCK_THREAD_CPUTIME_ID);
+      conn->on_bytes(std::string_view(frames).substr(off, kReadChunk));
+      reader += cpu_ns(CLOCK_THREAD_CPUTIME_ID) - t0;
+    }
+    server.manager().drain();
+    const double process = cpu_ns(CLOCK_PROCESS_CPUTIME_ID) - process0;
+    const double wall =
+        std::chrono::duration<double>(clock::now() - start).count();
+    const auto after = server.manager().stats();
+    conn->on_bytes(closes);
+    server.manager().drain();
+    out.clear();
+    conn->take_output(out, SIZE_MAX);
+    if (round == 0) continue;  // warm-up: first-touch allocation, caches
+    reactor_ns += reader;
+    process_ns += process;
+    wall_s += wall;
+    cell.frames += frame_count;
+    cell.commands += after.batches - before.batches;
+    cell.symbols += after.ingested - before.ingested;
+    cell.sheds += after.shed - before.shed;
+  }
+  cell.wall_s = wall_s;
+  cell.symbols_per_sec =
+      wall_s > 0 ? static_cast<double>(cell.symbols) / wall_s : 0;
+  cell.reactor_ns_per_frame =
+      cell.frames ? reactor_ns / static_cast<double>(cell.frames) : 0;
+  // The reader's thread CPU is part of the process CPU; the rest is the
+  // shard workers' (drain() blocks without spinning).
+  cell.shard_ns_per_command =
+      cell.commands ? (process_ns - reactor_ns) /
+                          static_cast<double>(cell.commands)
+                    : 0;
+  return cell;
+}
+
 std::vector<unsigned> parse_csv(const std::string& text) {
   std::vector<unsigned> out;
   std::size_t pos = 0;
@@ -311,6 +446,10 @@ int main(int argc, char** argv) {
   std::vector<unsigned> session_counts = {100, 1000};
   std::vector<unsigned> shard_counts = {1, 2, 4, 8};
   CellConfig cc;
+  bool wire = false;
+  bool shards_set = false;
+  bool symbols_set = false;
+  unsigned rounds = 256;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&arg](std::string_view flag) {
@@ -320,10 +459,15 @@ int main(int argc, char** argv) {
     else if (arg.rfind("--json=", 0) == 0) json_path = value("--json=");
     else if (arg.rfind("--sessions=", 0) == 0)
       session_counts = parse_csv(value("--sessions="));
-    else if (arg.rfind("--shards=", 0) == 0)
+    else if (arg.rfind("--shards=", 0) == 0) {
       shard_counts = parse_csv(value("--shards="));
-    else if (arg.rfind("--symbols=", 0) == 0)
+      shards_set = true;
+    }
+    else if (arg.rfind("--symbols=", 0) == 0) {
       cc.symbols_per_session = std::stoull(value("--symbols="));
+      symbols_set = true;
+    } else if (arg.rfind("--rounds=", 0) == 0)
+      rounds = static_cast<unsigned>(std::stoul(value("--rounds=")));
     else if (arg.rfind("--batch=", 0) == 0)
       cc.batch = std::stoull(value("--batch="));
     else if (arg.rfind("--ring=", 0) == 0)
@@ -332,6 +476,7 @@ int main(int argc, char** argv) {
       cc.warmup = std::stod(value("--warmup="));
     else if (arg == "--workload=counting") cc.workload = Workload::Counting;
     else if (arg == "--workload=deadline") cc.workload = Workload::Deadline;
+    else if (arg == "--workload=wire") wire = true;
     else if (arg == "--acceptor=engine") cc.acceptor = AcceptorKind::Engine;
     else if (arg == "--acceptor=lane") cc.acceptor = AcceptorKind::Lane;
     else if (arg == "--kernel=on") cc.kernel = true;
@@ -344,6 +489,51 @@ int main(int argc, char** argv) {
   if (cc.batch == 0) cc.batch = 1;
   if (cc.warmup < 0) cc.warmup = 0;
   if (cc.warmup > 0.9) cc.warmup = 0.9;
+
+  if (wire) {
+    const unsigned shards =
+        shards_set && !shard_counts.empty() ? shard_counts.front() : 2;
+    const std::uint64_t symbols =
+        symbols_set ? cc.symbols_per_session : 16384;
+    std::cout << "==========================================================\n";
+    std::cout << " EXP-WIRE-HANDOFF: op-12 frames of 256 Char symbols through"
+                 " an in-process\n Server, " << shards << " shards, 8 query"
+                 " sessions x " << symbols << " symbols, " << rounds
+              << " rounds\n";
+    std::cout << " expected shape: the reader's ns/frame falls when bodies"
+                 " are handed over\n undecoded; the shards' ns/command"
+                 " rises by less than that\n";
+    std::cout << "==========================================================\n\n";
+    const WireCell cell = run_wire_cell(shards, symbols, rounds);
+    std::printf(" frames %llu  reader %.0f ns/frame  shard %.0f ns/command"
+                "  %.1f Msym/s  sheds %llu\n",
+                static_cast<unsigned long long>(cell.frames),
+                cell.reactor_ns_per_frame, cell.shard_ns_per_command,
+                cell.symbols_per_sec / 1e6,
+                static_cast<unsigned long long>(cell.sheds));
+    const std::string line = rtw::sim::bench_record("svc")
+                                 .field("workload", "wire_replay")
+                                 .field("shards", shards)
+                                 .field("sessions", 8)
+                                 .field("symbols_per_session", symbols)
+                                 .field("frame_symbols", 256)
+                                 .field("rounds", rounds)
+                                 .field("frames", cell.frames)
+                                 .field("commands", cell.commands)
+                                 .field("symbols_ingested", cell.symbols)
+                                 .field("sheds", cell.sheds)
+                                 .field("wall_s", cell.wall_s)
+                                 .field("symbols_per_sec", cell.symbols_per_sec)
+                                 .field("reactor_on_bytes_ns_per_frame",
+                                        cell.reactor_ns_per_frame)
+                                 .field("shard_ns_per_command",
+                                        cell.shard_ns_per_command)
+                                 .str();
+    std::cout << "--- jsonl ------------------------------------------------\n";
+    std::cout << line << "\n";
+    if (!json_path.empty()) std::ofstream(json_path, std::ios::app) << line << "\n";
+    return cell.sheds == 0 ? 0 : 1;
+  }
 
   const char* workload =
       cc.workload == Workload::Counting ? "counting" : "deadline";

@@ -16,7 +16,9 @@
 /// idle worker pops from the same queue.
 ///
 /// post() enqueues a task (one SmallFn move); wait_idle() blocks until the
-/// queue is empty and no task is running.
+/// queue is empty and no task is running.  The queue is a ring that only
+/// grows, so once it has held the most tasks ever queued at once, posting
+/// allocates nothing (a std::deque allocates a block every few pushes).
 ///
 /// (Historically lived in rtw::par; moved into the sim infrastructure
 /// layer when the execution engine was introduced so that rtw_engine ->
@@ -24,7 +26,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -65,7 +66,9 @@ private:
   std::mutex mutex_;  ///< guards everything below
   std::condition_variable wake_;
   std::condition_variable idle_;
-  std::deque<Task> tasks_;
+  std::vector<Task> tasks_;  ///< ring of queued_ tasks from head_
+  std::size_t head_ = 0;
+  std::size_t queued_ = 0;
   std::size_t running_ = 0;  ///< tasks popped but not yet finished
   bool stopping_ = false;
 };

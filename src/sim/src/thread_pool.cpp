@@ -26,7 +26,16 @@ void ThreadPool::post(Task task) {
   {
     std::lock_guard lock(mutex_);
     if (stopping_) throw std::runtime_error("ThreadPool: post after shutdown");
-    tasks_.push_back(std::move(task));
+    if (queued_ == tasks_.size()) {
+      // Grow the ring, oldest task first; it never shrinks.
+      std::vector<Task> bigger(std::max<std::size_t>(8, 2 * tasks_.size()));
+      for (std::size_t i = 0; i < queued_; ++i)
+        bigger[i] = std::move(tasks_[(head_ + i) % tasks_.size()]);
+      tasks_.swap(bigger);
+      head_ = 0;
+    }
+    tasks_[(head_ + queued_) % tasks_.size()] = std::move(task);
+    ++queued_;
   }
   wake_.notify_one();
 }
@@ -34,23 +43,24 @@ void ThreadPool::post(Task task) {
 void ThreadPool::worker_loop() {
   std::unique_lock lock(mutex_);
   for (;;) {
-    wake_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-    if (tasks_.empty()) return;  // stopping, and the queue is drained
+    wake_.wait(lock, [this] { return stopping_ || queued_ > 0; });
+    if (queued_ == 0) return;  // stopping, and the queue is drained
     {
-      Task task = std::move(tasks_.front());
-      tasks_.pop_front();
+      Task task = std::move(tasks_[head_]);
+      head_ = (head_ + 1) % tasks_.size();
+      --queued_;
       ++running_;
       lock.unlock();
       task();
     }  // the task's captures are destroyed outside the lock
     lock.lock();
-    if (--running_ == 0 && tasks_.empty()) idle_.notify_all();
+    if (--running_ == 0 && queued_ == 0) idle_.notify_all();
   }
 }
 
 void ThreadPool::wait_idle() {
   std::unique_lock lock(mutex_);
-  idle_.wait(lock, [this] { return running_ == 0 && tasks_.empty(); });
+  idle_.wait(lock, [this] { return running_ == 0 && queued_ == 0; });
 }
 
 }  // namespace rtw::sim

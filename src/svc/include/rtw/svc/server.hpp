@@ -16,10 +16,12 @@
 ///
 ///   transport          Server / Connection               SessionManager
 ///   ---------          -------------------               --------------
-///   bytes arrive  -->  Decoder -> WireEvents
+///   bytes arrive  -->  Decoder (PackedMode::Pool) -> WireEvents
 ///                      Open: client id -> fresh global id,
 ///                            opened with its route    --> open()
-///                      Symbols: id remapped           --> feed_batch()
+///                      Symbols: id remapped; an op-12
+///                            body rides in its pooled
+///                            buffer                   --> feed_packed()
 ///                      Close: id remapped             --> close()
 ///                      Hello: version negotiated,
 ///                             HelloAck queued on the output buffer
@@ -46,6 +48,16 @@
 /// the hook's own mutex), so the hook may call take_output().  Routes
 /// keep a connection alive until its last session settles, so the last
 /// reference may drop on a shard worker.
+///
+/// Op-12 bodies cross threads without the heap.  The connection's
+/// Decoder validates each body on the input plane and copies it into a
+/// buffer from the connection's BodyPool (body_pool.hpp): the event loop
+/// takes spares with no lock, and the shard worker that consumed a body
+/// pushes its buffer back onto the pool's lock-free remote-free list.
+/// The pool keeps at most BodyPool::kRetainBytes of spares after each
+/// refill, and buffers still in the rings when the connection goes away
+/// free the pool's state when the last of them comes back.  A Blocked
+/// body is parked in its buffer as it is; a shed one goes straight back.
 ///
 /// Fault tolerance mirrors the manager: duplicate Opens, Closes for
 /// unknown ids and Symbols for never-opened sessions are counted and
@@ -144,8 +156,15 @@ private:
   /// Drains decoder events (and the parked event first); false = died.
   bool pump();
   bool apply_event(WireEvent& event);
+  /// A Symbols event's run: a pooled op-12 body, or (legacy ops 2 and 5)
+  /// decoded symbols.
+  struct Run {
+    SessionId client = 0;
+    std::vector<core::TimedSymbol> symbols;
+    PackedBody body;
+  };
   /// Feeds one remapped run; parks it when admission blocks.
-  bool submit_symbols(SessionId client, std::vector<core::TimedSymbol> run);
+  bool submit_run(Run& run);
   void queue_output(std::string frame);
   void fail_stream(std::string message);
 
@@ -159,11 +178,7 @@ private:
   Decoder decoder_;
 
   // Input-plane state (event-loop thread only).
-  struct Pending {
-    SessionId client = 0;
-    std::vector<core::TimedSymbol> run;
-  };
-  std::optional<Pending> pending_;
+  std::optional<Run> pending_;  ///< the admission-blocked run
 
   std::atomic<bool> paused_{false};
   std::atomic<bool> dead_{false};

@@ -11,7 +11,8 @@
 ///                 shard worker on the sim::ThreadPool
 ///                      |   drains up to 256 ring slots per epoch;
 ///                      |   every Feed slot carries a run of symbols
-///                      v   (a single symbol is a run of one)
+///                      |   (a single symbol is a run of one), every
+///                      v   FeedPacked slot a pooled op-12 body
 ///                 sessions (hash-sharded by id; worker-private, lock-free)
 ///
 /// A session id hashes to exactly one shard, every command for it goes
@@ -29,7 +30,14 @@
 /// Hot-path cost for a producer: one approx-occupancy read, at most one
 /// hint-table probe, one CAS ring claim, one release store, one RMW on
 /// the election flag.  No mutex, no syscall, no allocation beyond the
-/// command's own payload.
+/// command's own payload -- and a wire reader's payload needs none
+/// either: feed_packed() moves in an op-12 body that already sits in a
+/// buffer from its connection's BodyPool (body_pool.hpp).  The shard
+/// worker walks those bytes straight into the stale filter and the
+/// acceptor, or decodes a lane-family run into the shard's own wave
+/// storage, and dropping the command hands the buffer back to its pool
+/// with one lock-free push.  Once warm, a frame crosses from reader to
+/// shard and back with no malloc or free on either side.
 ///
 /// Backpressure is explicit and adaptive.  The data plane is bounded by
 /// `ring_capacity` ring slots; instead of first-come-first-shed, admission
@@ -145,6 +153,13 @@ public:
   /// for the run instead of once per symbol.
   AdmitResult feed_batch(SessionId id, std::vector<core::TimedSymbol> run);
 
+  /// Batched admission of an op-12 body, validated by a PackedMode::Pool
+  /// Decoder: one ring slot, all-or-nothing, like feed_batch.  The shard
+  /// worker reads the bytes itself.  The body moves into the ring only
+  /// when admitted; a refusal (Shed or Blocked) leaves it with the
+  /// caller, so a Blocked body can be parked and retried as it is.
+  AdmitResult feed_packed(SessionId id, PackedBody& body);
+
   /// Finishes the session and queues its SessionReport for collect()
   /// (or hands it to the session's route or the report sink).
   void close(SessionId id, core::StreamEnd end = core::StreamEnd::EndOfWord);
@@ -217,15 +232,16 @@ private:
   };
 
   struct Command {
-    enum class Kind : std::uint8_t { Open, Feed, Close, CloseAll };
+    enum class Kind : std::uint8_t { Open, Feed, FeedPacked, Close, CloseAll };
     Kind kind = Kind::Feed;
     Priority priority = Priority::Normal;
-    SessionId id = 0;
     core::StreamEnd end = core::StreamEnd::EndOfWord;
+    SessionId id = 0;
     std::uint64_t enqueue_ns = 0;  ///< steady-clock stamp; 0 = unstamped
     SessionTable::Slot* slot = nullptr;  ///< paired in-flight decrement
     std::vector<core::TimedSymbol> run;  ///< Feed only; never empty
     std::unique_ptr<Opening> opening;    ///< Open only
+    PackedBody body;                     ///< FeedPacked only; never empty
   };
   // Every ring slot holds one Command: keep Open's payload from growing it.
   static_assert(sizeof(Command) == 72, "Command is one 72-byte ring slot");
@@ -261,19 +277,39 @@ private:
     bool stepper_probed = false;
     std::vector<core::LaneRun> wave;
     std::vector<Session*> wave_sessions;
+    /// Decoded packed runs of the staged wave (their LaneRuns point in
+    /// here).  Reserved once, on the first such run; a run that does not
+    /// fit flushes the wave first, so it never reallocates under them.
+    std::vector<core::TimedSymbol> wave_symbols;
 
     std::mutex reports_mutex;
     std::vector<SessionReport> reports;
   };
 
   /// Data-plane admission: watermarks, quota, ring claim, election.
-  AdmitResult admit_data(Command command, std::size_t symbols);
+  /// `command` moves into the ring only when admitted.
+  AdmitResult admit_data(Command& command, std::size_t symbols);
+  /// feed_batch's admission; a refused run is left in `run`.
+  AdmitResult admit_run(SessionId id, std::vector<core::TimedSymbol>& run);
   /// Control-plane enqueue: never sheds; spins into the ring's headroom.
   void enqueue_control(Shard& shard, Command command);
   void elect(Shard& shard);
   void count_shed(ShedReason reason, std::size_t symbols);
   void run_shard(Shard& shard);
   void process(Shard& shard, std::uint64_t epoch);
+  /// What every data command does before it is fed: the in-flight
+  /// decrement, the session lookup, the wave-order flush, the latency
+  /// sample and the age watermark.  Returns the entry to feed, or nullptr
+  /// when the command is dropped (tallied in `unknown` or `aged`).
+  Entry* take_data(Shard& shard, const Command& command, std::size_t n,
+                   std::uint64_t now_ns, std::uint64_t epoch,
+                   std::uint64_t& unknown, std::uint64_t& aged);
+  /// The session's lane state when its runs go through the shard's lane
+  /// wave (probing the shard's stepper on first use); nullptr otherwise.
+  void* lane_of(Shard& shard, Session& session);
+  /// Stages one run into the wave; flushes it once it is full.
+  void stage_lane_run(Shard& shard, Session& session, void* lane,
+                      const core::TimedSymbol* run, std::size_t n);
   /// Dispatches the staged lane wave through the shard's batch stepper and
   /// folds the per-lane stale deltas into the service stats.
   void flush_wave(Shard& shard);

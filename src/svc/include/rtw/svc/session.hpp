@@ -17,11 +17,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "rtw/core/lane.hpp"
 #include "rtw/core/online.hpp"
 #include "rtw/svc/ring.hpp"
+#include "rtw/svc/wire.hpp"
 
 namespace rtw::svc {
 
@@ -68,6 +70,20 @@ public:
     for (std::size_t i = 0; i < n; ++i)
       if (filter_.admit(elements[i].time) && !settled)
         acceptor_->feed(elements[i].sym, elements[i].time);
+    return acceptor_->verdict();
+  }
+
+  /// Feeds a validated op-12 body (wire.hpp) exactly as feed_run feeds
+  /// the run it decodes to, walking the bytes instead: no decoded copy of
+  /// the run exists, and each marker is interned as it is fed.
+  core::Verdict feed_packed(std::string_view body) {
+    if (finished_) return acceptor_->verdict();
+    const bool settled = core::final_verdict(acceptor_->verdict());
+    PackedReader reader(body);
+    PackedElement element;
+    while (reader.next(element))
+      if (filter_.admit(element.time) && !settled)
+        acceptor_->feed(element.symbol(), element.time);
     return acceptor_->verdict();
   }
 

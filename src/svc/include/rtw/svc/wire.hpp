@@ -64,6 +64,19 @@
 ///                         complete frame, one Symbols event, one ring
 ///                         slot.  A served element costs 3 bytes.
 ///
+/// Where an op-12 body is checked and where it is read.  The grammar
+/// lives in one walker, PackedReader, which every reader of a body uses.
+/// A Decoder in its default PackedMode::Decode walks the body once and
+/// emits its elements as `symbols`, interning markers on the spot.  The
+/// Server's connections run their Decoder in PackedMode::Pool instead:
+/// the walk there only validates (a malformed body is the same sticky
+/// MalformedBody), and the event carries the body's bytes in a recycled
+/// buffer (`packed`, body_pool.hpp).  The shard worker that owns the
+/// session walks those bytes again and feeds each element straight to
+/// the session's stale filter and acceptor (or, for a lane-family
+/// session, decodes the run into shard-owned wave storage), so markers
+/// of such a body are interned on the shard.
+///
 /// Ops 2 and 5 are decode-only legacy: the Decoder still accepts them from
 /// v0/v1 peers (and from replay files), but the library emits one encoding
 /// per op.  The decoder is stateless about the version: op 12 decodes
@@ -89,7 +102,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -99,6 +111,7 @@
 #include "rtw/core/timed_word.hpp"
 #include "rtw/sim/fault.hpp"
 #include "rtw/svc/admit.hpp"
+#include "rtw/svc/body_pool.hpp"
 #include "rtw/svc/ring.hpp"
 
 namespace rtw::svc {
@@ -163,12 +176,125 @@ std::string encode_shed(SessionId session, AdmitResult admit,
 /// Op 11: open a session evaluating an inline timed-pattern query.
 std::string encode_submit_query(SessionId session, std::string_view query);
 
+// ------------------------------------------------------------ op 12
+
+/// Packed element kinds: the u8 that starts each op-12 element.
+enum class PackedKind : unsigned char { Char = 0, Nat = 1, Marker = 2 };
+
+/// Smallest packed element: [kind][1-byte payload][1-byte dt].
+inline constexpr std::size_t kMinPackedElementBytes = 3;
+
+/// One element of an op-12 body, as PackedReader yields it.
+struct PackedElement {
+  core::Symbol sym;             ///< Char or Nat; unset for a Marker
+  std::string_view marker;      ///< Marker only: the name, viewing the body
+  bool is_marker = false;
+  core::Tick time = 0;          ///< absolute (the dts summed)
+
+  /// The element's symbol; a Marker's name is interned here.
+  core::Symbol symbol() const {
+    return is_marker ? core::Symbol::marker(marker) : sym;
+  }
+};
+
+/// Walks an op-12 body element by element: the packed grammar's one
+/// implementation.  Reading stops at the first malformation; complete()
+/// then tells a well-formed body (every counted element read, nothing
+/// after them) from a malformed one.  Allocation-free, and it interns
+/// nothing: PackedElement::symbol() does that when asked.
+class PackedReader {
+public:
+  explicit PackedReader(std::string_view body) noexcept
+      : p_(reinterpret_cast<const unsigned char*>(body.data())),
+        end_(p_ + body.size()) {
+    // A lying count cannot claim more elements than the bytes can hold.
+    ok_ = read_varint(left_) &&
+          left_ <= static_cast<std::size_t>(end_ - p_) / kMinPackedElementBytes;
+    count_ = ok_ ? left_ : 0;
+  }
+
+  /// The element count the body announces (0 when its header is bad).
+  std::uint64_t count() const noexcept { return count_; }
+
+  /// Reads the next element; false at the end or at a malformation.
+  bool next(PackedElement& out) noexcept {
+    if (!ok_ || left_ == 0) return false;
+    ok_ = false;
+    if (p_ == end_) return false;
+    out.is_marker = false;
+    switch (static_cast<PackedKind>(*p_++)) {
+      case PackedKind::Char:
+        if (p_ == end_) return false;
+        out.sym = core::Symbol::chr(static_cast<char>(*p_++));
+        break;
+      case PackedKind::Nat: {
+        std::uint64_t value = 0;
+        if (!read_varint(value)) return false;
+        out.sym = core::Symbol::nat(value);
+        break;
+      }
+      case PackedKind::Marker: {
+        std::uint64_t len = 0;
+        if (!read_varint(len) || len > static_cast<std::uint64_t>(end_ - p_))
+          return false;
+        out.marker = std::string_view(reinterpret_cast<const char*>(p_),
+                                      static_cast<std::size_t>(len));
+        out.is_marker = true;
+        p_ += len;
+        break;
+      }
+      default:
+        return false;
+    }
+    std::uint64_t dt = 0;
+    if (!read_varint(dt)) return false;
+    time_ += dt;  // mod 2^64: any time sequence round-trips
+    out.time = time_;
+    --left_;
+    ok_ = true;
+    return true;
+  }
+
+  /// True once every counted element was read and no byte trails them.
+  bool complete() const noexcept { return ok_ && left_ == 0 && p_ == end_; }
+
+private:
+  /// LEB128 of at most 10 bytes whose 10th byte is <= 1 (exactly 64 bits).
+  bool read_varint(std::uint64_t& v) noexcept {
+    std::uint64_t result = 0;
+    for (unsigned shift = 0; shift < 70; shift += 7) {
+      if (p_ == end_) return false;
+      const unsigned byte = *p_++;
+      if (shift == 63 && byte > 1) return false;
+      result |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if (byte < 0x80) {
+        v = result;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  const unsigned char* p_;
+  const unsigned char* end_;
+  std::uint64_t left_ = 0;   ///< elements still to read
+  std::uint64_t count_ = 0;
+  core::Tick time_ = 0;
+  bool ok_ = false;
+};
+
+/// Decodes a whole op-12 body into `out` (reserved to its exact count);
+/// false on any malformation.
+bool decode_packed(std::string_view body, std::vector<core::TimedSymbol>& out);
+
 // ------------------------------------------------------------ decoding
 
 /// One decoded unit of the stream.  A single Feed frame may surface as
 /// several Symbols events (partial-body decoding); their concatenation is
 /// exactly the frame's element list.  A FeedBatch frame (op 5 or 12)
-/// always surfaces as exactly one Symbols event.
+/// always surfaces as exactly one Symbols event.  In PackedMode::Pool an
+/// op-12 run arrives as `packed` (validated, not decoded) and `symbols`
+/// stays empty.
 struct WireEvent {
   enum class Kind : std::uint8_t {
     Open,
@@ -187,6 +313,7 @@ struct WireEvent {
   Priority priority = Priority::Normal;              ///< Open only
   std::string profile;  ///< Open: profile; SubmitQuery: query text
   std::vector<core::TimedSymbol> symbols;            ///< Symbols only
+  PackedBody packed;  ///< Symbols only, PackedMode::Pool: the op-12 body
 
   // Protocol-plane payloads (v1).
   std::uint8_t version_min = 0;  ///< Hello
@@ -212,14 +339,23 @@ enum class DecodeError : std::uint8_t {
 
 std::string to_string(DecodeError e);
 
+/// What a Decoder hands over for an op-12 body.
+enum class PackedMode : std::uint8_t {
+  Decode,  ///< the elements, in WireEvent::symbols
+  Pool,    ///< the validated bytes in a recycled buffer, WireEvent::packed
+};
+
 /// Incremental frame decoder.  Not thread-safe (one per byte stream).
 /// Errors (bad opcode, oversized or undersized length, malformed feed
 /// body) are sticky: the decoder refuses further input, because a framing
-/// error means byte alignment is lost for good.
+/// error means byte alignment is lost for good.  In PackedMode::Pool the
+/// decoder owns its stream's BodyPool; the bodies it hands out may
+/// outlive it.
 class Decoder {
 public:
-  explicit Decoder(std::size_t max_frame_bytes = kDefaultMaxFrameBytes)
-      : max_frame_bytes_(max_frame_bytes) {}
+  explicit Decoder(std::size_t max_frame_bytes = kDefaultMaxFrameBytes,
+                   PackedMode packed_mode = PackedMode::Decode)
+      : max_frame_bytes_(max_frame_bytes), packed_mode_(packed_mode) {}
 
   /// Decodes raw bytes (any chunking) as far as possible.  Complete
   /// frames decode straight from `bytes`; only an incomplete tail is
@@ -237,6 +373,36 @@ public:
   std::uint64_t frames() const noexcept { return frames_; }
 
 private:
+  /// FIFO of decoded events, kept in fixed chunks of kChunkEvents.  A
+  /// drained chunk goes to a spare list (up to kSpareChunks) instead of
+  /// the heap, so steady-state decoding allocates nothing, and no
+  /// allocation is larger than one chunk.
+  class EventQueue {
+  public:
+    EventQueue() = default;
+    EventQueue(EventQueue&& other) noexcept;
+    EventQueue& operator=(EventQueue&& other) = delete;
+    ~EventQueue();
+
+    void push(WireEvent&& event);
+    bool pop(WireEvent& out);
+
+  private:
+    static constexpr std::size_t kChunkEvents = 8;
+    static constexpr std::size_t kSpareChunks = 16;
+    struct Chunk {
+      Chunk* next = nullptr;
+      WireEvent events[kChunkEvents];
+    };
+
+    Chunk* head_ = nullptr;  ///< oldest chunk; pops from head_index_
+    Chunk* tail_ = nullptr;  ///< newest chunk; pushes at tail_index_
+    Chunk* spare_ = nullptr;
+    std::size_t head_index_ = 0;
+    std::size_t tail_index_ = 0;
+    std::size_t spares_ = 0;
+  };
+
   /// Decodes from `in` until it needs more bytes; returns bytes consumed.
   std::size_t decode(std::string_view in);
   /// Decodes one complete non-Feed frame into ready_; false on failure.
@@ -248,8 +414,10 @@ private:
   bool fail(DecodeError code, std::string message);
 
   std::size_t max_frame_bytes_;
+  PackedMode packed_mode_;
+  BodyPool pool_;       ///< PackedMode::Pool only
   std::string buffer_;  ///< an incomplete frame, or a Feed body's tail
-  std::deque<WireEvent> ready_;
+  EventQueue ready_;
   std::string error_;
   DecodeError error_code_ = DecodeError::None;
   std::uint64_t frames_ = 0;

@@ -8,7 +8,9 @@ namespace rtw::svc {
 
 Connection::Connection(Server& server, std::uint64_t id,
                        std::size_t max_frame_bytes)
-    : server_(server), id_(id), decoder_(max_frame_bytes) {}
+    : server_(server),
+      id_(id),
+      decoder_(max_frame_bytes, PackedMode::Pool) {}
 
 bool Connection::on_bytes(std::string_view bytes) {
   if (dead_.load(std::memory_order_acquire)) return false;
@@ -48,10 +50,10 @@ bool Connection::retry_pending() {
 bool Connection::pump() {
   // The parked event goes first: per-session order must hold.
   if (pending_) {
-    Pending p = std::move(*pending_);
+    Run run = std::move(*pending_);
     pending_.reset();
     paused_.store(false, std::memory_order_release);
-    if (!submit_symbols(p.client, std::move(p.run))) return !dead();
+    if (!submit_run(run)) return !dead();
     if (paused()) return true;  // re-parked; events stay queued
   }
   WireEvent event;
@@ -126,8 +128,11 @@ bool Connection::apply_event(WireEvent& event) {
           });
       return true;
     }
-    case WireEvent::Kind::Symbols:
-      return submit_symbols(event.session, std::move(event.symbols));
+    case WireEvent::Kind::Symbols: {
+      Run run{event.session, std::move(event.symbols),
+              std::move(event.packed)};
+      return submit_run(run);
+    }
     case WireEvent::Kind::Close: {
       SessionId global = 0;
       {
@@ -154,26 +159,32 @@ bool Connection::apply_event(WireEvent& event) {
   }
 }
 
-bool Connection::submit_symbols(SessionId client,
-                                std::vector<core::TimedSymbol> run) {
+bool Connection::submit_run(Run& run) {
   SessionId global = 0;
   {
     std::lock_guard lock(mutex_);
-    const auto it = sessions_.find(client);
+    const auto it = sessions_.find(run.client);
     if (it == sessions_.end() || it->second.close_sent) {
       ++stats_.unknown_frames;
       return true;
     }
     global = it->second.global;
   }
-  const std::uint64_t symbols = run.size();
-  // feed_batch consumes the run; keep a copy only when Blocked verdicts
-  // are possible (shed_on_full off) so the event can be parked intact.
-  std::vector<core::TimedSymbol> retry_copy;
-  const bool may_block = !server_.config().ingress.shed_on_full;
-  if (may_block) retry_copy = run;
-  const AdmitResult admitted =
-      server_.manager().feed_batch(global, std::move(run));
+  AdmitResult admitted;
+  std::uint64_t symbols = 0;
+  if (run.body) {
+    // A refused body stays in `run`, ready to park.
+    symbols = run.body.symbols();
+    admitted = server_.manager().feed_packed(global, run.body);
+  } else {
+    // feed_batch consumes the run; keep a copy only when Blocked verdicts
+    // are possible (shed_on_full off) so the event can be parked intact.
+    symbols = run.symbols.size();
+    std::vector<core::TimedSymbol> retry_copy;
+    if (!server_.config().ingress.shed_on_full) retry_copy = run.symbols;
+    admitted = server_.manager().feed_batch(global, std::move(run.symbols));
+    run.symbols = std::move(retry_copy);
+  }
   switch (admitted.admit) {
     case Admit::Accepted:
       return true;
@@ -181,13 +192,13 @@ bool Connection::submit_symbols(SessionId client,
       std::lock_guard lock(mutex_);
       ++stats_.sheds;
       if (version() >= 1)
-        output_ += encode_shed(client, admitted, symbols);
+        output_ += encode_shed(run.client, admitted, symbols);
       return true;
     }
     case Admit::Blocked:
       // Park the event; the transport pauses reads and retries when the
       // rings drain.  This is the reactor-safe form of apply()'s spin.
-      pending_ = Pending{client, std::move(retry_copy)};
+      pending_ = std::move(run);
       paused_.store(true, std::memory_order_release);
       return true;
   }

@@ -30,6 +30,10 @@ constexpr std::size_t kControlHeadroom = 64;
 /// Ring slots a shard worker drains per epoch.
 constexpr std::size_t kDrainBatch = 256;
 
+/// Decoded packed-run symbols a shard's lane wave holds before it flushes
+/// (384 KiB of TimedSymbols, reserved on the first such run).
+constexpr std::size_t kWaveSymbols = std::size_t{1} << 14;
+
 /// Priority watermarks, as fractions of `ring_capacity`: above
 /// kWatermarkLow occupancy Low-priority data sheds, above kWatermarkHigh
 /// Normal sheds too (High survives until the ring is physically full).
@@ -129,7 +133,7 @@ void SessionManager::count_shed(ShedReason reason, std::size_t symbols) {
   }
 }
 
-AdmitResult SessionManager::admit_data(Command command, std::size_t symbols) {
+AdmitResult SessionManager::admit_data(Command& command, std::size_t symbols) {
   Shard& shard = *shards_[shard_of(command.id)];
   const std::size_t depth = shard.ring.approx_size();
   const auto refuse = [this](ShedReason reason,
@@ -233,13 +237,32 @@ void SessionManager::open(SessionId id,
 
 AdmitResult SessionManager::feed_batch(SessionId id,
                                        std::vector<core::TimedSymbol> run) {
+  return admit_run(id, run);
+}
+
+AdmitResult SessionManager::admit_run(SessionId id,
+                                      std::vector<core::TimedSymbol>& run) {
   if (run.empty()) return AdmitResult{};
   Command c;
   c.kind = Command::Kind::Feed;
   c.id = id;
   const std::size_t symbols = run.size();
   c.run = std::move(run);
-  return admit_data(std::move(c), symbols);
+  const AdmitResult admitted = admit_data(c, symbols);
+  if (admitted != Admit::Accepted) run = std::move(c.run);
+  return admitted;
+}
+
+AdmitResult SessionManager::feed_packed(SessionId id, PackedBody& body) {
+  const std::size_t symbols = body.symbols();
+  if (symbols == 0) return AdmitResult{};
+  Command c;
+  c.kind = Command::Kind::FeedPacked;
+  c.id = id;
+  c.body = std::move(body);
+  const AdmitResult admitted = admit_data(c, symbols);
+  if (admitted != Admit::Accepted) body = std::move(c.body);
+  return admitted;
 }
 
 void SessionManager::close(SessionId id, core::StreamEnd end) {
@@ -295,9 +318,15 @@ AdmitResult SessionManager::apply(const WireEvent& event,
     case WireEvent::Kind::Symbols: {
       // One decoded event = one batched ring slot, all-or-nothing.  The
       // wire reader is the backpressure point: wait out Blocked instead
-      // of tearing the run in half.
+      // of tearing the run in half.  The run is copied once: a refused
+      // admission leaves it intact for the retry.
+      std::vector<core::TimedSymbol> run;
+      if (event.packed)
+        decode_packed(event.packed.bytes(), run);
+      else
+        run = event.symbols;
       for (;;) {
-        const AdmitResult a = feed_batch(event.session, event.symbols);
+        const AdmitResult a = admit_run(event.session, run);
         if (a != Admit::Blocked) return a;
         std::this_thread::yield();
       }
@@ -341,6 +370,70 @@ void SessionManager::run_shard(Shard& shard) {
   }
 }
 
+// The helpers process() shares between its Feed and FeedPacked cases are
+// forced inline, so the Feed case compiles as it did when it was written
+// out in full.
+[[gnu::always_inline]] inline SessionManager::Entry*
+SessionManager::take_data(Shard& shard, const Command& command, std::size_t n,
+                          std::uint64_t now_ns, std::uint64_t epoch,
+                          std::uint64_t& unknown, std::uint64_t& aged) {
+  if (command.slot)
+    command.slot->inflight.fetch_sub(static_cast<std::uint32_t>(n),
+                                     std::memory_order_relaxed);
+  const auto it = shard.sessions.find(command.id);
+  if (it == shard.sessions.end()) {
+    ++unknown;
+    return nullptr;
+  }
+  // A second command for a session whose run is already staged in the
+  // lane wave must not overtake it: flush to keep per-session submission
+  // order.
+  if (it->second.session.in_wave()) flush_wave(shard);
+  if (command.enqueue_ns && now_ns > command.enqueue_ns) {
+    const std::uint64_t waited = now_ns - command.enqueue_ns;
+    if (ingress_cfg_.latency_sample_every > 0)
+      shard.latency_samples.push_back(waited);
+    // Age watermark: stale-in-the-ring data is shed, not fed -- unless
+    // the session is High priority, which always lands.  The session's
+    // own priority is authoritative here (the command may have been
+    // admitted without a hint-table probe).
+    if (ingress_cfg_.max_queue_delay_ns > 0 &&
+        waited > ingress_cfg_.max_queue_delay_ns &&
+        it->second.session.priority() < Priority::High) {
+      aged += n;
+      return nullptr;
+    }
+  }
+  it->second.last_active = epoch;
+  return &it->second;
+}
+
+[[gnu::always_inline]] inline void* SessionManager::lane_of(
+    Shard& shard, Session& session) {
+  if (!shard_cfg_.lane_kernel || session.finished() ||
+      session.acceptor().lane_family() == core::LaneFamily::None)
+    return nullptr;
+  core::OnlineAcceptor& acceptor = session.acceptor();
+  if (!shard.stepper && !shard.stepper_probed) {
+    shard.stepper_probed = true;
+    shard.stepper = acceptor.make_lane_stepper(core::dispatch_variant());
+  }
+  void* lane = acceptor.lane_state();
+  if (lane && shard.stepper &&
+      shard.stepper->family() == acceptor.lane_family())
+    return lane;
+  return nullptr;
+}
+
+[[gnu::always_inline]] inline void SessionManager::stage_lane_run(
+    Shard& shard, Session& session, void* lane, const core::TimedSymbol* run,
+    std::size_t n) {
+  shard.wave.push_back(core::LaneRun{run, n, &session.lane_filter(), lane});
+  shard.wave_sessions.push_back(&session);
+  session.set_in_wave(true);
+  if (shard.wave.size() >= shard_cfg_.lane_wave) flush_wave(shard);
+}
+
 void SessionManager::process(Shard& shard, std::uint64_t epoch) {
   std::uint64_t ingested = 0;
   std::uint64_t unknown = 0;
@@ -370,63 +463,56 @@ void SessionManager::process(Shard& shard, std::uint64_t epoch) {
       }
       case Command::Kind::Feed: {
         const std::size_t n = command.run.size();
-        if (command.slot)
-          command.slot->inflight.fetch_sub(static_cast<std::uint32_t>(n),
-                                           std::memory_order_relaxed);
-        const auto it = shard.sessions.find(command.id);
-        if (it == shard.sessions.end()) {
-          ++unknown;
-          break;
-        }
-        // A second command for a session whose run is already staged in
-        // the lane wave must not overtake it: flush to keep per-session
-        // submission order.
-        if (it->second.session.in_wave()) flush_wave(shard);
-        if (command.enqueue_ns && now_ns > command.enqueue_ns) {
-          const std::uint64_t waited = now_ns - command.enqueue_ns;
-          if (ingress_cfg_.latency_sample_every > 0)
-            shard.latency_samples.push_back(waited);
-          // Age watermark: stale-in-the-ring data is shed, not fed --
-          // unless the session is High priority, which always lands.  The
-          // session's own priority is authoritative here (the command may
-          // have been admitted without a hint-table probe).
-          if (ingress_cfg_.max_queue_delay_ns > 0 &&
-              waited > ingress_cfg_.max_queue_delay_ns &&
-              it->second.session.priority() < Priority::High) {
-            aged += n;
-            break;
-          }
-        }
-        it->second.last_active = epoch;
-        Session& session = it->second.session;
+        Entry* entry =
+            take_data(shard, command, n, now_ns, epoch, unknown, aged);
+        if (!entry) break;
+        Session& session = entry->session;
+        ingested += n;
         // Runs of lane-family sessions stage into the wave and are stepped
         // many-at-a-time by the SIMD kernel; everything else (cold
         // acceptors, foreign families) takes feed_run.  The LaneRun aliases
         // the command's run, which outlives the wave: the staging vector is
         // stable until the next drain and every wave is flushed before
         // process() returns.
-        if (shard_cfg_.lane_kernel && !session.finished() &&
-            session.acceptor().lane_family() != core::LaneFamily::None) {
-          core::OnlineAcceptor& acceptor = session.acceptor();
-          if (!shard.stepper && !shard.stepper_probed) {
-            shard.stepper_probed = true;
-            shard.stepper = acceptor.make_lane_stepper(core::dispatch_variant());
-          }
-          void* lane = acceptor.lane_state();
-          if (lane && shard.stepper &&
-              shard.stepper->family() == acceptor.lane_family()) {
-            shard.wave.push_back(core::LaneRun{command.run.data(), n,
-                                               &session.lane_filter(), lane});
-            shard.wave_sessions.push_back(&session);
-            session.set_in_wave(true);
-            ingested += n;
-            if (shard.wave.size() >= shard_cfg_.lane_wave) flush_wave(shard);
-            break;
-          }
+        if (void* lane = lane_of(shard, session)) {
+          stage_lane_run(shard, session, lane, command.run.data(), n);
+          break;
         }
         const std::uint64_t stale_before = session.stale_dropped();
         session.feed_run(command.run.data(), n);
+        const std::uint64_t stale_delta =
+            session.stale_dropped() - stale_before;
+        if (stale_delta)
+          stats_.stale.fetch_add(stale_delta, std::memory_order_relaxed);
+        break;
+      }
+      case Command::Kind::FeedPacked: {
+        const std::size_t n = command.body.symbols();
+        Entry* entry =
+            take_data(shard, command, n, now_ns, epoch, unknown, aged);
+        if (!entry) break;
+        Session& session = entry->session;
         ingested += n;
+        // The kernel steps decoded runs, so a lane run decodes into the
+        // shard's wave storage; any other session reads the bytes as it
+        // feeds.  Either way the body's buffer goes back to its pool when
+        // the staging vector is cleared.
+        if (void* lane = lane_of(shard, session)) {
+          auto& symbols = shard.wave_symbols;
+          if (symbols.size() + n > symbols.capacity()) {
+            flush_wave(shard);  // the staged LaneRuns point into `symbols`
+            symbols.reserve(std::max(n, kWaveSymbols));
+          }
+          const std::size_t first = symbols.size();
+          PackedReader reader(command.body.bytes());
+          PackedElement element;
+          while (reader.next(element))
+            symbols.push_back({element.symbol(), element.time});
+          stage_lane_run(shard, session, lane, symbols.data() + first, n);
+          break;
+        }
+        const std::uint64_t stale_before = session.stale_dropped();
+        session.feed_packed(command.body.bytes());
         const std::uint64_t stale_delta =
             session.stale_dropped() - stale_before;
         if (stale_delta)
@@ -487,6 +573,7 @@ void SessionManager::flush_wave(Shard& shard) {
   for (Session* session : shard.wave_sessions) session->set_in_wave(false);
   shard.wave.clear();
   shard.wave_sessions.clear();
+  shard.wave_symbols.clear();
 }
 
 void SessionManager::finish_session(Shard& shard, Entry& entry,

@@ -48,75 +48,6 @@ void put_varint(std::string& out, std::uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-/// LEB128 of at most 10 bytes whose 10th byte is <= 1 (exactly 64 bits).
-bool get_varint(const unsigned char*& p, const unsigned char* end,
-                std::uint64_t& v) {
-  std::uint64_t result = 0;
-  for (unsigned shift = 0; shift < 70; shift += 7) {
-    if (p == end) return false;
-    const unsigned byte = *p++;
-    if (shift == 63 && byte > 1) return false;
-    result |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if (byte < 0x80) {
-      v = result;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Packed element kinds (op 12).
-enum class PackedKind : unsigned char { Char = 0, Nat = 1, Marker = 2 };
-
-/// Smallest packed element: [kind][1-byte payload][1-byte dt].
-constexpr std::size_t kMinPackedElementBytes = 3;
-
-/// Decodes an op 12 body into `out`; false on any malformation.
-bool decode_packed(std::string_view body, std::vector<core::TimedSymbol>& out) {
-  auto p = reinterpret_cast<const unsigned char*>(body.data());
-  const auto end = p + body.size();
-  std::uint64_t n = 0;
-  if (!get_varint(p, end, n)) return false;
-  // A lying count cannot reserve past what the frame cap already bounds.
-  if (n > static_cast<std::size_t>(end - p) / kMinPackedElementBytes)
-    return false;
-  out.reserve(n);
-  core::Tick time = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (p == end) return false;
-    core::Symbol sym;
-    switch (static_cast<PackedKind>(*p++)) {
-      case PackedKind::Char:
-        if (p == end) return false;
-        sym = core::Symbol::chr(static_cast<char>(*p++));
-        break;
-      case PackedKind::Nat: {
-        std::uint64_t value = 0;
-        if (!get_varint(p, end, value)) return false;
-        sym = core::Symbol::nat(value);
-        break;
-      }
-      case PackedKind::Marker: {
-        std::uint64_t len = 0;
-        if (!get_varint(p, end, len) ||
-            len > static_cast<std::uint64_t>(end - p))
-          return false;
-        sym = core::Symbol::marker(std::string_view(
-            reinterpret_cast<const char*>(p), static_cast<std::size_t>(len)));
-        p += len;
-        break;
-      }
-      default:
-        return false;
-    }
-    std::uint64_t dt = 0;
-    if (!get_varint(p, end, dt)) return false;
-    time += dt;  // mod 2^64: any time sequence round-trips
-    out.push_back({sym, time});
-  }
-  return p == end;
-}
-
 std::string encode(SessionId session, Op op, std::string_view body) {
   std::string out;
   out.reserve(kFrameHeaderBytes + body.size());
@@ -129,6 +60,14 @@ std::string encode(SessionId session, Op op, std::string_view body) {
 }
 
 }  // namespace
+
+bool decode_packed(std::string_view body, std::vector<core::TimedSymbol>& out) {
+  PackedReader reader(body);
+  out.reserve(reader.count());
+  PackedElement element;
+  while (reader.next(element)) out.push_back({element.symbol(), element.time});
+  return reader.complete();
+}
 
 std::string to_string(Op op) {
   switch (op) {
@@ -277,10 +216,54 @@ std::size_t Decoder::pending_bytes() const {
   return kHeaderBytes + get_u32le(buffer_.data());
 }
 
-bool Decoder::next(WireEvent& out) {
-  if (ready_.empty()) return false;
-  out = std::move(ready_.front());
-  ready_.pop_front();
+bool Decoder::next(WireEvent& out) { return ready_.pop(out); }
+
+Decoder::EventQueue::EventQueue(EventQueue&& other) noexcept
+    : head_(std::exchange(other.head_, nullptr)),
+      tail_(std::exchange(other.tail_, nullptr)),
+      spare_(std::exchange(other.spare_, nullptr)),
+      head_index_(std::exchange(other.head_index_, 0)),
+      tail_index_(std::exchange(other.tail_index_, 0)),
+      spares_(std::exchange(other.spares_, 0)) {}
+
+Decoder::EventQueue::~EventQueue() {
+  for (Chunk* list : {head_, spare_})
+    while (list) delete std::exchange(list, list->next);
+}
+
+void Decoder::EventQueue::push(WireEvent&& event) {
+  if (!tail_ || tail_index_ == kChunkEvents) {
+    Chunk* chunk = spare_;
+    if (chunk) {
+      spare_ = chunk->next;
+      --spares_;
+      chunk->next = nullptr;
+    } else {
+      chunk = new Chunk;
+    }
+    (tail_ ? tail_->next : head_) = chunk;
+    tail_ = chunk;
+    tail_index_ = 0;
+  }
+  tail_->events[tail_index_++] = std::move(event);
+}
+
+bool Decoder::EventQueue::pop(WireEvent& out) {
+  if (!head_ || (head_ == tail_ && head_index_ == tail_index_)) return false;
+  out = std::move(head_->events[head_index_++]);
+  if (head_ == tail_ && head_index_ == tail_index_) {
+    head_index_ = tail_index_ = 0;  // drained: refill this chunk from 0
+  } else if (head_index_ == kChunkEvents) {
+    Chunk* chunk = std::exchange(head_, head_->next);
+    head_index_ = 0;
+    if (spares_ < kSpareChunks) {
+      chunk->next = spare_;
+      spare_ = chunk;
+      ++spares_;
+    } else {
+      delete chunk;
+    }
+  }
   return true;
 }
 
@@ -316,7 +299,7 @@ std::size_t Decoder::decode(std::string_view in) {
         ev.kind = WireEvent::Kind::Symbols;
         ev.session = feed_session_;
         ev.symbols = std::move(parsed.symbols);
-        ready_.push_back(std::move(ev));
+        ready_.push(std::move(ev));
       }
       pos += parsed.consumed;
       feed_remaining_ -= parsed.consumed;
@@ -387,12 +370,24 @@ bool Decoder::decode_frame(SessionId session, Op op, std::string_view body) {
       ev.profile = std::string(body.substr(1));
       break;
     }
-    case Op::FeedPacked:
-      if (!decode_packed(body, ev.symbols))
+    case Op::FeedPacked: {
+      bool valid = false;
+      if (packed_mode_ == PackedMode::Pool) {
+        PackedReader reader(body);
+        PackedElement element;
+        while (reader.next(element)) {
+        }
+        valid = reader.complete();
+        if (valid) ev.packed = pool_.take(body, reader.count());
+      } else {
+        valid = decode_packed(body, ev.symbols);
+      }
+      if (!valid)
         return fail(DecodeError::MalformedBody,
                     "svc::Decoder: malformed packed feed body");
       ev.kind = WireEvent::Kind::Symbols;
       break;
+    }
     case Op::FeedBatch: {
       auto parsed = core::parse_prefix(body, ~std::size_t{0},
                                        /*final_chunk=*/true);
@@ -484,7 +479,7 @@ bool Decoder::decode_frame(SessionId session, Op op, std::string_view body) {
     default:
       return fail(DecodeError::UnknownOp, "svc::Decoder: unknown opcode");
   }
-  ready_.push_back(std::move(ev));
+  ready_.push(std::move(ev));
   return true;
 }
 

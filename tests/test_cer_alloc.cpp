@@ -3,7 +3,8 @@
 /// on a stream, feeding it allocates nothing, through transition-cache
 /// flushes and thrash-guard trips too; and the cache's tables are
 /// allocated on the first feed, within kMaxCacheBytes.  Also pins the
-/// wire decoder's bound on what a packed FeedBatch count may reserve.
+/// wire decoder's bound on what a packed FeedBatch count may reserve, and
+/// that op-12 frames served through a Server allocate nothing once warm.
 /// Global operator new is replaced by a counting version, so this lives
 /// in its own binary.
 
@@ -18,6 +19,8 @@
 #include "rtw/cer/acceptor.hpp"
 #include "rtw/cer/parser.hpp"
 #include "rtw/sim/rng.hpp"
+#include "rtw/svc/profiles.hpp"
+#include "rtw/svc/server.hpp"
 #include "rtw/svc/wire.hpp"
 
 namespace {
@@ -264,4 +267,55 @@ TEST(WireAlloc, CompleteFramesDecodeInPlace) {
   EXPECT_TRUE(decoder.ok()) << decoder.error();
   EXPECT_EQ(runs, decoder.frames());
   EXPECT_LE(largest, run.size() * sizeof(TimedSymbol));
+}
+
+TEST(WireAlloc, PackedFramesThroughAServerAllocateNothingAfterWarmup) {
+  // Two shards, two query sessions and two count:K sessions, fed rounds
+  // of one 256-symbol op-12 frame each.  After a warm-up -- acceptor
+  // caches, body buffers, decoder chunks, staging vectors -- a round
+  // makes no operator new call on any thread: not the reactor's decode
+  // and body copy, nor the shard's walk, nor the buffer's trip back.
+  rtw::svc::ServerConfig config;
+  config.shard.count = 2;
+  rtw::svc::Server server(config, rtw::svc::profile_factory());
+  auto conn = server.connect();
+  constexpr rtw::svc::SessionId kSessions = 4;
+  std::string open = rtw::svc::encode_hello();
+  for (rtw::svc::SessionId s = 1; s <= kSessions; ++s)
+    open += s % 2 ? rtw::svc::encode_submit_query(s, "(a | b | c | d)+")
+                  : rtw::svc::encode_open(s, "count:1000000");
+  ASSERT_TRUE(conn->on_bytes(open));
+
+  // Every round's bytes are encoded up front: encoding allocates.
+  constexpr int kWarmRounds = 64, kRounds = 32;
+  std::vector<std::string> rounds;
+  Tick t = 0;
+  for (int r = 0; r < kWarmRounds + kRounds; ++r) {
+    std::vector<TimedSymbol> run;
+    for (int i = 0; i < 256; ++i)
+      run.push_back({Symbol::chr(static_cast<char>('a' + i % 4)), ++t});
+    std::string bytes;
+    for (rtw::svc::SessionId s = 1; s <= kSessions; ++s)
+      bytes += rtw::svc::encode_feed_batch(s, run);
+    rounds.push_back(std::move(bytes));
+  }
+  const auto feed = [&](int first, int last) {
+    for (int r = first; r < last; ++r) ASSERT_TRUE(conn->on_bytes(rounds[r]));
+    server.manager().drain();
+  };
+  feed(0, kWarmRounds);
+  // The latency sample buffers keep their capacity across a take; the
+  // warm-up filled them past what the measured rounds add.
+  (void)server.manager().take_feed_latency_samples();
+  const auto warm = server.manager().stats();
+
+  const std::uint64_t before = g_allocations.load();
+  feed(kWarmRounds, kWarmRounds + kRounds);
+  const std::uint64_t allocations = g_allocations.load() - before;
+
+  const auto stats = server.manager().stats();
+  EXPECT_EQ(stats.ingested - warm.ingested, kRounds * kSessions * 256u);
+  EXPECT_EQ(stats.active, kSessions);
+  EXPECT_EQ(conn->stats().sheds, 0u);
+  EXPECT_EQ(allocations, 0u);
 }

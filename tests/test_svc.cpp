@@ -409,18 +409,126 @@ std::optional<std::vector<WireEvent>> decode_chunked(
   return events;
 }
 
+/// Records every element it is fed; settles only at finish.
+class RecordingAcceptor final : public OnlineAcceptor {
+public:
+  Verdict feed(Symbol symbol, Tick at) override {
+    fed.push_back({symbol, at});
+    return Verdict::Undetermined;
+  }
+  Verdict finish(StreamEnd) override { return Verdict::Undetermined; }
+  Verdict verdict() const override { return Verdict::Undetermined; }
+  const RunResult& result() const override { return result_; }
+  void reset() override { fed.clear(); }
+  std::string name() const override { return "recording"; }
+
+  std::vector<TimedSymbol> fed;
+
+private:
+  RunResult result_;
+};
+
+/// Pushes one frame through a default (decoding) Decoder and a
+/// PackedMode::Pool Decoder -- the reactor's validator -- and checks that
+/// both accept it or both reject it as a sticky MalformedBody.  When they
+/// accept, the pooled body must hold the frame's body bytes and count, a
+/// PackedReader walk of it must yield exactly the decoded elements, and
+/// Session::feed_packed must feed an acceptor exactly what feed_run feeds
+/// it from the decoded run (stale filter included).
+std::optional<std::string> check_pooled_agrees(std::string_view frame) {
+  using rtw::svc::DecodeError;
+  using rtw::svc::PackedMode;
+  Decoder decoding;
+  Decoder pooled(rtw::svc::kDefaultMaxFrameBytes, PackedMode::Pool);
+  decoding.push(frame);
+  pooled.push(frame);
+  if (decoding.ok() != pooled.ok())
+    return "validator " + std::string(pooled.ok() ? "accepts" : "rejects") +
+           " a body decode_packed " +
+           (decoding.ok() ? "accepts" : "rejects");
+  if (!decoding.ok()) {
+    if (pooled.error_code() != DecodeError::MalformedBody ||
+        decoding.error_code() != DecodeError::MalformedBody)
+      return std::string("rejection is not MalformedBody");
+    return std::nullopt;
+  }
+  WireEvent decoded, walked;
+  if (!decoding.next(decoded) || !pooled.next(walked) ||
+      walked.kind != WireEvent::Kind::Symbols || !walked.symbols.empty() ||
+      !walked.packed || walked.session != decoded.session)
+    return std::string("pooled decoder emitted the wrong event");
+  if (walked.packed.bytes() != frame.substr(13) ||
+      walked.packed.symbols() != decoded.symbols.size())
+    return std::string("pooled body differs from the frame's body");
+  std::vector<TimedSymbol> elements;
+  rtw::svc::PackedReader reader(walked.packed.bytes());
+  rtw::svc::PackedElement element;
+  while (reader.next(element))
+    elements.push_back({element.symbol(), element.time});
+  if (!reader.complete() || elements != decoded.symbols)
+    return std::string("shard walk differs from decode_packed");
+
+  auto by_run = std::make_unique<RecordingAcceptor>();
+  auto by_body = std::make_unique<RecordingAcceptor>();
+  const RecordingAcceptor& run_fed = *by_run;
+  const RecordingAcceptor& body_fed = *by_body;
+  rtw::svc::Session run_session(1, std::move(by_run));
+  rtw::svc::Session body_session(2, std::move(by_body));
+  run_session.feed_run(decoded.symbols.data(), decoded.symbols.size());
+  body_session.feed_packed(walked.packed.bytes());
+  if (run_fed.fed != body_fed.fed ||
+      run_session.fed() != body_session.fed() ||
+      run_session.stale_dropped() != body_session.stale_dropped())
+    return std::string("feed_packed feeds differently from feed_run");
+  return std::nullopt;
+}
+
+/// Mutants of a well-formed packed body: bit flips, truncations (the
+/// empty body included) and the count varint replaced by a nearby or a
+/// huge count.
+std::vector<std::string> packed_mutants(const std::string& body,
+                                        rtw::sim::Xoshiro256ss& rng) {
+  std::vector<std::string> mutants;
+  for (int k = 0; k < 4; ++k) {
+    std::string m = body;
+    m[rng.uniform(m.size())] ^=
+        static_cast<char>(1u << rng.uniform(std::uint64_t{8}));
+    mutants.push_back(std::move(m));
+  }
+  for (int k = 0; k < 2; ++k)
+    mutants.push_back(body.substr(0, rng.uniform(body.size())));
+  const std::uint64_t n = rtw::svc::PackedReader(body).count();
+  std::size_t count_bytes = 1;
+  while (static_cast<unsigned char>(body[count_bytes - 1]) & 0x80)
+    ++count_bytes;
+  for (const std::uint64_t lie :
+       {n + 1, n ? n - 1 : 2, n + 1 + rng.uniform(std::uint64_t{64}),
+        std::uint64_t{1} << 40}) {
+    std::string m;
+    for (std::uint64_t v = lie;; v >>= 7) {
+      m.push_back(static_cast<char>((v & 0x7f) | (v >= 0x80 ? 0x80 : 0)));
+      if (v < 0x80) break;
+    }
+    mutants.push_back(m + body.substr(count_bytes));
+  }
+  return mutants;
+}
+
 /// encode_feed_batch emits op 12.  Whatever the chunking, its frame decodes
 /// to exactly one Symbols event equal to the input, that event surfaces
 /// only with the frame's last byte, and the legacy text bodies (op 5, and
 /// op 2 streamed in pieces) of the same elements decode to the same run.
+/// The pooled decoder and the shard walk agree with it on the frame and
+/// on mutants of its body (check_pooled_agrees).
 TEST(WireCodec, PackedFeedBatchRoundTripsAndMatchesTheTextBodies) {
   rtw::proptest::Config cfg;
   cfg.seed = 0x7061636bULL;  // "pack"
   cfg.cases = 400;
   cfg.max_size = 24;
+  std::size_t mutants_accepted = 0, mutants_rejected = 0;
   const auto result = rtw::proptest::run_property(
       "svc.packed_feed_batch", cfg,
-      [](rtw::sim::Xoshiro256ss& rng, std::size_t size)
+      [&](rtw::sim::Xoshiro256ss& rng, std::size_t size)
           -> std::optional<std::string> {
         const auto elements = random_feed_elements(rng, size);
         const std::string packed = rtw::svc::encode_feed_batch(9, elements);
@@ -443,6 +551,18 @@ TEST(WireCodec, PackedFeedBatchRoundTripsAndMatchesTheTextBodies) {
           return std::string("run not sized exactly");
         if (slow.next(ev) || slow.frames() != 1u)
           return std::string("1-byte pushes: more than one event");
+
+        // The reactor's validator and the shard's walk agree with it, and
+        // with decode_packed on bit flips, truncations and count lies of
+        // the body.
+        if (auto why = check_pooled_agrees(packed)) return why;
+        for (const auto& mutant : packed_mutants(packed.substr(13), rng)) {
+          const std::string frame = raw_frame(12, mutant, 9);
+          if (auto why = check_pooled_agrees(frame)) return why;
+          Decoder decoder;
+          decoder.push(frame);
+          ++(decoder.ok() ? mutants_accepted : mutants_rejected);
+        }
 
         // The legacy text FeedBatch body decodes to the same event.
         Decoder text;
@@ -482,6 +602,9 @@ TEST(WireCodec, PackedFeedBatchRoundTripsAndMatchesTheTextBodies) {
       });
   EXPECT_TRUE(result.ok()) << rtw::proptest::describe(
       "svc.packed_feed_batch", cfg, *result.failure);
+  // Mutants land on both sides, or the agreement was checked on one only.
+  EXPECT_GT(mutants_accepted, 0u);
+  EXPECT_GT(mutants_rejected, 0u);
 }
 
 TEST(WireCodec, HostilePackedBodiesAreStickyMalformedBody) {
@@ -516,6 +639,9 @@ TEST(WireCodec, HostilePackedBodiesAreStickyMalformedBody) {
       {"count lie downward", bytes({1, 0, 'a', 1, 0, 'b', 1})},
   };
   for (const auto& c : cases) {
+    // The reactor's validator rejects it exactly as the decoder does.
+    EXPECT_EQ(check_pooled_agrees(raw_frame(12, c.body)), std::nullopt)
+        << c.what;
     Decoder decoder;
     decoder.push(rtw::svc::encode_open(1, "p"));
     decoder.push(raw_frame(12, c.body));
@@ -541,6 +667,71 @@ TEST(WireCodec, HostilePackedBodiesAreStickyMalformedBody) {
     EXPECT_EQ(ev.kind, WireEvent::Kind::Symbols);
     EXPECT_TRUE(ev.symbols.empty());
   }
+}
+
+TEST(BodyPool, ADroppedBodyIsReusedByTheNextTake) {
+  rtw::svc::BodyPool pool;
+  rtw::svc::PackedBody a = pool.take("abc", 1);
+  ASSERT_TRUE(a);
+  EXPECT_EQ(a.bytes(), "abc");
+  EXPECT_EQ(a.symbols(), 1u);
+  const char* buffer = a.bytes().data();
+  a.reset();
+  EXPECT_FALSE(a);
+  EXPECT_EQ(a.symbols(), 0u);
+  const rtw::svc::PackedBody b = pool.take("wxyz", 2);
+  EXPECT_EQ(b.bytes().data(), buffer);  // the same buffer, refilled
+  EXPECT_EQ(b.bytes(), "wxyz");
+  EXPECT_EQ(pool.spare_buffers(), 0u);
+  // A copy owns its own heap bytes and leaves the pool alone.
+  const rtw::svc::PackedBody copy = b;
+  EXPECT_EQ(copy.bytes(), "wxyz");
+  EXPECT_NE(copy.bytes().data(), b.bytes().data());
+}
+
+TEST(BodyPool, ARefillKeepsAtMostTheRetentionBound) {
+  using rtw::svc::BodyPool;
+  BodyPool pool;
+  const std::string body(700, 'x');
+  std::vector<rtw::svc::PackedBody> in_flight;
+  for (int i = 0; i < 1000; ++i) in_flight.push_back(pool.take(body, 1));
+  in_flight.clear();  // a 1000-body burst comes back
+  const rtw::svc::PackedBody next = pool.take(body, 1);
+  EXPECT_GT(pool.spare_buffers(), 0u);
+  EXPECT_LE(pool.spare_bytes(), BodyPool::kRetainBytes);
+  EXPECT_LT(pool.spare_buffers(), 1000u);
+  // A body larger than the bound is never kept as a spare: the refill
+  // frees it, and the next take gets a fresh buffer.
+  BodyPool big_pool;
+  rtw::svc::PackedBody big =
+      big_pool.take(std::string(BodyPool::kRetainBytes + 1, 'y'), 1);
+  const char* big_buffer = big.bytes().data();
+  big.reset();
+  const rtw::svc::PackedBody small = big_pool.take("z", 1);
+  EXPECT_NE(small.bytes().data(), big_buffer);
+  EXPECT_EQ(big_pool.spare_bytes(), 0u);
+}
+
+TEST(BodyPool, BodiesOutliveTheirPoolAcrossThreads) {
+  // The owner goes first; four threads drop the bodies it lent, and the
+  // last one frees the pool's state (the sanitizer builds check it).
+  std::vector<rtw::svc::PackedBody> bodies;
+  {
+    rtw::svc::BodyPool pool;
+    for (int i = 0; i < 256; ++i)
+      bodies.push_back(pool.take(std::string(1 + i, 'b'), 1));
+    bodies[0].reset();  // one comes back while the owner still lives
+  }
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t)
+    threads.emplace_back([&bodies, t] {
+      for (std::size_t i = t; i < bodies.size(); i += 4) {
+        EXPECT_EQ(bodies[i].bytes(), i == 0 ? std::string()
+                                            : std::string(1 + i, 'b'));
+        bodies[i].reset();
+      }
+    });
+  for (auto& t : threads) t.join();
 }
 
 TEST(WireCodec, OpenPriorityRoundTrips) {

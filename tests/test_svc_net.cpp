@@ -17,6 +17,10 @@
 //   6. ServerFacade: the Server/Connection pair driven with no sockets --
 //      verdict routing per connection, disconnect, id reuse, duplicate
 //      opens, and a disconnect storm against live shard workers.
+//   7. The op-12 handoff: packed bodies validated on the reader and walked
+//      on the shards report exactly what decode + apply reports, parked
+//      Blocked bodies included, and bodies still in flight when their
+//      connection goes away come back safely.
 //
 // Everything binds port 0 on 127.0.0.1: no fixed ports, no external
 // daemon, safe for parallel ctest.
@@ -33,6 +37,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstring>
 #include <map>
@@ -43,6 +48,9 @@
 #include <thread>
 #include <vector>
 
+#include "rtw/core/symbol.hpp"
+#include "rtw/deadline/lane.hpp"
+#include "rtw/deadline/problem.hpp"
 #include "rtw/svc/net/tcp_server.hpp"
 #include "rtw/svc/profiles.hpp"
 #include "rtw/svc/server.hpp"
@@ -1006,6 +1014,277 @@ TEST(ServerFacade, DisconnectStormReleasesConnectionsOnShardWorkers) {
   for (const Plan& plan : plans)
     EXPECT_TRUE(plan.conn.expired()) << "connection " << plan.id;
   server.set_wakeup(nullptr);
+}
+
+// ------------------------------------------------- op-12 handoff
+
+/// Both paths' acceptors: the wire profiles, plus "deadline:C" -- a
+/// section 4.1 deadline session with fixed cost C on its lane acceptor,
+/// whose words carry the `$` and `d` markers.
+AcceptorFactory handoff_factory() {
+  return [](SessionId, std::string_view profile)
+             -> std::unique_ptr<rtw::core::OnlineAcceptor> {
+    constexpr std::string_view kDeadline = "deadline:";
+    if (profile.substr(0, kDeadline.size()) != kDeadline)
+      return make_profile_acceptor(profile);
+    const auto cost = std::stoull(std::string(profile.substr(kDeadline.size())));
+    rtw::core::RunOptions options;
+    options.horizon = 1u << 20;
+    return rtw::deadline::make_lane_acceptor(
+        std::make_shared<rtw::deadline::FixedCostProblem>(cost), options);
+  };
+}
+
+/// One session's plan: how it opens, its word, how it closes.
+struct HandoffSession {
+  std::string open;  ///< its Open or SubmitQuery frame
+  std::vector<TimedSymbol> word;
+  StreamEnd end = StreamEnd::EndOfWord;
+};
+
+/// Seeded sessions over the three acceptor kinds the handoff serves
+/// differently: cer queries (fed element by element from the bytes),
+/// count:K profiles (Char, Nat and marker elements, with time
+/// regressions for the stale filter) and deadline lane sessions (decoded
+/// into the shard's wave storage).
+std::vector<HandoffSession> handoff_sessions(std::mt19937_64& rng) {
+  static const char* const kQueries[] = {
+      "a ; b ; c ; d", "(a | b | c | d)+", "within(8){ a ; (b | c)+ ; d }",
+      "(within(4){ a ; b })+ | (c ; d)+"};
+  std::vector<HandoffSession> sessions;
+  for (SessionId s = 1; s <= 12; ++s) {
+    HandoffSession plan;
+    Tick t = 0;
+    const std::size_t n = 50 + rng() % 1500;
+    switch (s % 3) {
+      case 0:
+        plan.open = encode_submit_query(s, kQueries[rng() % 4]);
+        for (std::size_t i = 0; i < n; ++i) {
+          t += 1 + rng() % 3;
+          const char c = static_cast<char>('a' + (s % 2 ? rng() % 4 : i % 2));
+          plan.word.push_back({Symbol::chr(rng() % 200 ? c : 'e'), t});
+        }
+        break;
+      case 1:
+        plan.open = encode_open(s, "count:" + std::to_string(n - rng() % 8));
+        for (std::size_t i = 0; i < n; ++i) {
+          t = rng() % 16 ? t + rng() % 3 : t - std::min<Tick>(t, rng() % 5);
+          const Symbol sym = i % 3 == 0   ? Symbol::chr('x')
+                             : i % 3 == 1 ? Symbol::nat(rng())
+                                          : Symbol::marker("mk");
+          plan.word.push_back({sym, t});
+        }
+        break;
+      default:
+        plan.open = encode_open(s, "deadline:" + std::to_string(n / 2 + rng() % n));
+        plan.word = {{Symbol::nat(1), 0},
+                     {rtw::core::marks::dollar(), 0},
+                     {Symbol::nat(1), 0},
+                     {rtw::core::marks::dollar(), 0}};
+        for (std::size_t i = 0; i < n; ++i) {
+          t = rng() % 32 ? t + 1 : t - std::min<Tick>(t, 2);
+          if (i % 17 == 0) {
+            plan.word.push_back({rtw::core::marks::deadline(), t});
+            plan.word.push_back({Symbol::nat(rng() % 7), t});
+          } else {
+            plan.word.push_back({Symbol::chr('w'), t});
+          }
+        }
+    }
+    plan.end = rng() % 4 ? StreamEnd::EndOfWord : StreamEnd::Truncated;
+    sessions.push_back(std::move(plan));
+  }
+  return sessions;
+}
+
+/// Hello, every open, then each session's word as op-12 frames of
+/// 1..300 elements interleaved across sessions, then every close.
+std::string handoff_stream(const std::vector<HandoffSession>& sessions,
+                           std::mt19937_64& rng) {
+  std::string stream = encode_hello();
+  for (const auto& plan : sessions) stream += plan.open;
+  std::vector<std::size_t> sent(sessions.size(), 0);
+  for (std::size_t live = sessions.size(); live > 0;) {
+    const std::size_t s = rng() % sessions.size();
+    const auto& word = sessions[s].word;
+    if (sent[s] == word.size()) continue;
+    const std::size_t n = std::min<std::size_t>(1 + rng() % 300,
+                                                word.size() - sent[s]);
+    stream += encode_feed_batch(
+        s + 1, {word.begin() + static_cast<long>(sent[s]),
+                word.begin() + static_cast<long>(sent[s] + n)});
+    sent[s] += n;
+    if (sent[s] == word.size()) --live;
+  }
+  for (std::size_t s = 0; s < sessions.size(); ++s)
+    stream += encode_close(s + 1, sessions[s].end);
+  return stream;
+}
+
+struct Settled {
+  Verdict verdict = Verdict::Undetermined;
+  bool exact = false;
+  std::uint64_t fed = 0;
+  std::uint64_t stale = 0;
+  bool operator==(const Settled&) const = default;
+};
+
+/// Op-12 streams give the same reports -- verdict, exact, fed, stale --
+/// through Connection::on_bytes (bodies validated on the reader, walked
+/// on the shards) as through a decoding Decoder and
+/// SessionManager::apply.  With shed_on_full off and a 2-slot ring the
+/// connection parks Blocked bodies in their pooled buffers and retries
+/// them; with it on, the ring is large enough that nothing sheds.
+TEST(ServerFacade, PackedHandoffReportsMatchDecodeAndApply) {
+  for (const bool shed_on_full : {true, false}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("shed_on_full=" + std::to_string(shed_on_full) +
+                   " seed=" + std::to_string(seed));
+      std::mt19937_64 rng(seed);
+      const auto sessions = handoff_sessions(rng);
+      const std::string stream = handoff_stream(sessions, rng);
+      ServerConfig config;
+      config.shard.count = 2;
+      config.ingress.shed_on_full = shed_on_full;
+      config.ingress.ring_capacity = shed_on_full ? 4096 : 2;
+
+      std::map<SessionId, Settled> by_wire;
+      Server server(config, handoff_factory());
+      {
+        auto conn = server.connect();
+        for (std::size_t off = 0; off < stream.size();) {
+          const std::size_t n =
+              std::min<std::size_t>(1 + rng() % 9000, stream.size() - off);
+          ASSERT_TRUE(conn->on_bytes(std::string_view(stream).substr(off, n)))
+              << conn->error();
+          off += n;
+          while (conn->paused() && !conn->retry_pending())
+            std::this_thread::yield();
+        }
+        server.manager().drain();
+        for (const auto& ev : take_events(*conn))
+          if (ev.kind == WireEvent::Kind::Verdict)
+            by_wire[ev.session] = {ev.verdict, ev.exact, ev.fed, ev.stale};
+        EXPECT_EQ(conn->stats().sheds, 0u);
+      }
+      const auto served = server.manager().stats();
+      EXPECT_GT(served.lane_symbols, 0u);  // the wave decode ran
+      if (!shed_on_full) {
+        EXPECT_GT(served.blocked, 0u);  // bodies parked and retried
+      }
+
+      std::map<SessionId, Settled> by_apply;
+      SessionManager manager(config);
+      Decoder decoder;
+      decoder.push(stream);
+      WireEvent ev;
+      const auto factory = handoff_factory();
+      while (decoder.next(ev)) {
+        if (ev.kind != WireEvent::Kind::Hello) {
+          EXPECT_EQ(manager.apply(ev, factory), Admit::Accepted);
+        }
+      }
+      manager.drain();
+      for (const auto& r : manager.collect())
+        by_apply[r.id] = {r.verdict, r.result.exact, r.fed, r.stale_dropped};
+
+      EXPECT_EQ(by_wire.size(), sessions.size());
+      EXPECT_EQ(by_wire, by_apply);
+      std::uint64_t stale = 0;
+      for (const auto& [id, settled] : by_apply) stale += settled.stale;
+      EXPECT_GT(stale, 0u);
+    }
+  }
+}
+
+/// An acceptor whose first feed blocks until the test opens its gate:
+/// pins the shard worker so the ring fills behind it.
+class GatedAcceptor final : public rtw::core::OnlineAcceptor {
+public:
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool entered = false;
+    bool open = false;
+  };
+  explicit GatedAcceptor(std::shared_ptr<Gate> gate) : gate_(std::move(gate)) {}
+
+  Verdict feed(Symbol, Tick) override {
+    std::unique_lock lock(gate_->mutex);
+    gate_->entered = true;
+    gate_->cv.notify_all();
+    gate_->cv.wait(lock, [this] { return gate_->open; });
+    return Verdict::Undetermined;
+  }
+  Verdict finish(StreamEnd) override { return Verdict::Rejecting; }
+  Verdict verdict() const override { return Verdict::Undetermined; }
+  const rtw::core::RunResult& result() const override { return result_; }
+  void reset() override {}
+  std::string name() const override { return "gated"; }
+
+private:
+  std::shared_ptr<Gate> gate_;
+  rtw::core::RunResult result_;
+};
+
+/// Bodies still in flight when their connection goes away.  A gated
+/// session pins the one shard worker while connections open sessions,
+/// send op-12 bodies, close or disconnect, and are dropped by the test.
+/// When the gate opens, the worker processes a connection's last Close
+/// in the same drain batch as the Feeds before it; that Close drops the
+/// last route, so the Connection -- and the BodyPool its Decoder owns --
+/// is destroyed while those Feed commands still hold their buffers,
+/// which then come back to a pool whose owner is gone.  The sanitizer
+/// builds check that handoff.
+TEST(ServerFacade, DisconnectStormWithBodiesInFlight) {
+  ServerConfig config;
+  config.shard.count = 1;
+  Server server(config, profile_factory());
+  auto& manager = server.manager();
+  std::mt19937_64 rng(0xb0d1e5);
+  std::uint64_t sent_symbols = 0;
+  std::vector<std::weak_ptr<Connection>> gone;
+  for (int round = 0; round < 20; ++round) {
+    auto gate = std::make_shared<GatedAcceptor::Gate>();
+    const SessionId gated =
+        manager.open(std::make_unique<GatedAcceptor>(gate));
+    manager.feed_batch(gated, {{Symbol::chr('g'), 1}});
+    {
+      std::unique_lock lock(gate->mutex);
+      gate->cv.wait(lock, [&] { return gate->entered; });
+    }
+    for (int c = 0; c < 8; ++c) {
+      auto conn = server.connect();
+      std::string frames = encode_hello();
+      for (SessionId s = 1; s <= 3; ++s) {
+        frames += encode_open(s, "accept");
+        for (std::size_t f = 1 + rng() % 12; f > 0; --f) {
+          const std::size_t n = 1 + rng() % 200;
+          frames += encode_feed_batch(s, word_of(n));
+          sent_symbols += n;
+        }
+        if (rng() % 2) frames += encode_close(s);
+      }
+      ASSERT_TRUE(conn->on_bytes(frames));
+      if (rng() % 2)
+        server.disconnect(conn);
+      else
+        conn->finish_input();
+      gone.push_back(conn);
+    }
+    {
+      std::lock_guard lock(gate->mutex);
+      gate->open = true;
+    }
+    gate->cv.notify_all();
+    manager.close(gated);
+    manager.drain();
+  }
+  for (const auto& conn : gone) EXPECT_TRUE(conn.expired());
+  const auto stats = manager.stats();
+  EXPECT_EQ(stats.active, 0u);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.ingested, sent_symbols + 20);  // + each round's gate feed
 }
 
 // The slow-reader test can race a close into a write: never die on
