@@ -16,7 +16,12 @@
 //     waited in the ring -- with the sample count (`feed_samples`) emitted
 //     so a reader can judge how much the percentiles are worth,
 //   * lane-kernel effectiveness: symbols stepped by the SIMD batch kernel
-//     and the wave count.
+//     and the wave count,
+//   * the two stages' CPU prices: the producer's thread CPU per run it
+//     offered (`producer_ns_per_run`: buffering, admission, the pooled
+//     copy) and the shard workers' per ring command they drained
+//     (`shard_ns_per_command`: process CPU minus the producer's; drain()
+//     blocks, so nothing else burns CPU).
 //
 // The first `--warmup` fraction of each session's stream is fed, drained
 // and *excluded*: stats are deltaed and latency samples discarded, so the
@@ -160,7 +165,16 @@ struct Cell {
   double shed_rate = 0;
   Percentiles admit_ns;   ///< producer-side cost of one admission call
   Percentiles feed_ns;    ///< enqueue -> worker-process ring wait
+  double producer_ns_per_run = 0;   ///< producer thread CPU per offered run
+  double shard_ns_per_command = 0;  ///< shard CPU per drained ring command
 };
+
+/// CPU time of `clock` (a thread or the process) in ns.
+double cpu_ns(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
+}
 
 /// One deadline session's acceptor.  Completion is pushed past the horizon
 /// so the session stays in the compressed Working phase for the whole
@@ -274,11 +288,16 @@ Cell run_cell(const CellConfig& cc) {
   admit_samples.clear();
   cell.offered = 0;
 
+  const std::uint64_t warm_flushes = flushes;
   const auto start = clock::now();
+  const double process0 = cpu_ns(CLOCK_PROCESS_CPUTIME_ID);
+  const double producer0 = cpu_ns(CLOCK_THREAD_CPUTIME_ID);
   for (; t < first + cc.symbols_per_session; ++t) feed_tick(t);
   for (unsigned s = 0; s < cc.sessions; ++s) flush(s);
   for (const auto id : ids) manager.close(id, StreamEnd::Truncated);
   manager.drain();
+  const double producer = cpu_ns(CLOCK_THREAD_CPUTIME_ID) - producer0;
+  const double process = cpu_ns(CLOCK_PROCESS_CPUTIME_ID) - process0;
   const auto stop = clock::now();
 
   const auto stats = manager.stats();
@@ -303,17 +322,16 @@ Cell run_cell(const CellConfig& cc) {
                        : 0;
   cell.admit_ns = percentiles(std::move(admit_samples));
   cell.feed_ns = percentiles(manager.take_feed_latency_samples());
+  const std::uint64_t runs = flushes - warm_flushes;
+  const std::uint64_t commands = stats.batches - warm.batches;
+  cell.producer_ns_per_run =
+      runs ? producer / static_cast<double>(runs) : 0;
+  cell.shard_ns_per_command =
+      commands ? (process - producer) / static_cast<double>(commands) : 0;
   // Sanity: every opened session must come back exactly once.
   if (manager.collect().size() != cc.sessions)
     std::cerr << "WARNING: report count != sessions\n";
   return cell;
-}
-
-/// CPU time of `clock` (a thread or the process) in ns.
-double cpu_ns(clockid_t clock) {
-  timespec ts{};
-  clock_gettime(clock, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
 }
 
 struct WireCell {
@@ -550,9 +568,9 @@ int main(int argc, char** argv) {
             << "\n";
   std::cout << "==========================================================\n\n";
   std::cout << " sessions  shards    Msym/s   shed%  admit p50/p99(ns)"
-               "  feed p50/p99(us)  lane%\n";
+               "  feed p50/p99(us)  lane%  ns/run  ns/cmd\n";
   std::cout << " ---------------------------------------------------------"
-               "----------------\n";
+               "--------------------------------\n";
 
   std::vector<std::string> json;
   for (const auto sessions : session_counts) {
@@ -565,13 +583,15 @@ int main(int argc, char** argv) {
                              static_cast<double>(cell.symbols)
                        : 0.0;
       std::printf(
-          " %8u  %6u  %8.3f  %6.2f  %8llu /%8llu  %8.1f /%8.1f  %5.1f\n",
+          " %8u  %6u  %8.3f  %6.2f  %8llu /%8llu  %8.1f /%8.1f  %5.1f"
+          "  %6.0f  %6.0f\n",
           sessions, shards, cell.symbols_per_sec / 1e6,
           100.0 * cell.shed_rate,
           static_cast<unsigned long long>(cell.admit_ns.p50),
           static_cast<unsigned long long>(cell.admit_ns.p99),
           static_cast<double>(cell.feed_ns.p50) / 1e3,
-          static_cast<double>(cell.feed_ns.p99) / 1e3, lane_frac);
+          static_cast<double>(cell.feed_ns.p99) / 1e3, lane_frac,
+          cell.producer_ns_per_run, cell.shard_ns_per_command);
       json.push_back(rtw::sim::bench_record("svc")
                          .field("workload", workload)
                          .field("acceptor", acceptor)
@@ -602,6 +622,10 @@ int main(int argc, char** argv) {
                          .field("feed_samples", cell.feed_ns.samples)
                          .field("p50_feed_ns", cell.feed_ns.p50)
                          .field("p99_feed_ns", cell.feed_ns.p99)
+                         .field("producer_ns_per_run",
+                                cell.producer_ns_per_run)
+                         .field("shard_ns_per_command",
+                                cell.shard_ns_per_command)
                          .str());
     }
     std::cout << "\n";

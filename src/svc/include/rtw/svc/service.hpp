@@ -10,9 +10,9 @@
 ///                      v   at-most-one worker per shard (atomic handoff)
 ///                 shard worker on the sim::ThreadPool
 ///                      |   drains up to 256 ring slots per epoch;
-///                      |   every Feed slot carries a run of symbols
-///                      |   (a single symbol is a run of one), every
-///                      v   FeedPacked slot a pooled op-12 body
+///                      |   every Feed slot carries a pooled run of
+///                      |   symbols (a single symbol is a run of one),
+///                      v   every FeedPacked slot a pooled op-12 body
 ///                 sessions (hash-sharded by id; worker-private, lock-free)
 ///
 /// A session id hashes to exactly one shard, every command for it goes
@@ -29,15 +29,18 @@
 ///
 /// Hot-path cost for a producer: one approx-occupancy read, at most one
 /// hint-table probe, one CAS ring claim, one release store, one RMW on
-/// the election flag.  No mutex, no syscall, no allocation beyond the
-/// command's own payload -- and a wire reader's payload needs none
-/// either: feed_packed() moves in an op-12 body that already sits in a
-/// buffer from its connection's BodyPool (body_pool.hpp).  The shard
-/// worker walks those bytes straight into the stale filter and the
-/// acceptor, or decodes a lane-family run into the shard's own wave
-/// storage, and dropping the command hands the buffer back to its pool
-/// with one lock-free push.  Once warm, a frame crosses from reader to
-/// shard and back with no malloc or free on either side.
+/// the election flag.  No mutex, no syscall, and once warm no malloc or
+/// free on either side of the ring: both feed kinds ride a pooled buffer
+/// (body_pool.hpp) in one 48-byte Command.  feed_packed() moves in an
+/// op-12 body that already sits in a buffer from its connection's
+/// BodyPool; feed_batch() copies the run, once admission has passed its
+/// checks, into a buffer from a pool owned by the calling thread, and the
+/// caller's own vector is freed on the caller's thread.  The shard worker
+/// reads a Feed run's TimedSymbols in place; it walks packed bytes
+/// straight into the stale filter and the acceptor, or decodes a
+/// lane-family run into the shard's own wave storage.  Dropping the
+/// command hands the buffer back to its pool with one lock-free push, so
+/// the worker never frees a block another thread allocated.
 ///
 /// Backpressure is explicit and adaptive.  The data plane is bounded by
 /// `ring_capacity` ring slots; instead of first-come-first-shed, admission
@@ -150,7 +153,9 @@ public:
   /// all-or-nothing.  Element times must be nondecreasing (they share the
   /// session's stale filter symbol by symbol).  Admission cost -- the
   /// occupancy read, table probe, ring claim and election -- is paid once
-  /// for the run instead of once per symbol.
+  /// for the run instead of once per symbol.  An admitted run is copied
+  /// into a buffer from the calling thread's pool; a refusal copies
+  /// nothing.
   AdmitResult feed_batch(SessionId id, std::vector<core::TimedSymbol> run);
 
   /// Batched admission of an op-12 body, validated by a PackedMode::Pool
@@ -209,9 +214,13 @@ public:
   /// the thread that owns the manager.
   void set_report_sink(ReportSink sink) { report_sink_ = std::move(sink); }
 
+  /// Ring-wait samples a shard keeps between takes.
+  static constexpr std::size_t kLatencySamples = 8192;
+
   /// Takes the sampled enqueue->process feed latencies (steady-clock ns)
-  /// accumulated since the last call.  Call only while drained (the
-  /// samples are worker-private between drains).
+  /// since the last call: per shard, a uniform sample of at most
+  /// kLatencySamples of them.  Call only while drained (the samples are
+  /// worker-private between drains).
   std::vector<std::uint64_t> take_feed_latency_samples();
 
   ServiceStats stats() const;
@@ -239,12 +248,13 @@ private:
     SessionId id = 0;
     std::uint64_t enqueue_ns = 0;  ///< steady-clock stamp; 0 = unstamped
     SessionTable::Slot* slot = nullptr;  ///< paired in-flight decrement
-    std::vector<core::TimedSymbol> run;  ///< Feed only; never empty
     std::unique_ptr<Opening> opening;    ///< Open only
-    PackedBody body;                     ///< FeedPacked only; never empty
+    /// Feed: the run's TimedSymbols; FeedPacked: an op-12 body.  Never
+    /// empty on either.
+    PackedBody body;
   };
   // Every ring slot holds one Command: keep Open's payload from growing it.
-  static_assert(sizeof(Command) == 72, "Command is one 72-byte ring slot");
+  static_assert(sizeof(Command) == 48, "Command is one 48-byte ring slot");
 
   struct Entry {
     Session session;
@@ -267,7 +277,10 @@ private:
     alignas(kCacheLine) std::uint64_t epoch = 0;  ///< drained batches so far
     std::unordered_map<SessionId, Entry> sessions;
     std::vector<Command> staging;
+    /// Algorithm R reservoir of ring waits: kLatencySamples at most,
+    /// reserved on the first sample.
     std::vector<std::uint64_t> latency_samples;
+    std::uint64_t latency_seen = 0;  ///< waits offered since the last take
 
     // Lane-kernel wave, staged during one process() pass and always
     // flushed before it returns (the LaneRuns point into `staging`).
@@ -287,10 +300,14 @@ private:
   };
 
   /// Data-plane admission: watermarks, quota, ring claim, election.
-  /// `command` moves into the ring only when admitted.
-  AdmitResult admit_data(Command& command, std::size_t symbols);
-  /// feed_batch's admission; a refused run is left in `run`.
-  AdmitResult admit_run(SessionId id, std::vector<core::TimedSymbol>& run);
+  /// `command` moves into the ring only when admitted.  A non-null `run`
+  /// (a Feed's `symbols` elements) is copied into the command's body once
+  /// the checks pass, just before the ring claim.
+  AdmitResult admit_data(Command& command, std::size_t symbols,
+                         const core::TimedSymbol* run = nullptr);
+  /// feed_batch's admission of `n` symbols at `run`.
+  AdmitResult admit_run(SessionId id, const core::TimedSymbol* run,
+                        std::size_t n);
   /// Control-plane enqueue: never sheds; spins into the ring's headroom.
   void enqueue_control(Shard& shard, Command command);
   void elect(Shard& shard);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "rtw/cer/acceptor.hpp"
@@ -39,6 +40,41 @@ constexpr std::size_t kWaveSymbols = std::size_t{1} << 14;
 /// Normal sheds too (High survives until the ring is physically full).
 constexpr double kWatermarkLow = 0.5;
 constexpr double kWatermarkHigh = 0.875;
+
+/// Copies a Feed run into a buffer from the calling thread's pool.  The
+/// shard reads the elements in place (run_of), so they must survive a
+/// byte copy and sit aligned at the start of the body.
+PackedBody pooled_run(const core::TimedSymbol* run, std::size_t n) {
+  static_assert(std::is_trivially_copyable_v<core::TimedSymbol>,
+                "a run is copied into its buffer byte for byte");
+  static_assert(alignof(core::TimedSymbol) <= BodyPool::kAlign,
+                "a body's bytes start aligned for its elements");
+  thread_local BodyPool pool;
+  return pool.take({reinterpret_cast<const char*>(run),
+                    n * sizeof(core::TimedSymbol)},
+                   n);
+}
+
+/// Offers one ring wait to a shard's reservoir (Algorithm R): the first
+/// `cap` waits fill it, and the k-th after them replaces a uniform slot
+/// with probability cap / k, so the samples' memory stays flat however
+/// long nobody takes them.
+void sample_latency(std::vector<std::uint64_t>& samples, std::uint64_t& seen,
+                    std::size_t cap, std::uint64_t waited) {
+  const std::uint64_t k = seen++;
+  if (k < cap) {
+    if (samples.capacity() < cap) samples.reserve(cap);
+    samples.push_back(waited);
+    return;
+  }
+  const std::uint64_t pick = mix(k) % (k + 1);
+  if (pick < cap) samples[pick] = waited;
+}
+
+/// The elements pooled_run copied into `body`.
+const core::TimedSymbol* run_of(const PackedBody& body) noexcept {
+  return reinterpret_cast<const core::TimedSymbol*>(body.bytes().data());
+}
 
 }  // namespace
 
@@ -133,7 +169,8 @@ void SessionManager::count_shed(ShedReason reason, std::size_t symbols) {
   }
 }
 
-AdmitResult SessionManager::admit_data(Command& command, std::size_t symbols) {
+AdmitResult SessionManager::admit_data(Command& command, std::size_t symbols,
+                                       const core::TimedSymbol* run) {
   Shard& shard = *shards_[shard_of(command.id)];
   const std::size_t depth = shard.ring.approx_size();
   const auto refuse = [this](ShedReason reason,
@@ -184,8 +221,11 @@ AdmitResult SessionManager::admit_data(Command& command, std::size_t symbols) {
     command.enqueue_ns = obs::now_ns();
   }
 
-  // 4. Claim a ring slot.  The occupancy check above is approximate under
-  //    concurrency, so the push itself can still find the ring full.
+  // 4. Copy the run now that it is past every check, so a refusal costs
+  //    no copy.  Then claim a ring slot.  The occupancy check above is
+  //    approximate under concurrency, so the push itself can still find
+  //    the ring full; the copy then goes back to its pool.
+  if (run) command.body = pooled_run(run, symbols);
   if (slot) {
     command.slot = slot;
     slot->inflight.fetch_add(static_cast<std::uint32_t>(symbols),
@@ -237,20 +277,17 @@ void SessionManager::open(SessionId id,
 
 AdmitResult SessionManager::feed_batch(SessionId id,
                                        std::vector<core::TimedSymbol> run) {
-  return admit_run(id, run);
+  return admit_run(id, run.data(), run.size());
 }
 
 AdmitResult SessionManager::admit_run(SessionId id,
-                                      std::vector<core::TimedSymbol>& run) {
-  if (run.empty()) return AdmitResult{};
+                                      const core::TimedSymbol* run,
+                                      std::size_t n) {
+  if (n == 0) return AdmitResult{};
   Command c;
   c.kind = Command::Kind::Feed;
   c.id = id;
-  const std::size_t symbols = run.size();
-  c.run = std::move(run);
-  const AdmitResult admitted = admit_data(c, symbols);
-  if (admitted != Admit::Accepted) run = std::move(c.run);
-  return admitted;
+  return admit_data(c, n, run);
 }
 
 AdmitResult SessionManager::feed_packed(SessionId id, PackedBody& body) {
@@ -318,15 +355,13 @@ AdmitResult SessionManager::apply(const WireEvent& event,
     case WireEvent::Kind::Symbols: {
       // One decoded event = one batched ring slot, all-or-nothing.  The
       // wire reader is the backpressure point: wait out Blocked instead
-      // of tearing the run in half.  The run is copied once: a refused
-      // admission leaves it intact for the retry.
-      std::vector<core::TimedSymbol> run;
-      if (event.packed)
-        decode_packed(event.packed.bytes(), run);
-      else
-        run = event.symbols;
+      // of tearing the run in half.  Only an admitted run is copied, so
+      // the retry reads the event's symbols as they are.
+      std::vector<core::TimedSymbol> decoded;
+      if (event.packed) decode_packed(event.packed.bytes(), decoded);
+      const auto& run = event.packed ? decoded : event.symbols;
       for (;;) {
-        const AdmitResult a = admit_run(event.session, run);
+        const AdmitResult a = admit_run(event.session, run.data(), run.size());
         if (a != Admit::Blocked) return a;
         std::this_thread::yield();
       }
@@ -392,7 +427,8 @@ SessionManager::take_data(Shard& shard, const Command& command, std::size_t n,
   if (command.enqueue_ns && now_ns > command.enqueue_ns) {
     const std::uint64_t waited = now_ns - command.enqueue_ns;
     if (ingress_cfg_.latency_sample_every > 0)
-      shard.latency_samples.push_back(waited);
+      sample_latency(shard.latency_samples, shard.latency_seen,
+                     kLatencySamples, waited);
     // Age watermark: stale-in-the-ring data is shed, not fed -- unless
     // the session is High priority, which always lands.  The session's
     // own priority is authoritative here (the command may have been
@@ -462,7 +498,7 @@ void SessionManager::process(Shard& shard, std::uint64_t epoch) {
         break;
       }
       case Command::Kind::Feed: {
-        const std::size_t n = command.run.size();
+        const std::size_t n = command.body.symbols();
         Entry* entry =
             take_data(shard, command, n, now_ns, epoch, unknown, aged);
         if (!entry) break;
@@ -471,15 +507,16 @@ void SessionManager::process(Shard& shard, std::uint64_t epoch) {
         // Runs of lane-family sessions stage into the wave and are stepped
         // many-at-a-time by the SIMD kernel; everything else (cold
         // acceptors, foreign families) takes feed_run.  The LaneRun aliases
-        // the command's run, which outlives the wave: the staging vector is
-        // stable until the next drain and every wave is flushed before
+        // the command's buffer, which outlives the wave: the staging vector
+        // is stable until the next drain and every wave is flushed before
         // process() returns.
+        const core::TimedSymbol* run = run_of(command.body);
         if (void* lane = lane_of(shard, session)) {
-          stage_lane_run(shard, session, lane, command.run.data(), n);
+          stage_lane_run(shard, session, lane, run, n);
           break;
         }
         const std::uint64_t stale_before = session.stale_dropped();
-        session.feed_run(command.run.data(), n);
+        session.feed_run(run, n);
         const std::uint64_t stale_delta =
             session.stale_dropped() - stale_before;
         if (stale_delta)
@@ -656,6 +693,7 @@ std::vector<std::uint64_t> SessionManager::take_feed_latency_samples() {
     out.insert(out.end(), shard->latency_samples.begin(),
                shard->latency_samples.end());
     shard->latency_samples.clear();
+    shard->latency_seen = 0;
   }
   return out;
 }

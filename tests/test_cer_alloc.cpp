@@ -3,10 +3,11 @@
 /// on a stream, feeding it allocates nothing, through transition-cache
 /// flushes and thrash-guard trips too; and the cache's tables are
 /// allocated on the first feed, within kMaxCacheBytes.  Also pins the
-/// wire decoder's bound on what a packed FeedBatch count may reserve, and
-/// that op-12 frames served through a Server allocate nothing once warm.
-/// Global operator new is replaced by a counting version, so this lives
-/// in its own binary.
+/// wire decoder's bound on what a packed FeedBatch count may reserve,
+/// that op-12 frames served through a Server allocate nothing once warm,
+/// and that feed_batch runs reach warm shard workers with no heap call.
+/// Global operator new and delete are replaced by counting versions, so
+/// this lives in its own binary.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,8 @@
 
 #include "rtw/cer/acceptor.hpp"
 #include "rtw/cer/parser.hpp"
+#include "rtw/deadline/lane.hpp"
+#include "rtw/deadline/problem.hpp"
 #include "rtw/sim/rng.hpp"
 #include "rtw/svc/profiles.hpp"
 #include "rtw/svc/server.hpp"
@@ -27,9 +30,13 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 std::atomic<std::uint64_t> g_bytes{0};  ///< bytes requested
 std::atomic<std::size_t> g_largest{0};  ///< largest single request
+std::atomic<std::uint64_t> g_heap_calls{0};  ///< news and deletes, all threads
+thread_local std::uint64_t t_heap_calls = 0;  ///< ... on this thread
 
 void* counted_malloc(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_heap_calls.fetch_add(1, std::memory_order_relaxed);
+  ++t_heap_calls;
   g_bytes.fetch_add(size, std::memory_order_relaxed);
   std::size_t largest = g_largest.load(std::memory_order_relaxed);
   while (size > largest &&
@@ -41,7 +48,13 @@ void* counted_malloc(std::size_t size) noexcept {
 
 // Out of line, so the compiler does not pair an inlined free() with the
 // new-expressions it sees and warn about a mismatch.
-[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void release(void* p) noexcept {
+  if (p) {
+    g_heap_calls.fetch_add(1, std::memory_order_relaxed);
+    ++t_heap_calls;
+  }
+  std::free(p);
+}
 }  // namespace
 
 // Every unaligned form is replaced, so no block crosses between this
@@ -304,8 +317,8 @@ TEST(WireAlloc, PackedFramesThroughAServerAllocateNothingAfterWarmup) {
     server.manager().drain();
   };
   feed(0, kWarmRounds);
-  // The latency sample buffers keep their capacity across a take; the
-  // warm-up filled them past what the measured rounds add.
+  // The ring-wait reservoirs were reserved by their first sample; a take
+  // keeps their capacity.
   (void)server.manager().take_feed_latency_samples();
   const auto warm = server.manager().stats();
 
@@ -318,4 +331,71 @@ TEST(WireAlloc, PackedFramesThroughAServerAllocateNothingAfterWarmup) {
   EXPECT_EQ(stats.active, kSessions);
   EXPECT_EQ(conn->stats().sheds, 0u);
   EXPECT_EQ(allocations, 0u);
+}
+
+TEST(SvcAlloc, FeedBatchRunsReachWarmShardsWithNoHeapCall) {
+  // Two shards, lane-kernel deadline sessions and query sessions (which
+  // take feed_run), fed rounds of one 256-symbol feed_batch run each.
+  // The caller's vectors are built and freed on this thread; once warm,
+  // the shard workers make no operator new or delete call at all: they
+  // read each run from a buffer of this thread's pool and hand it back.
+  // Heap calls off this thread are the workers': nothing else runs.
+  constexpr std::size_t kRun = 256;
+  constexpr int kWarmRounds = 64, kRounds = 32;
+  constexpr rtw::svc::SessionId kSessions = 8;
+  rtw::svc::ShardConfig shard;
+  shard.count = 2;
+  rtw::svc::SessionManager manager(shard, rtw::svc::IngressConfig{});
+
+  rtw::core::RunOptions options;
+  options.horizon = (kWarmRounds + kRounds + 1) * kRun;
+  // Completion past the horizon: the deadline sessions never lock.
+  const auto problem = std::make_shared<rtw::deadline::FixedCostProblem>(
+      options.horizon + 64);
+  const std::vector<TimedSymbol> header = {{Symbol::nat(1), 0},
+                                           {rtw::core::marks::dollar(), 0},
+                                           {Symbol::nat(1), 0},
+                                           {rtw::core::marks::dollar(), 0}};
+  for (rtw::svc::SessionId s = 1; s <= kSessions; ++s) {
+    if (s % 2) {
+      manager.open(s, rtw::deadline::make_lane_acceptor(problem, options));
+      ASSERT_EQ(manager.feed_batch(s, header), rtw::svc::Admit::Accepted);
+    } else {
+      manager.open(s, rtw::cer::make_online_acceptor(
+                          *rtw::cer::parse("(a | b | c | d)+").query));
+    }
+  }
+
+  std::vector<std::vector<TimedSymbol>> rounds;
+  for (int r = 0; r < kWarmRounds + kRounds; ++r) {
+    std::vector<TimedSymbol> run;
+    for (std::size_t i = 0; i < kRun; ++i) {
+      const Tick t = 1 + static_cast<Tick>(r) * kRun + i;
+      run.push_back({Symbol::chr(static_cast<char>('a' + i % 4)), t});
+    }
+    rounds.push_back(std::move(run));
+  }
+  const auto feed = [&](int first, int last) {
+    for (int r = first; r < last; ++r)
+      for (rtw::svc::SessionId s = 1; s <= kSessions; ++s)
+        ASSERT_EQ(manager.feed_batch(s, rounds[r]), rtw::svc::Admit::Accepted);
+    manager.drain();
+  };
+  feed(0, kWarmRounds);
+  const auto warm = manager.stats();
+
+  const std::uint64_t all_before = g_heap_calls.load();
+  const std::uint64_t mine_before = t_heap_calls;
+  feed(kWarmRounds, kWarmRounds + kRounds);
+  const std::uint64_t mine = t_heap_calls - mine_before;
+  const std::uint64_t workers = g_heap_calls.load() - all_before - mine;
+
+  const auto stats = manager.stats();
+  EXPECT_EQ(stats.ingested - warm.ingested, kRounds * kSessions * kRun);
+  EXPECT_EQ(stats.lane_symbols - warm.lane_symbols,
+            kRounds * kSessions / 2 * kRun);
+  EXPECT_EQ(stats.active, kSessions);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_GT(mine, 0u);  // the copies into feed_batch's parameter
+  EXPECT_EQ(workers, 0u);
 }

@@ -2236,6 +2236,113 @@ TEST(SessionManager, ObservationNeverPerturbsTheServingLayer) {
   EXPECT_EQ(compile_spans, 3u);  // one per SubmitQuery, the refused one too
 }
 
+/// Producers on short-lived threads feed_batch their sessions' words and
+/// exit while every run is still queued behind a pinned worker, so each
+/// run's buffer goes back to a pool whose owner is gone.  Every report
+/// must equal the one a direct feed of the same word produces: lane
+/// sessions read their runs in the kernel's wave, engine sessions in
+/// feed_run.
+TEST(SessionManager, RunsOutliveTheThreadsThatFedThem) {
+  constexpr unsigned kThreads = 8;
+  ShardConfig shard;
+  shard.count = 1;  // one worker, so the gate holds every run in the ring
+  IngressConfig ingress;
+  ingress.ring_capacity = 4096;  // room for every run while the gate holds
+  ingress.shed_on_full = false;
+  SessionManager manager(shard, ingress);
+
+  const SessionId pinned = 1;
+  auto gate = std::make_shared<GateAcceptor::Gate>();
+  manager.open(pinned, std::make_unique<GateAcceptor>(gate));
+  ASSERT_EQ(manager.feed(pinned, Symbol::chr('a'), 0), Admit::Accepted);
+  gate->await_entry();
+
+  RunOptions options;
+  options.horizon = 160;
+  const auto problem = std::make_shared<rtw::deadline::SortProblem>();
+  const auto make_acceptor = [&](SessionId id) {
+    return id % 2 ? rtw::deadline::make_lane_acceptor(problem, options)
+                  : rtw::deadline::make_online_acceptor(problem, options);
+  };
+  rtw::sim::Xoshiro256ss rng(0x11fe);
+  std::map<SessionId, StreamPrefix> words;
+  for (SessionId id = 2; id < 2 + 2 * kThreads; ++id) {
+    DeadlineInstance instance;
+    const auto len = 1 + rng.uniform(std::uint64_t{5});
+    for (std::uint64_t i = 0; i < len; ++i)
+      instance.input.push_back(Symbol::nat(rng.uniform(std::uint64_t{9})));
+    instance.proposed_output = problem->solve(instance.input);
+    instance.usefulness = Usefulness::firm(20 + rng.uniform(std::uint64_t{30}), 10);
+    instance.min_acceptable = 1;
+    words[id] = stream_prefix(rtw::deadline::build_deadline_word(instance),
+                              options.horizon);
+    manager.open(id, make_acceptor(id));
+  }
+
+  // Each thread feeds two sessions in runs of 1-8 symbols, then exits.
+  std::size_t runs = 0;
+  for (unsigned p = 0; p < kThreads; ++p) {
+    const SessionId first = 2 + 2 * p;
+    std::size_t fed_runs = 0;
+    std::thread([&, first] {
+      auto local = rtw::proptest::rng_for(0x11fe, first);
+      for (SessionId id = first; id < first + 2; ++id) {
+        const auto& symbols = words[id].symbols;
+        for (std::size_t off = 0; off < symbols.size();) {
+          const std::size_t n = std::min<std::size_t>(
+              1 + local() % 8, symbols.size() - off);
+          const auto begin = symbols.begin() + static_cast<long>(off);
+          ASSERT_EQ(manager.feed_batch(id, {begin, begin + static_cast<long>(n)}),
+                    Admit::Accepted);
+          off += n;
+          ++fed_runs;
+        }
+      }
+    }).join();
+    runs += fed_runs;
+  }
+  EXPECT_GE(manager.ring_depth(0), runs);  // nothing has been processed yet
+
+  gate->release();
+  for (const auto& [id, word] : words) manager.close(id, word.end);
+  manager.close(pinned, StreamEnd::Truncated);
+  manager.drain();
+  std::map<SessionId, std::string> got;
+  for (const auto& report : manager.collect()) got[report.id] = fingerprint(report);
+  ASSERT_EQ(got.size(), words.size() + 1);
+
+  for (const auto& [id, word] : words) {
+    rtw::svc::Session direct(id, make_acceptor(id));
+    direct.feed_run(word.symbols.data(), word.symbols.size());
+    direct.finish(word.end);
+    EXPECT_EQ(got[id], fingerprint(direct.report(false))) << "session " << id;
+  }
+  EXPECT_GT(manager.stats().lane_symbols, 0u);
+}
+
+/// The ring-wait samples are a bounded reservoir: a daemon that never
+/// takes them holds at most kLatencySamples per shard.
+TEST(SessionManager, FeedLatencySamplesStayWithinTheReservoir) {
+  constexpr std::uint64_t kCommands = 100000;
+  ShardConfig shard;
+  shard.count = 1;
+  IngressConfig ingress;
+  ingress.latency_sample_every = 1;  // stamp every data command
+  SessionManager manager(shard, ingress);
+  const auto id = manager.open(
+      std::make_unique<EngineOnlineAcceptor>(std::make_unique<AcceptAll>()));
+  for (Tick t = 0; t < kCommands; ++t) {
+    ASSERT_EQ(manager.feed(id, Symbol::chr('a'), t), Admit::Accepted);
+    if (t % 512 == 511) manager.drain();  // never fill the ring
+  }
+  manager.drain();
+  EXPECT_EQ(manager.stats().ingested, kCommands);
+  const auto samples = manager.take_feed_latency_samples();
+  EXPECT_LE(samples.size(), SessionManager::kLatencySamples);
+  EXPECT_GT(samples.size(), 0u);
+  EXPECT_TRUE(manager.take_feed_latency_samples().empty());
+}
+
 // ============================================= 6. fault-injected soak
 
 /// One soak round: K deadline sessions encoded as an interleaved frame
