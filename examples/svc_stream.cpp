@@ -26,7 +26,7 @@ using rtw::svc::SessionManager;
 namespace {
 
 /// Encodes one client's whole life as wire frames: open, the word's
-/// symbols in feed chunks, close.
+/// symbols in packed feed runs, close.
 std::string client_stream(rtw::svc::SessionId id, bool correct_output) {
   rtw::deadline::DeadlineInstance instance;
   instance.input = {Symbol::nat(4), Symbol::nat(1), Symbol::nat(3)};
@@ -49,9 +49,9 @@ std::string client_stream(rtw::svc::SessionId id, bool correct_output) {
   }
 
   std::string stream = rtw::svc::encode_open(id, "sort");
-  constexpr std::size_t chunk = 8;  // a few symbols per Feed frame
+  constexpr std::size_t chunk = 8;  // a few symbols per feed run
   for (std::size_t off = 0; off < symbols.size(); off += chunk)
-    stream += rtw::svc::encode_feed(
+    stream += rtw::svc::encode_feed_batch(
         id, {symbols.begin() + off,
              symbols.begin() + std::min(symbols.size(), off + chunk)});
   stream += rtw::svc::encode_close(id, StreamEnd::Truncated);

@@ -8,21 +8,14 @@
 ///
 /// Symbols render as: a bare character (`a`), a number (`7`), or an angle-
 /// bracketed marker (`<w>`).  Characters that are digits or `<` are
-/// escaped as `'c'`.  Generator words have no finite description and are
-/// rejected by serialize(); snapshot them with take_until first.
+/// escaped as `'c'`.  Times, numbers and the lasso period are decimal and
+/// must fit in 64 bits.  Generator words have no finite description and
+/// are rejected by serialize(); snapshot them with take_until first.
 ///
-/// Two element-level entry points serve streaming consumers (the
-/// rtw::svc::wire frame codec): serialize_elements() renders a bare
-/// element list with no kind header, and parse_prefix() scans a *bounded*
-/// number of elements from a possibly partial buffer, reporting bytes
-/// consumed instead of throwing -- so a frame split across network reads
-/// resumes where the previous scan stopped rather than re-parsing from
-/// scratch.
+/// The format is for people and fixtures: the serving layer's wire carries
+/// timed words in its own packed body.
 
-#include <cstddef>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "rtw/core/timed_word.hpp"
 
@@ -33,33 +26,9 @@ namespace rtw::core {
 std::string serialize(const TimedWord& word);
 
 /// Parses the serialize() format back; throws ModelError on malformed
-/// input.  Round-trip: parse_word(serialize(w)) equals w element-wise
-/// (and structurally for lassos).
+/// input, a number that does not fit in 64 bits included.  Round-trip:
+/// parse_word(serialize(w)) equals w element-wise (and structurally for
+/// lassos).
 TimedWord parse_word(const std::string& text);
-
-/// Renders a bare `sym@time sym@time ...` element list (the body format of
-/// serialize(), without the `finite:`/`lasso(...)` header).  Inverse of
-/// parse_prefix on complete input.
-std::string serialize_elements(const std::vector<TimedSymbol>& elements);
-
-/// Result of a bounded, non-throwing element scan.
-struct ParsedPrefix {
-  std::vector<TimedSymbol> symbols;  ///< complete elements, in order
-  std::size_t consumed = 0;          ///< bytes consumed (resume point)
-};
-
-/// Scans up to `max_symbols` leading `sym@time` elements of `text`.
-///
-/// Never throws: the scan stops at the first incomplete or malformed
-/// element and `consumed` reports how many bytes were used by the complete
-/// elements before it (separator spaces included), so a caller holding a
-/// growing buffer re-parses only the unconsumed tail.
-///
-/// `final_chunk` resolves end-of-buffer ambiguity: `a@3` at the end of a
-/// chunk may continue as `a@35` in the next read, so with final_chunk =
-/// false an element touching the end of the buffer is held back; with
-/// final_chunk = true (no more bytes will ever come) it is consumed.
-ParsedPrefix parse_prefix(std::string_view text, std::size_t max_symbols,
-                          bool final_chunk = true);
 
 }  // namespace rtw::core

@@ -1,6 +1,7 @@
 #include "rtw/core/serialize.hpp"
 
 #include <cctype>
+#include <limits>
 #include <sstream>
 
 #include "rtw/core/error.hpp"
@@ -36,6 +37,14 @@ void emit_elements(std::ostringstream& out,
     emit_symbol(out, elements[i].sym);
     out << '@' << elements[i].time;
   }
+}
+
+/// value * 10 + digit; throws ModelError when that exceeds 64 bits.
+Tick append_digit(Tick value, char digit) {
+  const auto d = static_cast<Tick>(digit - '0');
+  if (value > (std::numeric_limits<Tick>::max() - d) / 10)
+    throw ModelError("parse_word: number does not fit in 64 bits");
+  return value * 10 + d;
 }
 
 /// Token scanner over the serialized element list.
@@ -93,7 +102,7 @@ private:
     Tick value = 0;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      value = value * 10 + static_cast<Tick>(text_[pos_++] - '0');
+      value = append_digit(value, text_[pos_++]);
     return value;
   }
 
@@ -109,72 +118,6 @@ std::vector<TimedSymbol> parse_elements(std::string_view text) {
 }
 
 }  // namespace
-
-std::string serialize_elements(const std::vector<TimedSymbol>& elements) {
-  std::ostringstream out;
-  emit_elements(out, elements);
-  return out.str();
-}
-
-ParsedPrefix parse_prefix(std::string_view text, std::size_t max_symbols,
-                          bool final_chunk) {
-  ParsedPrefix out;
-  std::size_t pos = 0;
-  while (out.symbols.size() < max_symbols) {
-    // Separator spaces are unambiguous: consume them eagerly so the resume
-    // point always sits on the start of an element.
-    while (pos < text.size() && text[pos] == ' ') ++pos;
-    out.consumed = pos;
-    if (pos >= text.size()) break;
-
-    // --- symbol ---------------------------------------------------------
-    std::size_t p = pos;
-    Symbol sym = Symbol::chr('?');
-    const char c = text[p];
-    if (c == '\'') {
-      if (p + 2 >= text.size()) {
-        if (!final_chunk) break;  // quote may complete in the next chunk
-        break;                    // final: malformed tail, stop unconsumed
-      }
-      if (text[p + 2] != '\'') break;  // malformed in any mode
-      sym = Symbol::chr(text[p + 1]);
-      p += 3;
-    } else if (c == '<') {
-      const auto close = text.find('>', p);
-      if (close == std::string_view::npos) break;  // partial or malformed
-      sym = Symbol::marker(std::string(text.substr(p + 1, close - p - 1)));
-      p = close + 1;
-    } else if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::uint64_t value = 0;
-      while (p < text.size() &&
-             std::isdigit(static_cast<unsigned char>(text[p])))
-        value = value * 10 + static_cast<std::uint64_t>(text[p++] - '0');
-      if (p >= text.size()) break;  // `7` needs its `@` (or more digits)
-      sym = Symbol::nat(value);
-    } else {
-      sym = Symbol::chr(c);
-      ++p;
-    }
-
-    // --- @time ----------------------------------------------------------
-    if (p >= text.size()) break;        // `a` with no `@` yet
-    if (text[p] != '@') break;          // malformed in any mode
-    ++p;
-    if (p >= text.size() ||
-        !std::isdigit(static_cast<unsigned char>(text[p])))
-      break;  // `a@` or `a@x`: partial or malformed
-    Tick time = 0;
-    while (p < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[p])))
-      time = time * 10 + static_cast<Tick>(text[p++] - '0');
-    if (p >= text.size() && !final_chunk) break;  // `a@3`: 3 may grow to 35
-
-    out.symbols.push_back({sym, time});
-    pos = p;
-    out.consumed = pos;
-  }
-  return out;
-}
 
 std::string serialize(const TimedWord& word) {
   std::ostringstream out;
@@ -210,7 +153,7 @@ TimedWord parse_word(const std::string& text) {
     for (std::size_t i = lasso_prefix.size(); i < close; ++i) {
       if (!std::isdigit(static_cast<unsigned char>(text[i])))
         throw ModelError("parse_word: bad period");
-      period = period * 10 + static_cast<Tick>(text[i] - '0');
+      period = append_digit(period, text[i]);
     }
     const auto bar = text.find(" | ", close);
     if (bar == std::string::npos)

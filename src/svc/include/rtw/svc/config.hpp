@@ -59,7 +59,7 @@ struct IngressConfig {
 };
 
 /// Transport behavior for the network front-end.  `SessionManager`
-/// ignores this block; `net::TcpServer` uses it.  (v1 peers always get
+/// ignores this block; `net::TcpServer` uses it.  (Every connection gets
 /// ShedNotice and Verdict frames; that is protocol, not configuration.)
 struct NetConfig {
   std::string bind_address = "127.0.0.1";

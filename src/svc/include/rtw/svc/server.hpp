@@ -23,8 +23,9 @@
 ///                            body rides in its pooled
 ///                            buffer                   --> feed_packed()
 ///                      Close: id remapped             --> close()
-///                      Hello: version negotiated,
-///                             HelloAck queued on the output buffer
+///                      Hello: a range holding v3 is
+///                             answered with HelloAck, any other
+///                             range kills the stream
 ///   writable      <--  take_output(): HelloAck / Verdict / ShedNotice
 ///                      frames, byte-exact wire format
 ///                                                     <-- session route:
@@ -134,10 +135,6 @@ public:
 
   /// Unique per Server; never 0.
   std::uint64_t id() const noexcept { return id_; }
-  /// Negotiated protocol version (0 until a Hello arrives).
-  std::uint8_t version() const noexcept {
-    return version_.load(std::memory_order_acquire);
-  }
   ConnectionStats stats() const;
 
 private:
@@ -156,11 +153,11 @@ private:
   /// Drains decoder events (and the parked event first); false = died.
   bool pump();
   bool apply_event(WireEvent& event);
-  /// A Symbols event's run: a pooled op-12 body, or (legacy ops 2 and 5)
-  /// decoded symbols.
+  /// A Symbols event's run: the connection's Decoder runs in
+  /// PackedMode::Pool and op 12 is the one feed op, so every run is a
+  /// pooled op-12 body.
   struct Run {
     SessionId client = 0;
-    std::vector<core::TimedSymbol> symbols;
     PackedBody body;
   };
   /// Feeds one remapped run; parks it when admission blocks.
@@ -183,7 +180,6 @@ private:
   std::atomic<bool> paused_{false};
   std::atomic<bool> dead_{false};
   std::atomic<bool> input_finished_{false};
-  std::atomic<std::uint8_t> version_{0};
   std::string error_;  ///< written once before dead_ is published
 
   mutable std::mutex mutex_;  ///< guards everything below

@@ -1,36 +1,23 @@
 #pragma once
 /// \file wire.hpp
-/// Length-prefixed binary frame codec for the serving layer.
+/// Length-prefixed binary frame codec for the serving layer, protocol v3.
 ///
 /// A session's life on the wire is a frame sequence:
 ///
 ///       [u32le len][u64le session][u8 op][body ...]
 ///       `--------'  `--------------------------- len bytes ------'
 ///
-///   op 1  Open            body = profile string (acceptor selector,
-///                         handed to the caller's factory verbatim)
-///   op 2  Feed            body = core::serialize_elements text
-///                         ("a@3 <m>@5 7@9 ...")
 ///   op 3  Close           stream complete (StreamEnd::EndOfWord)
 ///   op 4  CloseTruncated  stream cut at the horizon (StreamEnd::Truncated)
-///   op 5  FeedBatch       body = serialize_elements text, decoded only as
-///                         a complete frame: the whole run surfaces as ONE
-///                         Symbols event, so the serving layer admits it
-///                         as one all-or-nothing batched ring slot
-///   op 6  OpenPri         body = [u8 priority][profile string]; an Open
-///                         carrying an admission priority for the
-///                         adaptive-shedding ingress
-///
-/// Protocol v1 adds a version handshake and the server->client
-/// notification plane.  Ops 1-6 are byte-identical to the v0 wiring; a
-/// client that never sends Hello speaks v0 and simply receives no
-/// notifications.
-///
+///   op 6  Open            body = [u8 priority][profile string]: the
+///                         admission priority for the adaptive-shedding
+///                         ingress, then the acceptor selector, handed to
+///                         the caller's factory verbatim
 ///   op 7  Hello           client->server, body = [u8 min][u8 max]: the
-///                         closed version range the client can speak
-///   op 8  HelloAck        server->client, body = [u8 version]: the
-///                         version the server selected (the highest both
-///                         sides speak)
+///                         closed version range the client can speak.  A
+///                         range without version 3 is refused; a client
+///                         may also skip the handshake altogether
+///   op 8  HelloAck        server->client, body = [u8 version]: always 3
 ///   op 9  Verdict         server->client, body = [u8 verdict][u8 exact]
 ///                         [u8 evicted][u64le fed][u64le stale]: the
 ///                         session's settled acceptance verdict
@@ -43,14 +30,10 @@
 ///                         per-session acceptor instead of a named
 ///                         profile.  The decoder parses the query during
 ///                         frame validation: a syntax error is a sticky
-///                         MalformedBody, exactly like a bad Feed body.
+///                         MalformedBody, exactly like a bad feed body.
 ///                         Structural blow-ups (CompileLimits) are not a
 ///                         framing matter and surface as a refused open
 ///                         (ShedNotice) instead.
-///
-/// Protocol v2 adds the packed FeedBatch body, which encode_feed_batch
-/// emits:
-///
 ///   op 12 FeedPacked      body = [varint n] then n elements, each
 ///                         [u8 kind][payload][varint dt]:
 ///                           kind 0 Char    payload = 1 byte
@@ -60,9 +43,14 @@
 ///                         = 0 for the first element, so any time
 ///                         sequence round-trips (decreasing ones too).
 ///                         Varints are LEB128 of at most 10 bytes, the
-///                         10th <= 1.  Same serving semantics as op 5: one
-///                         complete frame, one Symbols event, one ring
-///                         slot.  A served element costs 3 bytes.
+///                         10th <= 1.  One complete frame is one Symbols
+///                         event and one ring slot.  A served element
+///                         costs 3 bytes.
+///
+/// Every other op number, the retired ops 1, 2 and 5 of v0-v2 (an Open
+/// without priority and two text feed bodies) among them, is a sticky
+/// UnknownOp.  Every connection receives Verdict and ShedNotice frames,
+/// whether or not it sent Hello.
 ///
 /// Where an op-12 body is checked and where it is read.  The grammar
 /// lives in one walker, PackedReader, which every reader of a body uses.
@@ -77,23 +65,12 @@
 /// session, decodes the run into shard-owned wave storage), so markers
 /// of such a body are interned on the shard.
 ///
-/// Ops 2 and 5 are decode-only legacy: the Decoder still accepts them from
-/// v0/v1 peers (and from replay files), but the library emits one encoding
-/// per op.  The decoder is stateless about the version: op 12 decodes
-/// whether or not Hello was sent.  Text survives where it is read by
-/// people: the core::serialize fixtures and the ops 2/5 decoders.  The
-/// length prefix keeps framing O(1) and splittable at arbitrary byte
-/// boundaries.
-///
-/// Decoder is fully incremental: push() accepts any byte-chunking
-/// (including mid-header and mid-element splits) and next() surfaces
-/// events as soon as they are decodable.  Complete frames decode in place
-/// from the pushed bytes; only an incomplete tail is copied and kept.  A
-/// Feed frame does not need to be complete before its symbols start
-/// flowing: the decoder runs core::parse_prefix over the received part of
-/// the body (final_chunk = false) and emits partial Symbols events,
-/// holding back only the element that might still grow ("a@3" could
-/// become "a@35").
+/// Decoder is frame-atomic: push() accepts any byte-chunking (including
+/// mid-header splits) and a frame yields its event only once its last
+/// byte has arrived.  Complete frames decode in place from the pushed
+/// bytes; only an incomplete tail is copied and kept, so each byte is
+/// copied at most once whatever the chunking.  The length prefix keeps
+/// framing O(1) and splittable at arbitrary byte boundaries.
 ///
 /// apply_faults() subjects an encoded frame sequence to a
 /// sim::FaultPlan at *frame* granularity (drop / duplicate / delay as
@@ -107,7 +84,6 @@
 #include <vector>
 
 #include "rtw/core/online.hpp"
-#include "rtw/core/serialize.hpp"
 #include "rtw/core/timed_word.hpp"
 #include "rtw/sim/fault.hpp"
 #include "rtw/svc/admit.hpp"
@@ -120,12 +96,9 @@ using SessionId = std::uint64_t;
 
 /// Frame opcodes (the u8 after the session id).
 enum class Op : std::uint8_t {
-  Open = 1,
-  Feed = 2,
   Close = 3,
   CloseTruncated = 4,
-  FeedBatch = 5,
-  OpenPri = 6,
+  Open = 6,
   Hello = 7,
   HelloAck = 8,
   Verdict = 9,
@@ -136,10 +109,8 @@ enum class Op : std::uint8_t {
 
 std::string to_string(Op op);
 
-/// The protocol version this build speaks.  Version 0 is the pre-Hello
-/// frame set (ops 1-6); version 1 adds the handshake and notifications;
-/// version 2 adds the packed FeedBatch body (op 12).
-inline constexpr std::uint8_t kWireVersion = 2;
+/// The protocol version this build speaks, and the only one it accepts.
+inline constexpr std::uint8_t kWireVersion = 3;
 
 /// Frame size cap the Decoder enforces by default (a corrupt length
 /// prefix must not look like a 4 GiB allocation request).
@@ -147,12 +118,9 @@ inline constexpr std::size_t kDefaultMaxFrameBytes = 1u << 20;
 
 // ------------------------------------------------------------ encoding
 
-/// Emits op 1 for Priority::Normal, op 6 otherwise (so streams that never
-/// touch priorities stay byte-identical to the PR-5 format).
+/// Op 6: open a session on a named profile.
 std::string encode_open(SessionId session, std::string_view profile = {},
                         Priority priority = Priority::Normal);
-std::string encode_feed(SessionId session,
-                        const std::vector<core::TimedSymbol>& symbols);
 /// Op 12 (packed FeedBatch): the run decodes as one event and admits as
 /// one ring slot.
 std::string encode_feed_batch(SessionId session,
@@ -289,12 +257,9 @@ bool decode_packed(std::string_view body, std::vector<core::TimedSymbol>& out);
 
 // ------------------------------------------------------------ decoding
 
-/// One decoded unit of the stream.  A single Feed frame may surface as
-/// several Symbols events (partial-body decoding); their concatenation is
-/// exactly the frame's element list.  A FeedBatch frame (op 5 or 12)
-/// always surfaces as exactly one Symbols event.  In PackedMode::Pool an
-/// op-12 run arrives as `packed` (validated, not decoded) and `symbols`
-/// stays empty.
+/// One decoded unit of the stream: one event per frame.  An op-12 run
+/// arrives as `symbols`, or in PackedMode::Pool as `packed` (validated,
+/// not decoded) with `symbols` left empty.
 struct WireEvent {
   enum class Kind : std::uint8_t {
     Open,
@@ -315,7 +280,7 @@ struct WireEvent {
   std::vector<core::TimedSymbol> symbols;            ///< Symbols only
   PackedBody packed;  ///< Symbols only, PackedMode::Pool: the op-12 body
 
-  // Protocol-plane payloads (v1).
+  // Protocol-plane payloads.
   std::uint8_t version_min = 0;  ///< Hello
   std::uint8_t version_max = 0;  ///< Hello
   std::uint8_t version = 0;      ///< HelloAck
@@ -345,8 +310,8 @@ enum class PackedMode : std::uint8_t {
   Pool,    ///< the validated bytes in a recycled buffer, WireEvent::packed
 };
 
-/// Incremental frame decoder.  Not thread-safe (one per byte stream).
-/// Errors (bad opcode, oversized or undersized length, malformed feed
+/// Incremental, frame-atomic decoder.  Not thread-safe (one per byte
+/// stream).  Errors (bad opcode, oversized or undersized length, malformed
 /// body) are sticky: the decoder refuses further input, because a framing
 /// error means byte alignment is lost for good.  In PackedMode::Pool the
 /// decoder owns its stream's BodyPool; the bodies it hands out may
@@ -369,7 +334,7 @@ public:
   const std::string& error() const noexcept { return error_; }
   /// The typed form of error(); DecodeError::None while ok().
   DecodeError error_code() const noexcept { return error_code_; }
-  /// Complete frames decoded so far (a multi-event Feed counts once).
+  /// Complete frames decoded so far.
   std::uint64_t frames() const noexcept { return frames_; }
 
 private:
@@ -405,10 +370,9 @@ private:
 
   /// Decodes from `in` until it needs more bytes; returns bytes consumed.
   std::size_t decode(std::string_view in);
-  /// Decodes one complete non-Feed frame into ready_; false on failure.
+  /// Decodes one complete frame into ready_; false on failure.
   bool decode_frame(SessionId session, Op op, std::string_view body);
-  /// Bytes buffer_ must hold to complete its pending frame (for a Feed
-  /// frame, the rest of its body).
+  /// Bytes buffer_ must hold to complete its pending frame.
   std::size_t pending_bytes() const;
   /// Makes the error sticky; returns false so a step can `return fail()`.
   bool fail(DecodeError code, std::string message);
@@ -416,17 +380,11 @@ private:
   std::size_t max_frame_bytes_;
   PackedMode packed_mode_;
   BodyPool pool_;       ///< PackedMode::Pool only
-  std::string buffer_;  ///< an incomplete frame, or a Feed body's tail
+  std::string buffer_;  ///< an incomplete frame
   EventQueue ready_;
   std::string error_;
   DecodeError error_code_ = DecodeError::None;
   std::uint64_t frames_ = 0;
-
-  // Streaming-body state: set while inside a Feed frame whose body has
-  // not fully arrived.
-  bool in_feed_ = false;
-  SessionId feed_session_ = 0;
-  std::size_t feed_remaining_ = 0;  ///< body bytes not yet consumed
 };
 
 /// Runs an encoded frame sequence through a fault plan at frame

@@ -71,24 +71,19 @@ bool Connection::pump() {
 
 bool Connection::apply_event(WireEvent& event) {
   switch (event.kind) {
-    case WireEvent::Kind::Hello: {
-      // Select the highest version both sides speak, so a [0..1] client
-      // is answered with its own version.  A client whose floor is above
-      // ours is a framing-level mismatch: fail fast rather than silently
-      // dropping its notifications.  The handshake gates notifications
-      // only: the Decoder accepts every op whatever was negotiated.
-      if (event.version_min > kWireVersion) {
-        fail_stream("wire: client requires protocol version " +
-                    std::to_string(event.version_min) + ", server speaks " +
+    case WireEvent::Kind::Hello:
+      // One version is spoken: a client that cannot speak it fails fast
+      // rather than sending frames the Decoder would refuse later.
+      if (event.version_min > kWireVersion ||
+          event.version_max < kWireVersion) {
+        fail_stream("wire: client speaks protocol versions " +
+                    std::to_string(event.version_min) + ".." +
+                    std::to_string(event.version_max) + ", server speaks " +
                     std::to_string(kWireVersion));
         return false;
       }
-      const std::uint8_t chosen =
-          event.version_max < kWireVersion ? event.version_max : kWireVersion;
-      version_.store(chosen, std::memory_order_release);
-      queue_output(encode_hello_ack(chosen));
+      queue_output(encode_hello_ack(kWireVersion));
       return true;
-    }
     case WireEvent::Kind::Open:
     case WireEvent::Kind::SubmitQuery: {
       {
@@ -106,10 +101,8 @@ bool Connection::apply_event(WireEvent& event) {
       if (!acceptor) {
         std::lock_guard lock(mutex_);
         ++stats_.refused_opens;
-        if (version() >= 1)
-          output_ += encode_shed(event.session,
-                                 AdmitResult{Admit::Shed, ShedReason::None},
-                                 0);
+        output_ += encode_shed(event.session,
+                               AdmitResult{Admit::Shed, ShedReason::None}, 0);
         return true;
       }
       {
@@ -129,8 +122,7 @@ bool Connection::apply_event(WireEvent& event) {
       return true;
     }
     case WireEvent::Kind::Symbols: {
-      Run run{event.session, std::move(event.symbols),
-              std::move(event.packed)};
+      Run run{event.session, std::move(event.packed)};
       return submit_run(run);
     }
     case WireEvent::Kind::Close: {
@@ -170,29 +162,15 @@ bool Connection::submit_run(Run& run) {
     }
     global = it->second.global;
   }
-  AdmitResult admitted;
-  std::uint64_t symbols = 0;
-  if (run.body) {
-    // A refused body stays in `run`, ready to park.
-    symbols = run.body.symbols();
-    admitted = server_.manager().feed_packed(global, run.body);
-  } else {
-    // feed_batch consumes the run; keep a copy only when Blocked verdicts
-    // are possible (shed_on_full off) so the event can be parked intact.
-    symbols = run.symbols.size();
-    std::vector<core::TimedSymbol> retry_copy;
-    if (!server_.config().ingress.shed_on_full) retry_copy = run.symbols;
-    admitted = server_.manager().feed_batch(global, std::move(run.symbols));
-    run.symbols = std::move(retry_copy);
-  }
+  // A refused body stays in `run`, ready to park.
+  const AdmitResult admitted = server_.manager().feed_packed(global, run.body);
   switch (admitted.admit) {
     case Admit::Accepted:
       return true;
     case Admit::Shed: {
       std::lock_guard lock(mutex_);
       ++stats_.sheds;
-      if (version() >= 1)
-        output_ += encode_shed(run.client, admitted, symbols);
+      output_ += encode_shed(run.client, admitted, run.body.symbols());
       return true;
     }
     case Admit::Blocked:
@@ -210,10 +188,8 @@ bool Connection::deliver_report(SessionId client, const SessionReport& report) {
   if (detached_) return false;
   sessions_.erase(client);
   ++stats_.verdicts;
-  if (version() >= 1)
-    output_ += encode_verdict(client, report.verdict, report.result.exact,
-                              report.evicted, report.fed,
-                              report.stale_dropped);
+  output_ += encode_verdict(client, report.verdict, report.result.exact,
+                            report.evicted, report.fed, report.stale_dropped);
   return true;
 }
 

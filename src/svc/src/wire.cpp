@@ -71,12 +71,9 @@ bool decode_packed(std::string_view body, std::vector<core::TimedSymbol>& out) {
 
 std::string to_string(Op op) {
   switch (op) {
-    case Op::Open: return "open";
-    case Op::Feed: return "feed";
     case Op::Close: return "close";
     case Op::CloseTruncated: return "close_truncated";
-    case Op::FeedBatch: return "feed_batch";
-    case Op::OpenPri: return "open_pri";
+    case Op::Open: return "open";
     case Op::Hello: return "hello";
     case Op::HelloAck: return "hello_ack";
     case Op::Verdict: return "verdict";
@@ -100,17 +97,11 @@ std::string to_string(DecodeError e) {
 
 std::string encode_open(SessionId session, std::string_view profile,
                         Priority priority) {
-  if (priority == Priority::Normal) return encode(session, Op::Open, profile);
   std::string body;
   body.reserve(1 + profile.size());
   body.push_back(static_cast<char>(priority));
   body.append(profile);
-  return encode(session, Op::OpenPri, body);
-}
-
-std::string encode_feed(SessionId session,
-                        const std::vector<core::TimedSymbol>& symbols) {
-  return encode(session, Op::Feed, core::serialize_elements(symbols));
+  return encode(session, Op::Open, body);
 }
 
 std::string encode_feed_batch(SessionId session,
@@ -192,9 +183,9 @@ std::string encode_shed(SessionId session, AdmitResult admit,
 void Decoder::push(std::string_view bytes) {
   if (!ok()) return;
   // Finish what an earlier push left incomplete: copy only the bytes that
-  // complete the pending frame (for a Feed, the rest of its body), decode
-  // it from buffer_, then decode everything after it straight from the
-  // caller's view and keep only the incomplete tail.
+  // complete the pending frame, decode it from buffer_, then decode
+  // everything after it straight from the caller's view and keep only the
+  // incomplete tail.
   std::size_t pos = 0;
   while (!buffer_.empty() && pos < bytes.size() && ok()) {
     const std::size_t take =
@@ -211,7 +202,6 @@ void Decoder::push(std::string_view bytes) {
 }
 
 std::size_t Decoder::pending_bytes() const {
-  if (in_feed_) return feed_remaining_;
   if (buffer_.size() < kFrameHeaderBytes) return kFrameHeaderBytes;
   return kHeaderBytes + get_u32le(buffer_.data());
 }
@@ -270,7 +260,6 @@ bool Decoder::EventQueue::pop(WireEvent& out) {
 bool Decoder::fail(DecodeError code, std::string message) {
   error_code_ = code;
   error_ = std::move(message);
-  in_feed_ = false;
   return false;
 }
 
@@ -278,39 +267,6 @@ std::size_t Decoder::decode(std::string_view in) {
   std::size_t pos = 0;
   while (ok()) {
     const std::size_t available = in.size() - pos;
-
-    if (in_feed_) {
-      // Stream the Feed body: parse as many complete elements as the
-      // received bytes allow, holding back an element that might still
-      // grow across the chunk boundary (final_chunk = false) until the
-      // rest of the body arrives.
-      if (feed_remaining_ == 0) {
-        in_feed_ = false;
-        ++frames_;
-        continue;
-      }
-      if (available == 0) return pos;
-      const std::size_t take = std::min(available, feed_remaining_);
-      const bool final_chunk = take == feed_remaining_;
-      auto parsed = core::parse_prefix(in.substr(pos, take), ~std::size_t{0},
-                                       final_chunk);
-      if (!parsed.symbols.empty()) {
-        WireEvent ev;
-        ev.kind = WireEvent::Kind::Symbols;
-        ev.session = feed_session_;
-        ev.symbols = std::move(parsed.symbols);
-        ready_.push(std::move(ev));
-      }
-      pos += parsed.consumed;
-      feed_remaining_ -= parsed.consumed;
-      if (!final_chunk) return pos;  // need more body bytes
-      if (parsed.consumed < take) {
-        fail(DecodeError::MalformedBody, "svc::Decoder: malformed feed body");
-        return pos;
-      }
-      continue;  // frame complete; the branch above closes it
-    }
-
     if (available < kFrameHeaderBytes) return pos;
     const char* header = in.data() + pos;
     const std::size_t len = get_u32le(header);
@@ -326,18 +282,7 @@ std::size_t Decoder::decode(std::string_view in) {
     const SessionId session = get_u64le(header + kHeaderBytes);
     const auto op = static_cast<Op>(
         static_cast<unsigned char>(header[kHeaderBytes + 8]));
-
-    if (op == Op::Feed) {
-      // Body may be consumed incrementally; commit to the frame now.
-      pos += kFrameHeaderBytes;
-      in_feed_ = true;
-      feed_session_ = session;
-      feed_remaining_ = len - kPayloadHeaderBytes;
-      continue;
-    }
-
-    // Control frames are tiny, and a FeedBatch is one all-or-nothing
-    // admission unit: wait for the whole frame.
+    // A frame is one event: wait for all of it.
     if (available < kHeaderBytes + len) return pos;
     if (!decode_frame(session, op,
                       in.substr(pos + kFrameHeaderBytes,
@@ -353,18 +298,14 @@ bool Decoder::decode_frame(SessionId session, Op op, std::string_view body) {
   WireEvent ev;
   ev.session = session;
   switch (op) {
-    case Op::Open:
-      ev.kind = WireEvent::Kind::Open;
-      ev.profile = std::string(body);
-      break;
-    case Op::OpenPri: {
+    case Op::Open: {
       if (body.empty())
         return fail(DecodeError::MalformedBody,
-                    "svc::Decoder: OpenPri frame without a priority byte");
+                    "svc::Decoder: Open frame without a priority byte");
       const auto raw = static_cast<unsigned char>(body[0]);
       if (raw > static_cast<unsigned char>(Priority::High))
         return fail(DecodeError::MalformedBody,
-                    "svc::Decoder: OpenPri with an unknown priority");
+                    "svc::Decoder: Open with an unknown priority");
       ev.kind = WireEvent::Kind::Open;
       ev.priority = static_cast<Priority>(raw);
       ev.profile = std::string(body.substr(1));
@@ -386,16 +327,6 @@ bool Decoder::decode_frame(SessionId session, Op op, std::string_view body) {
         return fail(DecodeError::MalformedBody,
                     "svc::Decoder: malformed packed feed body");
       ev.kind = WireEvent::Kind::Symbols;
-      break;
-    }
-    case Op::FeedBatch: {
-      auto parsed = core::parse_prefix(body, ~std::size_t{0},
-                                       /*final_chunk=*/true);
-      if (parsed.consumed < body.size())
-        return fail(DecodeError::MalformedBody,
-                    "svc::Decoder: malformed feed-batch body");
-      ev.kind = WireEvent::Kind::Symbols;
-      ev.symbols = std::move(parsed.symbols);
       break;
     }
     case Op::Close:
@@ -443,7 +374,7 @@ bool Decoder::decode_frame(SessionId session, Op op, std::string_view body) {
     case Op::SubmitQuery: {
       // Validate the query text while the frame is in hand: a client
       // that cannot even form a syntactically valid query is as broken
-      // as one sending a garbled Feed body, and gets the same sticky
+      // as one sending a garbled feed body, and gets the same sticky
       // treatment.  (Compile limits are a resource policy, not a
       // framing error -- the session layer handles those.)
       auto parsed = cer::parse(body);

@@ -209,6 +209,15 @@ TEST(SerializeTest, MalformedInputsThrow) {
   EXPECT_THROW(parse_word("lasso(period=2): a@0"), ModelError);  // no bar
   EXPECT_THROW(parse_word("finite: <oops@3"), ModelError);    // open marker
   EXPECT_THROW(parse_word("finite: 'ab'@1"), ModelError);     // bad quote
+  // Numbers past 2^64 - 1 throw instead of wrapping.
+  EXPECT_THROW(parse_word("finite: a@18446744073709551617"), ModelError);
+  EXPECT_THROW(parse_word("finite: 18446744073709551621@20"), ModelError);
+  EXPECT_THROW(parse_word("lasso(period=18446744073709551616): a@0 | b@1"),
+               ModelError);
+  const auto max = parse_word(
+      "finite: 18446744073709551615@18446744073709551615");
+  EXPECT_EQ(max.at(0), (TimedSymbol{Symbol::nat(~std::uint64_t{0}),
+                                    ~std::uint64_t{0}}));
 }
 
 TEST(SerializeTest, ApplicationWordsSerialize) {

@@ -1,21 +1,19 @@
 // rtw::svc test suite: the serving layer and its equivalence theorem.
 //
-//   1. parse_prefix / serialize_elements: the bounded streaming parser the
-//      wire codec is built on (satellite fix for the full-reparse gap).
-//   2. The wire codec: framing round-trips, arbitrary chunking, partial
-//      Feed-body streaming, sticky errors, frame-level fault application.
-//   3. EngineOnlineAcceptor: the online/batch equivalence contract on
+//   1. The wire codec: framing round-trips, arbitrary chunking, frame-
+//      atomic decoding, sticky errors, frame-level fault application.
+//   2. EngineOnlineAcceptor: the online/batch equivalence contract on
 //      hand-picked words plus interface guarantees (monotonicity, verdict
 //      latching, reset).
-//   4. The tri-workload equivalence property: 500 seeded cases feeding
+//   3. The tri-workload equivalence property: 500 seeded cases feeding
 //      randomized deadline / rtdb / adhoc words symbol-by-symbol and
 //      checking the final RunResult equals rtw::engine::run field by
 //      field.
-//   5. Session / SessionManager: stale filtering, lifecycle, explicit
+//   4. Session / SessionManager: stale filtering, lifecycle, explicit
 //      backpressure, idle eviction, shard-count invariance (1 vs 8),
 //      wire-driven operation, and the shard worker handoff under
 //      producers x shards park/wake storms.
-//   6. The fault-injected soak: mangled frame streams through the decoder
+//   5. The fault-injected soak: mangled frame streams through the decoder
 //      into the manager, mirrored by a reference state machine --
 //      asserting zero verdict divergences (scaled by RTW_SVC_SOAK_SECONDS
 //      for the CI svc-soak job).
@@ -44,7 +42,6 @@
 #include "rtw/adhoc/words.hpp"
 #include "rtw/core/error.hpp"
 #include "rtw/core/online.hpp"
-#include "rtw/core/serialize.hpp"
 #include "rtw/deadline/acceptor.hpp"
 #include "rtw/deadline/lane.hpp"
 #include "rtw/deadline/online.hpp"
@@ -73,98 +70,7 @@ using rtw::svc::IngressConfig;
 using rtw::svc::ShardConfig;
 using rtw::svc::WireEvent;
 
-// ====================================================== 1. parse_prefix
-
-TEST(ParsePrefix, ParsesCompleteTextAndReportsConsumption) {
-  const std::string text = "a@1 <m>@3 7@9 'x'@12";
-  const auto p = parse_prefix(text, 100);
-  ASSERT_EQ(p.symbols.size(), 4u);
-  EXPECT_EQ(p.consumed, text.size());
-  EXPECT_EQ(p.symbols[0], (TimedSymbol{Symbol::chr('a'), 1}));
-  EXPECT_EQ(p.symbols[1], (TimedSymbol{Symbol::marker("m"), 3}));
-  EXPECT_EQ(p.symbols[2], (TimedSymbol{Symbol::nat(7), 9}));
-  EXPECT_EQ(p.symbols[3], (TimedSymbol{Symbol::chr('x'), 12}));
-}
-
-TEST(ParsePrefix, HonorsTheSymbolBound) {
-  const auto p = parse_prefix("a@1 b@2 c@3", 2);
-  ASSERT_EQ(p.symbols.size(), 2u);
-  // Consumption stops at the start of the unparsed third element (the
-  // separator space is consumed eagerly).
-  const auto rest = parse_prefix(std::string_view("a@1 b@2 c@3").substr(p.consumed), 10);
-  ASSERT_EQ(rest.symbols.size(), 1u);
-  EXPECT_EQ(rest.symbols[0], (TimedSymbol{Symbol::chr('c'), 3}));
-}
-
-TEST(ParsePrefix, HoldsBackGrowableTailWhenNotFinal) {
-  // "a@3" is complete as a final chunk but the 3 could grow to 35.
-  const auto partial = parse_prefix("b@1 a@3", 10, /*final_chunk=*/false);
-  ASSERT_EQ(partial.symbols.size(), 1u);
-  EXPECT_EQ(partial.symbols[0].time, 1u);
-  const auto final = parse_prefix("b@1 a@3", 10, /*final_chunk=*/true);
-  ASSERT_EQ(final.symbols.size(), 2u);
-  EXPECT_EQ(final.symbols[1].time, 3u);
-}
-
-TEST(ParsePrefix, EverySplitPointOfAWordReassembles) {
-  const std::vector<TimedSymbol> elements = {
-      {Symbol::chr('a'), 1},  {Symbol::marker("wq"), 23},
-      {Symbol::nat(456), 23}, {Symbol::chr('@'), 30},
-      {Symbol::nat(0), 31},
-  };
-  const std::string text = serialize_elements(elements);
-  for (std::size_t split = 0; split <= text.size(); ++split) {
-    std::vector<TimedSymbol> got;
-    std::string pending(text.substr(0, split));
-    auto first = parse_prefix(pending, 100, /*final_chunk=*/false);
-    got.insert(got.end(), first.symbols.begin(), first.symbols.end());
-    pending.erase(0, first.consumed);
-    pending.append(text.substr(split));
-    auto second = parse_prefix(pending, 100, /*final_chunk=*/true);
-    EXPECT_EQ(second.consumed, pending.size()) << "split=" << split;
-    got.insert(got.end(), second.symbols.begin(), second.symbols.end());
-    EXPECT_EQ(got, elements) << "split=" << split;
-  }
-}
-
-TEST(ParsePrefix, StopsWithoutConsumingMalformedInput) {
-  const auto p = parse_prefix("a@1 b!2", 10);
-  ASSERT_EQ(p.symbols.size(), 1u);
-  EXPECT_EQ(p.consumed, 4u);  // "a@1 " only; "b!2" untouched
-  const auto q = parse_prefix("'unterminated", 10);
-  EXPECT_TRUE(q.symbols.empty());
-  EXPECT_EQ(q.consumed, 0u);
-}
-
-TEST(ParsePrefix, RoundTripsSerializeElements) {
-  rtw::sim::Xoshiro256ss rng(99);
-  for (int round = 0; round < 50; ++round) {
-    std::vector<TimedSymbol> elements;
-    Tick t = 0;
-    const auto len = rng.uniform(std::uint64_t{12});
-    for (std::uint64_t i = 0; i < len; ++i) {
-      t += rng.uniform(std::uint64_t{9});
-      switch (rng.uniform(std::uint64_t{3})) {
-        case 0:
-          elements.push_back({Symbol::chr(static_cast<char>(
-                                  'a' + rng.uniform(std::uint64_t{26}))),
-                              t});
-          break;
-        case 1:
-          elements.push_back({Symbol::nat(rng.uniform(std::uint64_t{1000})), t});
-          break;
-        default:
-          elements.push_back({rtw::core::marks::dollar(), t});
-      }
-    }
-    const auto text = serialize_elements(elements);
-    const auto parsed = parse_prefix(text, elements.size() + 1);
-    EXPECT_EQ(parsed.symbols, elements);
-    EXPECT_EQ(parsed.consumed, text.size());
-  }
-}
-
-// ====================================================== 2. wire codec
+// ====================================================== 1. wire codec
 
 std::vector<TimedSymbol> sample_elements() {
   return {{Symbol::chr('a'), 1},
@@ -190,7 +96,7 @@ std::string raw_frame(std::uint8_t op, std::string_view body,
 TEST(WireCodec, FramesRoundTrip) {
   const auto elements = sample_elements();
   std::string stream = rtw::svc::encode_open(7, "deadline");
-  stream += rtw::svc::encode_feed(7, elements);
+  stream += rtw::svc::encode_feed_batch(7, elements);
   stream += rtw::svc::encode_close(7, StreamEnd::Truncated);
 
   Decoder decoder;
@@ -203,10 +109,10 @@ TEST(WireCodec, FramesRoundTrip) {
   EXPECT_EQ(ev.session, 7u);
   EXPECT_EQ(ev.profile, "deadline");
 
-  std::vector<TimedSymbol> got;
-  while (decoder.next(ev) && ev.kind == WireEvent::Kind::Symbols)
-    got.insert(got.end(), ev.symbols.begin(), ev.symbols.end());
-  EXPECT_EQ(got, elements);
+  ASSERT_TRUE(decoder.next(ev));
+  EXPECT_EQ(ev.kind, WireEvent::Kind::Symbols);
+  EXPECT_EQ(ev.symbols, elements);
+  ASSERT_TRUE(decoder.next(ev));
   EXPECT_EQ(ev.kind, WireEvent::Kind::Close);
   EXPECT_EQ(ev.end, StreamEnd::Truncated);
   EXPECT_EQ(decoder.frames(), 3u);
@@ -215,8 +121,8 @@ TEST(WireCodec, FramesRoundTrip) {
 TEST(WireCodec, EveryChunkingDecodesIdentically) {
   const auto elements = sample_elements();
   std::string stream = rtw::svc::encode_open(3, "p");
-  stream += rtw::svc::encode_feed(3, elements);
-  stream += rtw::svc::encode_feed(3, {});  // empty body is a valid frame
+  stream += rtw::svc::encode_feed_batch(3, elements);
+  stream += rtw::svc::encode_feed_batch(3, {});  // the empty run is valid
   stream += rtw::svc::encode_close(3);
 
   for (std::size_t chunk = 1; chunk <= 13; ++chunk) {
@@ -241,23 +147,6 @@ TEST(WireCodec, EveryChunkingDecodesIdentically) {
   }
 }
 
-TEST(WireCodec, PartialFeedBodySurfacesSymbolsEarly) {
-  const auto frame = rtw::svc::encode_feed(1, sample_elements());
-  Decoder decoder;
-  // Push everything except the last 3 bytes: the first elements must
-  // already be decodable even though the frame is incomplete.
-  decoder.push(std::string_view(frame).substr(0, frame.size() - 3));
-  WireEvent ev;
-  ASSERT_TRUE(decoder.next(ev));
-  EXPECT_EQ(ev.kind, WireEvent::Kind::Symbols);
-  EXPECT_FALSE(ev.symbols.empty());
-  EXPECT_EQ(decoder.frames(), 0u);  // frame itself still open
-  decoder.push(std::string_view(frame).substr(frame.size() - 3));
-  std::vector<TimedSymbol> rest;
-  while (decoder.next(ev)) rest.insert(rest.end(), ev.symbols.begin(), ev.symbols.end());
-  EXPECT_EQ(decoder.frames(), 1u);
-}
-
 TEST(WireCodec, ErrorsAreSticky) {
   {
     Decoder decoder;
@@ -271,15 +160,16 @@ TEST(WireCodec, ErrorsAreSticky) {
   }
   {
     Decoder small(/*max_frame_bytes=*/16);
-    small.push(rtw::svc::encode_feed(1, sample_elements()));
+    small.push(rtw::svc::encode_feed_batch(1, sample_elements()));
     EXPECT_FALSE(small.ok());
   }
   {
     Decoder decoder;
-    // A Feed body that is not serialize_elements text.
+    // A packed body whose one element has an unknown kind.
     decoder.push(rtw::svc::encode_open(1, "x"));
-    std::string corrupt = rtw::svc::encode_feed(1, {{Symbol::chr('a'), 1}});
-    corrupt[corrupt.size() - 2] = '!';
+    std::string corrupt =
+        rtw::svc::encode_feed_batch(1, {{Symbol::chr('a'), 1}});
+    corrupt[corrupt.size() - 3] = 9;  // [count][kind][char][dt]
     decoder.push(corrupt);
     EXPECT_FALSE(decoder.ok());
   }
@@ -319,9 +209,8 @@ TEST(WireCodec, FeedBatchDecodesAsExactlyOneEvent) {
   const auto elements = sample_elements();
   const auto frame = rtw::svc::encode_feed_batch(5, elements);
   Decoder decoder;
-  // Unlike Feed, a FeedBatch body never surfaces early: the run is one
-  // all-or-nothing admission unit, so nothing decodes until the frame
-  // completes.
+  // The run is one all-or-nothing admission unit, so nothing decodes
+  // until the frame completes.
   for (std::size_t i = 0; i + 1 < frame.size(); ++i) {
     decoder.push(std::string_view(frame).substr(i, 1));
     WireEvent probe;
@@ -338,13 +227,41 @@ TEST(WireCodec, FeedBatchDecodesAsExactlyOneEvent) {
   EXPECT_EQ(decoder.frames(), 1u);
 }
 
-TEST(WireCodec, MalformedFeedBatchBodyIsFatal) {
-  // The legacy text body (op 5), which encode_feed_batch no longer emits.
-  auto frame = raw_frame(5, serialize_elements(sample_elements()));
-  frame[frame.size() - 2] = '!';
-  Decoder decoder;
-  decoder.push(frame);
-  EXPECT_FALSE(decoder.ok());
+/// The largest frame the default cap admits, pushed one byte per push():
+/// no event before its last byte, one after it, in both PackedModes.  Each
+/// push must cost O(1) whatever is pending: a decoder that rescans the
+/// held bytes on every push takes hours here instead of milliseconds.
+TEST(WireCodec, FrameAtTheSizeCapPushedByteByByteYieldsOneEvent) {
+  using rtw::svc::PackedMode;
+  // Char elements cost 3 bytes each, after the 9-byte payload header and
+  // the 3-byte count varint.
+  const std::vector<TimedSymbol> run(
+      (rtw::svc::kDefaultMaxFrameBytes - 9 - 3) / 3, {Symbol::chr('a'), 1});
+  const std::string frame = rtw::svc::encode_feed_batch(4, run);
+  ASSERT_LE(frame.size() - 4, rtw::svc::kDefaultMaxFrameBytes);
+  ASSERT_GT(frame.size() - 4, rtw::svc::kDefaultMaxFrameBytes - 3);
+
+  const auto start = std::chrono::steady_clock::now();
+  for (const auto mode : {PackedMode::Decode, PackedMode::Pool}) {
+    Decoder decoder(rtw::svc::kDefaultMaxFrameBytes, mode);
+    WireEvent ev;
+    for (std::size_t i = 0; i + 1 < frame.size(); ++i) {
+      decoder.push(std::string_view(frame).substr(i, 1));
+      ASSERT_FALSE(decoder.next(ev)) << "event surfaced at byte " << i;
+    }
+    decoder.push(std::string_view(frame).substr(frame.size() - 1));
+    ASSERT_TRUE(decoder.ok()) << decoder.error();
+    ASSERT_TRUE(decoder.next(ev));
+    EXPECT_EQ(ev.kind, WireEvent::Kind::Symbols);
+    EXPECT_EQ(ev.session, 4u);
+    EXPECT_EQ(mode == PackedMode::Pool ? ev.packed.symbols() : ev.symbols.size(),
+              run.size());
+    EXPECT_FALSE(decoder.next(ev));
+    EXPECT_EQ(decoder.frames(), 1u);
+  }
+  // Linear decoding takes well under a second even in sanitizer builds;
+  // the bound only has to tell linear from quadratic.
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
 }
 
 /// Random packed-feed element list: the Char values the text format has to
@@ -515,12 +432,11 @@ std::vector<std::string> packed_mutants(const std::string& body,
 }
 
 /// encode_feed_batch emits op 12.  Whatever the chunking, its frame decodes
-/// to exactly one Symbols event equal to the input, that event surfaces
-/// only with the frame's last byte, and the legacy text bodies (op 5, and
-/// op 2 streamed in pieces) of the same elements decode to the same run.
-/// The pooled decoder and the shard walk agree with it on the frame and
-/// on mutants of its body (check_pooled_agrees).
-TEST(WireCodec, PackedFeedBatchRoundTripsAndMatchesTheTextBodies) {
+/// to exactly one Symbols event equal to the input, and that event
+/// surfaces only with the frame's last byte.  The pooled decoder and the
+/// shard walk agree with it on the frame and on mutants of its body
+/// (check_pooled_agrees).
+TEST(WireCodec, PackedFeedBatchRoundTripsUnderEveryChunking) {
   rtw::proptest::Config cfg;
   cfg.seed = 0x7061636bULL;  // "pack"
   cfg.cases = 400;
@@ -564,38 +480,22 @@ TEST(WireCodec, PackedFeedBatchRoundTripsAndMatchesTheTextBodies) {
           ++(decoder.ok() ? mutants_accepted : mutants_rejected);
         }
 
-        // The legacy text FeedBatch body decodes to the same event.
-        Decoder text;
-        text.push(raw_frame(5, serialize_elements(elements), 9));
-        WireEvent text_ev;
-        if (!text.ok() || !text.next(text_ev) ||
-            text_ev.kind != WireEvent::Kind::Symbols ||
-            text_ev.session != 9u || text_ev.symbols != elements)
-          return std::string("op 5 text body decodes differently");
-
-        // A mixed stream under random chunkings: the packed run stays one
-        // event, the op 2 pieces concatenate to the same run.
+        // A session's stream under random chunkings: each packed run
+        // stays one event.
         std::string stream = rtw::svc::encode_open(9, "p");
         stream += packed;
-        stream += rtw::svc::encode_feed(9, elements);
         stream += packed;
         stream += rtw::svc::encode_close(9);
         for (const std::uint64_t max_chunk : {2u, 7u, 64u, 4096u}) {
           const auto events = decode_chunked(stream, rng, max_chunk);
-          if (!events) return "mixed stream failed to decode";
+          if (!events) return "stream failed to decode";
           const auto& evs = *events;
-          if (evs.size() < 4 || evs.front().kind != WireEvent::Kind::Open ||
+          if (evs.size() != 4 || evs.front().kind != WireEvent::Kind::Open ||
               evs.back().kind != WireEvent::Kind::Close)
-            return std::string("mixed stream lost its open or close");
-          if (evs[1].symbols != elements ||
-              evs[evs.size() - 2].symbols != elements)
-            return std::string("packed run split or changed");
-          std::vector<TimedSymbol> streamed;
-          for (std::size_t i = 2; i + 2 < evs.size(); ++i)
-            streamed.insert(streamed.end(), evs[i].symbols.begin(),
-                            evs[i].symbols.end());
-          if (streamed != elements)
-            return "op 2 pieces differ, max_chunk=" +
+            return "stream decoded to the wrong events, max_chunk=" +
+                   std::to_string(max_chunk);
+          if (evs[1].symbols != elements || evs[2].symbols != elements)
+            return "packed run split or changed, max_chunk=" +
                    std::to_string(max_chunk);
         }
         return std::nullopt;
@@ -656,17 +556,14 @@ TEST(WireCodec, HostilePackedBodiesAreStickyMalformedBody) {
     EXPECT_FALSE(decoder.next(ev)) << c.what;
     EXPECT_EQ(decoder.error_code(), DecodeError::MalformedBody) << c.what;
   }
-  // The empty run is a valid body: one empty Symbols event, like an
-  // empty op 5 body.
-  for (const std::uint8_t op : {std::uint8_t{12}, std::uint8_t{5}}) {
-    Decoder decoder;
-    decoder.push(raw_frame(op, op == 12 ? bytes({0}) : std::string()));
-    ASSERT_TRUE(decoder.ok()) << decoder.error();
-    WireEvent ev;
-    ASSERT_TRUE(decoder.next(ev));
-    EXPECT_EQ(ev.kind, WireEvent::Kind::Symbols);
-    EXPECT_TRUE(ev.symbols.empty());
-  }
+  // The empty run is a valid body: one empty Symbols event.
+  Decoder decoder;
+  decoder.push(raw_frame(12, bytes({0})));
+  ASSERT_TRUE(decoder.ok()) << decoder.error();
+  WireEvent ev;
+  ASSERT_TRUE(decoder.next(ev));
+  EXPECT_EQ(ev.kind, WireEvent::Kind::Symbols);
+  EXPECT_TRUE(ev.symbols.empty());
 }
 
 TEST(BodyPool, ADroppedBodyIsReusedByTheNextTake) {
@@ -736,11 +633,12 @@ TEST(BodyPool, BodiesOutliveTheirPoolAcrossThreads) {
 
 TEST(WireCodec, OpenPriorityRoundTrips) {
   using rtw::svc::Priority;
-  // Normal emits the PR-5 opcode: priority-free streams stay
-  // byte-identical to the old format.
-  EXPECT_EQ(rtw::svc::encode_open(3, "p", Priority::Normal),
-            rtw::svc::encode_open(3, "p"));
-  for (const auto priority : {Priority::Low, Priority::High}) {
+  // One Open encoding: op 6 carries every priority, Normal (the default)
+  // included.
+  EXPECT_EQ(rtw::svc::encode_open(3, "p"),
+            raw_frame(6, std::string{static_cast<char>(Priority::Normal)} + "p",
+                      3));
+  for (const auto priority : {Priority::Low, Priority::Normal, Priority::High}) {
     Decoder decoder;
     decoder.push(rtw::svc::encode_open(9, "profile!", priority));
     ASSERT_TRUE(decoder.ok()) << decoder.error();
@@ -765,19 +663,20 @@ TEST(WireCodec, OpToStringIsExhaustive) {
   using rtw::svc::Op;
   // Every enumerator prints a distinct, non-empty, non-fallback name.
   std::set<std::string> names;
-  for (const auto op : {Op::Open, Op::Feed, Op::Close, Op::CloseTruncated,
-                        Op::FeedBatch, Op::OpenPri, Op::Hello, Op::HelloAck,
-                        Op::Verdict, Op::ShedNotice, Op::SubmitQuery,
-                        Op::FeedPacked}) {
+  for (const auto op : {Op::Close, Op::CloseTruncated, Op::Open, Op::Hello,
+                        Op::HelloAck, Op::Verdict, Op::ShedNotice,
+                        Op::SubmitQuery, Op::FeedPacked}) {
     const auto name = rtw::svc::to_string(op);
     EXPECT_FALSE(name.empty());
-    EXPECT_EQ(name.find("Op("), std::string::npos) << name;
+    EXPECT_EQ(name.find("op?"), std::string::npos) << name;
     names.insert(name);
   }
-  EXPECT_EQ(names.size(), 12u);
-  // Out-of-range values fall back to a numeric form instead of aliasing.
-  EXPECT_NE(rtw::svc::to_string(static_cast<Op>(99)).find("99"),
-            std::string::npos);
+  EXPECT_EQ(names.size(), 9u);
+  // Out-of-range and retired values fall back to a numeric form instead
+  // of aliasing.
+  for (const unsigned raw : {1u, 2u, 5u, 99u})
+    EXPECT_EQ(rtw::svc::to_string(static_cast<Op>(raw)),
+              "op?" + std::to_string(raw));
 }
 
 TEST(WireCodec, HelloFramesRoundTripEveryVersionRange) {
@@ -848,8 +747,10 @@ TEST(WireCodec, ShedNoticeFramesRoundTripEveryEnumerator) {
 
 TEST(WireCodec, UnknownOpsAreTypedRejections) {
   using rtw::svc::DecodeError;
-  for (const std::uint8_t op : {std::uint8_t{0}, std::uint8_t{13},
-                                std::uint8_t{99}, std::uint8_t{255}}) {
+  // Ops 1, 2 and 5 are the retired v0-v2 Open and text feed bodies.
+  for (const std::uint8_t op :
+       {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{2}, std::uint8_t{5},
+        std::uint8_t{13}, std::uint8_t{99}, std::uint8_t{255}}) {
     Decoder decoder;
     decoder.push(raw_frame(op, "body"));
     EXPECT_FALSE(decoder.ok());
@@ -983,7 +884,7 @@ TEST(AdmitApi, AdmitResultConvertsLikeTheOldEnum) {
   EXPECT_EQ(shed.reason, ShedReason::SessionBound);
 }
 
-// ================================== 3. online/batch equivalence machinery
+// ================================== 2. online/batch equivalence machinery
 
 /// The engine delivers exactly the symbols timestamped within the horizon;
 /// a finite word it exhausts ends the stream (EndOfWord), anything else is
@@ -1125,7 +1026,7 @@ TEST(OnlineAcceptor, FinishFlavorsMatchTheEngineOnGappyWords) {
             std::nullopt);
 }
 
-// =========================== 4. the tri-workload equivalence property
+// =========================== 3. the tri-workload equivalence property
 
 using rtw::deadline::DeadlineInstance;
 using rtw::deadline::Usefulness;
@@ -1420,7 +1321,7 @@ TEST(OnlineBatchEquivalence, BatchedIngressIsVerdictIdenticalToPerSymbol) {
       "svc.batched_ingress_equivalence", cfg, *result.failure);
 }
 
-// ========================================= 5. Session / SessionManager
+// ========================================= 4. Session / SessionManager
 
 TEST(Session, DropsStaleSymbolsInsteadOfThrowing) {
   rtw::svc::Session session(
@@ -1820,9 +1721,9 @@ TEST(SessionManager, ShardCountIsObservationallyIrrelevant) {
 TEST(SessionManager, WireDrivenSessions) {
   std::string stream = rtw::svc::encode_open(1, "accept");
   stream += rtw::svc::encode_open(2, "reject");
-  stream += rtw::svc::encode_feed(1, {{Symbol::chr('a'), 0},
-                                      {Symbol::chr('b'), 2}});
-  stream += rtw::svc::encode_feed(2, {{Symbol::chr('a'), 1}});
+  stream += rtw::svc::encode_feed_batch(1, {{Symbol::chr('a'), 0},
+                                            {Symbol::chr('b'), 2}});
+  stream += rtw::svc::encode_feed_batch(2, {{Symbol::chr('a'), 1}});
   stream += rtw::svc::encode_close(1, StreamEnd::Truncated);
   stream += rtw::svc::encode_close(2, StreamEnd::Truncated);
 
@@ -2343,7 +2244,7 @@ TEST(SessionManager, FeedLatencySamplesStayWithinTheReservoir) {
   EXPECT_TRUE(manager.take_feed_latency_samples().empty());
 }
 
-// ============================================= 6. fault-injected soak
+// ============================================= 5. fault-injected soak
 
 /// One soak round: K deadline sessions encoded as an interleaved frame
 /// stream, mangled by a random FaultPlan, decoded and applied to a
@@ -2382,7 +2283,7 @@ void soak_round(std::uint64_t seed, unsigned shards) {
     const auto& symbols = spec.prefix.symbols;
     const std::size_t per_frame = 1 + rng.uniform(std::uint64_t{7});
     for (std::size_t off = 0; off < symbols.size(); off += per_frame)
-      frames.push_back(rtw::svc::encode_feed(
+      frames.push_back(rtw::svc::encode_feed_batch(
           id, {symbols.begin() + off,
                symbols.begin() +
                    std::min(symbols.size(), off + per_frame)}));
@@ -2466,7 +2367,7 @@ void soak_round(std::uint64_t seed, unsigned shards) {
           break;
         }
         default:
-          break;  // v1 notification frames never occur in this stream
+          break;  // notification frames never occur in this stream
       }
     }
     if (offset >= stream.size()) break;

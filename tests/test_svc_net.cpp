@@ -233,13 +233,15 @@ TEST(NetLoopback, HelloAnswersEachClientWithItsHighestVersion) {
   Harness h;
   ASSERT_TRUE(h.start()) << h.transport.error();
 
-  // A v0/v1 peer keeps its version; packed FeedBatch frames decode
-  // whatever was negotiated.
+  // A range holding version 3 is answered with 3; a v0-v2 peer fails at
+  // the handshake: no HelloAck, no Verdict.
   struct Range {
-    std::uint8_t min, max, chosen;
+    std::uint8_t min, max;
+    bool served;
   };
-  for (const Range r : {Range{0, 1, 1}, Range{1, 1, 1}, Range{1, 2, 2},
-                        Range{2, 2, kWireVersion}, Range{0, 9, kWireVersion}}) {
+  for (const Range r : {Range{0, 9, true}, Range{3, 3, true},
+                        Range{0, 1, false}, Range{1, 2, false},
+                        Range{2, 2, false}}) {
     TestClient client;
     ASSERT_TRUE(client.connect_to(h.transport.port()));
     std::string stream = encode_hello(r.min, r.max);
@@ -247,17 +249,21 @@ TEST(NetLoopback, HelloAnswersEachClientWithItsHighestVersion) {
     stream += encode_feed_batch(1, word_of(3));
     stream += encode_close(1);
     ASSERT_TRUE(client.send_all(stream));
+    if (!r.served) {
+      EXPECT_TRUE(client.drain_until_eof(5000).empty())
+          << unsigned(r.min) << ".." << unsigned(r.max);
+      continue;
+    }
     WireEvent ev;
     ASSERT_TRUE(client.next_event(ev));
     EXPECT_EQ(ev.kind, WireEvent::Kind::HelloAck);
-    EXPECT_EQ(ev.version, r.chosen)
-        << unsigned(r.min) << ".." << unsigned(r.max);
+    EXPECT_EQ(ev.version, 3u) << unsigned(r.min) << ".." << unsigned(r.max);
     ASSERT_TRUE(client.next_event(ev));
     EXPECT_EQ(ev.kind, WireEvent::Kind::Verdict);
     EXPECT_EQ(ev.verdict, Verdict::Accepting);
   }
 
-  // A floor above the server's version fails at the handshake.
+  // So does a floor above the server's version.
   TestClient future;
   ASSERT_TRUE(future.connect_to(h.transport.port()));
   const auto above = static_cast<std::uint8_t>(kWireVersion + 1);
@@ -290,17 +296,16 @@ TEST(NetLoopback, AdversarialByteSplitsDecodeIdentically) {
 
   std::string stream = encode_hello();
   stream += encode_open(1, "count:5");
-  // Feed (op 2, textual body) exercises the parse_prefix hold-back;
-  // FeedBatch (op 12, packed) the one-event path.  Split both.
+  // Two packed runs, each split mid-header and mid-body.
   const auto word = word_of(5);
-  stream += encode_feed(
+  stream += encode_feed_batch(
       1, std::vector<TimedSymbol>(word.begin(), word.begin() + 2));
   stream += encode_feed_batch(
       1, std::vector<TimedSymbol>(word.begin() + 2, word.end()));
   stream += encode_close(1);
 
   // chunk=1 with pacing: every server read() sees a handful of bytes at
-  // most, so headers, session ids and element text all split mid-field.
+  // most, so headers, session ids and packed elements all split mid-field.
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
                                   std::size_t{7}}) {
     TestClient client;
@@ -915,6 +920,32 @@ TEST(ServerFacade, DuplicateOpenWhileLiveCountsDupOpens) {
   EXPECT_EQ(conn->stats().opens, 1u);
   EXPECT_EQ(conn->stats().dup_opens, 1u);
   EXPECT_EQ(server.manager().stats().opened, 1u);
+}
+
+TEST(ServerFacade, ConnectionsWithoutHelloGetVerdictsAndShedNotices) {
+  Server server(facade_config(), profile_factory());
+  auto conn = server.connect();
+
+  // No Hello: the notification plane is protocol, not negotiation.
+  ASSERT_TRUE(conn->on_bytes(session_frames(1, "count:2", 2) +
+                             encode_open(2, "no-such-profile")));
+  server.manager().drain();
+
+  // A shard worker may deliver the verdict before the reader refuses the
+  // second open, so the two frames come in either order.
+  auto events = take_events(*conn);
+  ASSERT_EQ(events.size(), 2u);
+  if (events[0].kind == WireEvent::Kind::Verdict)
+    std::swap(events[0], events[1]);
+  EXPECT_EQ(events[0].kind, WireEvent::Kind::Shed);
+  EXPECT_EQ(events[0].session, 2u);
+  EXPECT_EQ(events[0].admit.admit, Admit::Shed);
+  EXPECT_EQ(events[1].kind, WireEvent::Kind::Verdict);
+  EXPECT_EQ(events[1].session, 1u);
+  EXPECT_EQ(events[1].verdict, Verdict::Accepting);
+  EXPECT_EQ(events[1].fed, 2u);
+  EXPECT_EQ(conn->stats().refused_opens, 1u);
+  EXPECT_EQ(conn->stats().verdicts, 1u);
 }
 
 /// One thread opens, feeds and disconnects connections at seeded points
