@@ -339,6 +339,7 @@ struct WireCell {
   std::uint64_t commands = 0;  ///< ring commands the shards drained
   std::uint64_t symbols = 0;   ///< symbols ingested in measurement
   std::uint64_t sheds = 0;
+  std::uint64_t stride_bodies = 0;  ///< bodies validated in the stride pass
   double wall_s = 0;
   double symbols_per_sec = 0;
   double reactor_ns_per_frame = 0;
@@ -420,6 +421,7 @@ WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
     out.clear();
     conn->take_output(out, SIZE_MAX);
     if (round == 0) continue;  // warm-up: first-touch allocation, caches
+    cell.stride_bodies += conn->stats().stride_bodies;
     reactor_ns += reader;
     process_ns += process;
     wall_s += wall;
@@ -524,11 +526,12 @@ int main(int argc, char** argv) {
     std::cout << "==========================================================\n\n";
     const WireCell cell = run_wire_cell(shards, symbols, rounds);
     std::printf(" frames %llu  reader %.0f ns/frame  shard %.0f ns/command"
-                "  %.1f Msym/s  sheds %llu\n",
+                "  %.1f Msym/s  sheds %llu  stride bodies %llu\n",
                 static_cast<unsigned long long>(cell.frames),
                 cell.reactor_ns_per_frame, cell.shard_ns_per_command,
                 cell.symbols_per_sec / 1e6,
-                static_cast<unsigned long long>(cell.sheds));
+                static_cast<unsigned long long>(cell.sheds),
+                static_cast<unsigned long long>(cell.stride_bodies));
     const std::string line = rtw::sim::bench_record("svc")
                                  .field("workload", "wire_replay")
                                  .field("shards", shards)
@@ -540,6 +543,7 @@ int main(int argc, char** argv) {
                                  .field("commands", cell.commands)
                                  .field("symbols_ingested", cell.symbols)
                                  .field("sheds", cell.sheds)
+                                 .field("stride_bodies", cell.stride_bodies)
                                  .field("wall_s", cell.wall_s)
                                  .field("symbols_per_sec", cell.symbols_per_sec)
                                  .field("reactor_on_bytes_ns_per_frame",

@@ -93,6 +93,9 @@ public:
 
   core::Verdict feed(core::Symbol symbol, core::Tick at) override;
   using core::OnlineAcceptor::feed;
+  /// One virtual call per run: a direct loop over feed() that stops at
+  /// the first final verdict.
+  core::Verdict feed_run(const core::TimedSymbol* run, std::size_t n) override;
   core::Verdict finish(core::StreamEnd end) override;
   core::Verdict verdict() const override { return verdict_; }
   const core::RunResult& result() const override { return result_; }

@@ -88,6 +88,13 @@ core::Verdict CerAcceptor::feed(core::Symbol symbol, core::Tick at) {
   return verdict_;
 }
 
+core::Verdict CerAcceptor::feed_run(const core::TimedSymbol* run,
+                                    std::size_t n) {
+  for (std::size_t i = 0; i < n && !core::final_verdict(verdict_); ++i)
+    CerAcceptor::feed(run[i].sym, run[i].time);
+  return verdict_;
+}
+
 // Inlined into step(), so a feed with the cache off costs what the
 // sweep alone did (one call, not two).
 [[gnu::always_inline]] inline void CerAcceptor::sweep(std::uint32_t cls,

@@ -91,6 +91,20 @@ public:
 
   Verdict feed(const TimedSymbol& ts) { return feed(ts.sym, ts.time); }
 
+  /// Ingests `n` elements in order; returns the verdict after the last.
+  /// Contract: the same verdict and the same result() as feeding them one
+  /// at a time -- where a stream is split into runs cannot change what
+  /// the acceptor reads (Definition 3.5), and a final verdict absorbs
+  /// every later element, so an override may stop there.  A time step
+  /// backwards throws ModelError as feed() does, with the elements before
+  /// it fed.  The default loops over feed(); an acceptor overrides it to
+  /// pay one virtual call per run instead of one per symbol.
+  virtual Verdict feed_run(const TimedSymbol* run, std::size_t n) {
+    Verdict v = verdict();
+    for (std::size_t i = 0; i < n; ++i) v = feed(run[i].sym, run[i].time);
+    return v;
+  }
+
   /// Declares the stream over and settles the verdict (exact if locked,
   /// otherwise the executor's trailing-window heuristic).  Idempotent; the
   /// `end` of the first call wins.

@@ -13,9 +13,13 @@
 /// thread, pushes the buffer onto the pool's remote-free list: a Treiber
 /// stack that other threads only push to and the owner only empties
 /// whole, so it needs no lock and has no ABA case.  The owner refills its
-/// spares from that list when they run out.  Once the pool holds as many
-/// buffers as its owner keeps in flight, neither side touches the heap
-/// per body.
+/// spares from that list when they run out.
+///
+/// The guarantee: once the pool has held its peak number of bodies in
+/// flight (each fitting a buffer it already owns, within kRetainBytes of
+/// spares), neither side makes a heap call per body.  A consumer that
+/// falls behind raises that peak, so a warm-up that proves "no heap
+/// call" must reach the in-flight peak the measured traffic can reach.
 ///
 /// Retention: each refill keeps at most kRetainBytes of spare buffers and
 /// frees the rest, so a burst does not pin its peak.  Between refills the

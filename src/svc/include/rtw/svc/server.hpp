@@ -92,6 +92,9 @@ struct ConnectionStats {
   std::uint64_t unknown_frames = 0;  ///< Symbols/Close for unmapped ids
   std::uint64_t sheds = 0;           ///< admission refusals (runs, not symbols)
   std::uint64_t verdicts = 0;        ///< Verdict frames queued (output plane)
+  /// Op-12 bodies whose validation covered a stride tail in the
+  /// fixed-stride pass (Decoder::stride_bodies), as of the last run fed.
+  std::uint64_t stride_bodies = 0;
 };
 
 /// One client byte stream.  Created by Server::connect(); the transport

@@ -36,9 +36,10 @@
 /// BodyPool; feed_batch() copies the run, once admission has passed its
 /// checks, into a buffer from a pool owned by the calling thread, and the
 /// caller's own vector is freed on the caller's thread.  The shard worker
-/// reads a Feed run's TimedSymbols in place; it walks packed bytes
-/// straight into the stale filter and the acceptor, or decodes a
-/// lane-family run into the shard's own wave storage.  Dropping the
+/// reads a Feed run's TimedSymbols in place and decodes packed bytes a
+/// stack chunk at a time; either way the stale filter hands the acceptor
+/// one feed_run call per chunk (session.hpp).  A lane-family run is
+/// decoded into the shard's own wave storage instead.  Dropping the
 /// command hands the buffer back to its pool with one lock-free push, so
 /// the worker never frees a block another thread allocated.
 ///

@@ -15,6 +15,8 @@
 /// the acceptor's business (and the acceptors in this library are
 /// duplicate-tolerant by construction or lock first).
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -60,30 +62,36 @@ public:
 
   /// Feeds a run of symbols (one ring slot) through the stale filter,
   /// dropping each element whose time is below the session's high-water
-  /// mark; returns the verdict after the last element.  Final verdicts
-  /// absorb every later feed, so a session already settled when the run
-  /// starts only runs the filter -- no virtual calls.  Where the runs
-  /// split a stream cannot change its verdict (Definition 3.5).
+  /// mark; returns the verdict after the last element.  The run goes to
+  /// the acceptor kFeedChunk elements at a time, one
+  /// OnlineAcceptor::feed_run call each: in place while every element
+  /// passes, or, once one is dropped, as the survivors copied into a
+  /// stack chunk.  Final verdicts absorb every later feed, so once the
+  /// acceptor has settled -- before the run or within it -- only the
+  /// filter runs.  Where the runs and chunks split a stream cannot change
+  /// its verdict (Definition 3.5).
   core::Verdict feed_run(const core::TimedSymbol* elements, std::size_t n) {
     if (finished_) return acceptor_->verdict();
-    const bool settled = core::final_verdict(acceptor_->verdict());
-    for (std::size_t i = 0; i < n; ++i)
-      if (filter_.admit(elements[i].time) && !settled)
-        acceptor_->feed(elements[i].sym, elements[i].time);
+    bool settled = core::final_verdict(acceptor_->verdict());
+    core::TimedSymbol chunk[kFeedChunk];
+    for (std::size_t first = 0; first < n; first += kFeedChunk)
+      settled = feed_chunk(elements + first, std::min(n - first, kFeedChunk),
+                           chunk, settled);
     return acceptor_->verdict();
   }
 
   /// Feeds a validated op-12 body (wire.hpp) exactly as feed_run feeds
-  /// the run it decodes to, walking the bytes instead: no decoded copy of
-  /// the run exists, and each marker is interned as it is fed.
+  /// the run it decodes to.  The body is decoded a chunk at a time into a
+  /// stack chunk (PackedReader::read: its stride tail in the fixed-stride
+  /// pass), filtered there in place, and fed; no decoded copy of the
+  /// whole run exists, and each marker is interned as it is read.
   core::Verdict feed_packed(std::string_view body) {
     if (finished_) return acceptor_->verdict();
-    const bool settled = core::final_verdict(acceptor_->verdict());
+    bool settled = core::final_verdict(acceptor_->verdict());
+    core::TimedSymbol chunk[kFeedChunk];
     PackedReader reader(body);
-    PackedElement element;
-    while (reader.next(element))
-      if (filter_.admit(element.time) && !settled)
-        acceptor_->feed(element.symbol(), element.time);
+    while (const std::size_t m = reader.read(chunk, kFeedChunk))
+      settled = feed_chunk(chunk, m, chunk, settled);
     return acceptor_->verdict();
   }
 
@@ -125,6 +133,33 @@ public:
   }
 
 private:
+  /// Elements a feed call hands the acceptor at most: 1.5 KiB of stack.
+  static constexpr std::size_t kFeedChunk = 64;
+
+  /// Runs the stale filter over `in` and, unless `settled`, feeds the
+  /// survivors in one feed_run call: `in` itself while every element
+  /// passes, else the survivors copied to `out` (which may be `in`).
+  /// Returns whether the acceptor has settled.
+  bool feed_chunk(const core::TimedSymbol* in, std::size_t m,
+                  core::TimedSymbol* out, bool settled) {
+    // A local copy of the filter stays in registers across the stores.
+    core::LaneFilter filter = filter_;
+    std::size_t kept = 0;
+    while (kept < m && filter.admit(in[kept].time)) ++kept;
+    const core::TimedSymbol* run = in;
+    if (kept < m) {
+      if (out != in) std::copy(in, in + kept, out);
+      for (std::size_t i = kept + 1; i < m; ++i) {
+        out[kept] = in[i];
+        kept += filter.admit(in[i].time);
+      }
+      run = out;
+    }
+    filter_ = filter;
+    if (settled || kept == 0) return settled;
+    return core::final_verdict(acceptor_->feed_run(run, kept));
+  }
+
   SessionId id_;
   std::unique_ptr<core::OnlineAcceptor> acceptor_;
   core::LaneFilter filter_;

@@ -47,23 +47,32 @@
 ///                         event and one ring slot.  A served element
 ///                         costs 3 bytes.
 ///
+///                         The stride tail: once the bytes left are 3 x
+///                         the elements left, every remaining element is
+///                         [kind][one byte][one-byte dt] -- a Char, a Nat
+///                         below 128 or an empty Marker, each with a dt
+///                         below 128.  A served body reaches it after its
+///                         first element, whose dt is the absolute time.
+///
 /// Every other op number, the retired ops 1, 2 and 5 of v0-v2 (an Open
 /// without priority and two text feed bodies) among them, is a sticky
-/// UnknownOp.  Every connection receives Verdict and ShedNotice frames,
-/// whether or not it sent Hello.
+/// UnknownOp, raised as soon as the frame's 13-byte header is in.  Every
+/// connection receives Verdict and ShedNotice frames, whether or not it
+/// sent Hello.
 ///
 /// Where an op-12 body is checked and where it is read.  The grammar
-/// lives in one walker, PackedReader, which every reader of a body uses.
+/// lives in one walker, PackedReader, which every reader of a body uses;
+/// it reads a stride tail in a fixed-stride pass with no branch per byte.
 /// A Decoder in its default PackedMode::Decode walks the body once and
 /// emits its elements as `symbols`, interning markers on the spot.  The
 /// Server's connections run their Decoder in PackedMode::Pool instead:
 /// the walk there only validates (a malformed body is the same sticky
 /// MalformedBody), and the event carries the body's bytes in a recycled
 /// buffer (`packed`, body_pool.hpp).  The shard worker that owns the
-/// session walks those bytes again and feeds each element straight to
-/// the session's stale filter and acceptor (or, for a lane-family
-/// session, decodes the run into shard-owned wave storage), so markers
-/// of such a body are interned on the shard.
+/// session reads those bytes again, a chunk at a time, through the
+/// session's stale filter into its acceptor's feed_run (or, for a
+/// lane-family session, decodes the run into shard-owned wave storage),
+/// so markers of such a body are interned on the shard.
 ///
 /// Decoder is frame-atomic: push() accepts any byte-chunking (including
 /// mid-header splits) and a frame yields its event only once its last
@@ -165,11 +174,22 @@ struct PackedElement {
   }
 };
 
-/// Walks an op-12 body element by element: the packed grammar's one
-/// implementation.  Reading stops at the first malformation; complete()
-/// then tells a well-formed body (every counted element read, nothing
-/// after them) from a malformed one.  Allocation-free, and it interns
-/// nothing: PackedElement::symbol() does that when asked.
+/// Walks an op-12 body: the packed grammar's one implementation.  Reading
+/// stops at the first malformation; complete() then tells a well-formed
+/// body (every counted element read, nothing after them) from a malformed
+/// one.
+///
+/// The stride tail.  Every element takes at least kMinPackedElementBytes,
+/// so once the bytes left are exactly that many times the elements left,
+/// every remaining element of a well-formed body is [kind][one byte]
+/// [one-byte dt].  read() and skip() detect that point and cover the
+/// tail in a fixed-stride pass with no branch per byte; its rules are
+/// next()'s rules for 3-byte elements, and a stretch that breaks them is
+/// re-read by next() up to the malformation.  In served traffic the
+/// stride starts after the first element, whose dt is the absolute time.
+///
+/// next() and skip() allocate and intern nothing: PackedElement::symbol()
+/// interns a marker when asked, and read() interns the markers it yields.
 class PackedReader {
 public:
   explicit PackedReader(std::string_view body) noexcept
@@ -183,6 +203,18 @@ public:
 
   /// The element count the body announces (0 when its header is bad).
   std::uint64_t count() const noexcept { return count_; }
+
+  /// Reads up to `max` elements into `out` and returns how many: fewer
+  /// only at the end of the body or at a malformation.  The head goes
+  /// through next(), a stride tail through the fixed-stride pass.
+  std::size_t read(core::TimedSymbol* out, std::size_t max);
+
+  /// Walks every element left without yielding it -- the reactor's
+  /// validator -- and returns complete().
+  bool skip() noexcept;
+
+  /// Elements the fixed-stride pass has read or skipped so far.
+  std::uint64_t stride_elements() const noexcept { return stride_elements_; }
 
   /// Reads the next element; false at the end or at a malformation.
   bool next(PackedElement& out) noexcept {
@@ -227,6 +259,20 @@ public:
   bool complete() const noexcept { return ok_ && left_ == 0 && p_ == end_; }
 
 private:
+  /// True when the rest of a well-formed body is a stride tail.  (left_
+  /// is at most a third of the body, so the product cannot wrap.)
+  bool at_stride() const noexcept {
+    return ok_ && static_cast<std::uint64_t>(end_ - p_) ==
+                      kMinPackedElementBytes * left_;
+  }
+
+  /// The fixed-stride pass over the next `n` (<= left_) elements of a
+  /// stride tail, with next()'s rules for 3-byte elements: Char takes any
+  /// byte, Nat a byte < 0x80, Marker only length 0, and every dt is a
+  /// byte < 0x80.  With `out` it decodes the elements there; without, it
+  /// only checks them and leaves their times unsummed (skip() yields no
+  /// element).  False, with nothing consumed, when one breaks the rules.
+  bool stride(core::TimedSymbol* out, std::size_t n);
   /// LEB128 of at most 10 bytes whose 10th byte is <= 1 (exactly 64 bits).
   bool read_varint(std::uint64_t& v) noexcept {
     std::uint64_t result = 0;
@@ -247,6 +293,7 @@ private:
   const unsigned char* end_;
   std::uint64_t left_ = 0;   ///< elements still to read
   std::uint64_t count_ = 0;
+  std::uint64_t stride_elements_ = 0;
   core::Tick time_ = 0;
   bool ok_ = false;
 };
@@ -336,6 +383,11 @@ public:
   DecodeError error_code() const noexcept { return error_code_; }
   /// Complete frames decoded so far.
   std::uint64_t frames() const noexcept { return frames_; }
+  /// Bytes held for an incomplete frame.
+  std::size_t buffered() const noexcept { return buffer_.size(); }
+  /// PackedMode::Pool: op-12 bodies whose validation reached a stride
+  /// tail (PackedReader) and covered it in the fixed-stride pass.
+  std::uint64_t stride_bodies() const noexcept { return stride_bodies_; }
 
 private:
   /// FIFO of decoded events, kept in fixed chunks of kChunkEvents.  A
@@ -385,6 +437,7 @@ private:
   std::string error_;
   DecodeError error_code_ = DecodeError::None;
   std::uint64_t frames_ = 0;
+  std::uint64_t stride_bodies_ = 0;
 };
 
 /// Runs an encoded frame sequence through a fault plan at frame

@@ -155,6 +155,7 @@ bool Connection::submit_run(Run& run) {
   SessionId global = 0;
   {
     std::lock_guard lock(mutex_);
+    stats_.stride_bodies = decoder_.stride_bodies();
     const auto it = sessions_.find(run.client);
     if (it == sessions_.end() || it->second.close_sent) {
       ++stats_.unknown_frames;

@@ -109,7 +109,14 @@ std::string to_string(const AdmitResult& r) {
 
 SessionManager::Shard::Shard(const IngressConfig& ingress)
     : ring(ingress.ring_capacity + kControlHeadroom),
-      table(ingress.session_slots) {}
+      table(ingress.session_slots) {
+  // An epoch drains at most kDrainBatch commands and stages at most one
+  // lane run per command, so a shard that falls behind never grows these
+  // on its worker.
+  staging.reserve(kDrainBatch);
+  wave.reserve(kDrainBatch);
+  wave_sessions.reserve(kDrainBatch);
+}
 
 SessionManager::SessionManager(ServerConfig config)
     : shard_cfg_(config.shard),
@@ -541,11 +548,11 @@ void SessionManager::process(Shard& shard, std::uint64_t epoch) {
             symbols.reserve(std::max(n, kWaveSymbols));
           }
           const std::size_t first = symbols.size();
+          symbols.resize(first + n);
           PackedReader reader(command.body.bytes());
-          PackedElement element;
-          while (reader.next(element))
-            symbols.push_back({element.symbol(), element.time});
-          stage_lane_run(shard, session, lane, symbols.data() + first, n);
+          symbols.resize(first + reader.read(symbols.data() + first, n));
+          stage_lane_run(shard, session, lane, symbols.data() + first,
+                         symbols.size() - first);
           break;
         }
         const std::uint64_t stale_before = session.stale_dropped();

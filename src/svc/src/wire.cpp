@@ -1,6 +1,7 @@
 #include "rtw/svc/wire.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <utility>
 
@@ -59,13 +60,112 @@ std::string encode(SessionId session, Op op, std::string_view body) {
   return out;
 }
 
+/// The stride rules for [kind][byte] as one probe: (byte | 0x100) &
+/// kStrideMask[kind] is nonzero exactly when they are broken.  Char takes
+/// any byte (mask 0), Nat a byte < 0x80 (0x80), Marker only length 0
+/// (0xff), and no other kind is an element (0x100).
+constexpr std::array<std::uint16_t, 256> kStrideMask = [] {
+  std::array<std::uint16_t, 256> mask{};
+  mask.fill(0x100);
+  mask[static_cast<unsigned>(PackedKind::Char)] = 0;
+  mask[static_cast<unsigned>(PackedKind::Nat)] = 0x80;
+  mask[static_cast<unsigned>(PackedKind::Marker)] = 0xff;
+  return mask;
+}();
+
+/// The one marker a stride tail can carry: the empty name.
+core::Symbol empty_marker() {
+  static const core::Symbol marker = core::Symbol::marker("");
+  return marker;
+}
+
+/// The ops of protocol v3; any other op byte is an UnknownOp.
+bool known_op(unsigned char op) noexcept {
+  switch (static_cast<Op>(op)) {
+    case Op::Close:
+    case Op::CloseTruncated:
+    case Op::Open:
+    case Op::Hello:
+    case Op::HelloAck:
+    case Op::Verdict:
+    case Op::ShedNotice:
+    case Op::SubmitQuery:
+    case Op::FeedPacked:
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
+
+bool PackedReader::stride(core::TimedSymbol* out, std::size_t n) {
+  const unsigned char* p = p_;
+  unsigned fault = 0;  // (byte | 0x100) & kStrideMask[kind], ORed
+  unsigned dts = 0;    // every dt, ORed: its high bit is a fault
+  if (out) {
+    unsigned markers = 0;
+    core::Tick time = time_;
+    for (std::size_t i = 0; i < n; ++i, p += kMinPackedElementBytes) {
+      const unsigned kind = p[0], byte = p[1], dt = p[2];
+      fault |= (byte | 0x100u) & kStrideMask[kind];
+      dts |= dt;
+      markers |= kind == 2;
+      time += dt;
+      // A Marker lands as a Nat here and is patched below.
+      out[i] = {kind == 0 ? core::Symbol::chr(static_cast<char>(byte))
+                          : core::Symbol::nat(byte),
+                time};
+    }
+    if (fault | (dts & 0x80)) return false;
+    if (markers) {
+      const core::Symbol marker = empty_marker();
+      for (std::size_t i = 0; i < n; ++i)
+        if (p_[i * kMinPackedElementBytes] == 2) out[i].sym = marker;
+    }
+    time_ = time;
+  } else {
+    for (std::size_t i = 0; i < n; ++i, p += kMinPackedElementBytes) {
+      fault |= (p[1] | 0x100u) & kStrideMask[p[0]];
+      dts |= p[2];
+    }
+    if (fault | (dts & 0x80)) return false;
+  }
+  p_ = p;
+  left_ -= n;
+  stride_elements_ += n;
+  return true;
+}
+
+std::size_t PackedReader::read(core::TimedSymbol* out, std::size_t max) {
+  std::size_t got = 0;
+  PackedElement element;
+  while (got < max && !at_stride()) {
+    if (!next(element)) return got;
+    out[got++] = {element.symbol(), element.time};
+  }
+  const auto n =
+      static_cast<std::size_t>(std::min<std::uint64_t>(left_, max - got));
+  if (n == 0 || stride(out + got, n)) return got + n;
+  // The stretch breaks the stride rules: next() reads up to the fault.
+  while (got < max && next(element)) out[got++] = {element.symbol(), element.time};
+  return got;
+}
+
+bool PackedReader::skip() noexcept {
+  PackedElement element;
+  while (!at_stride())
+    if (!next(element)) return false;
+  if (left_ > 0 && !stride(nullptr, static_cast<std::size_t>(left_)))
+    while (next(element)) {
+    }
+  return complete();
+}
 
 bool decode_packed(std::string_view body, std::vector<core::TimedSymbol>& out) {
   PackedReader reader(body);
-  out.reserve(reader.count());
-  PackedElement element;
-  while (reader.next(element)) out.push_back({element.symbol(), element.time});
+  const std::size_t first = out.size();
+  out.resize(first + reader.count());
+  out.resize(first + reader.read(out.data() + first, reader.count()));
   return reader.complete();
 }
 
@@ -280,11 +380,16 @@ std::size_t Decoder::decode(std::string_view in) {
       return pos;
     }
     const SessionId session = get_u64le(header + kHeaderBytes);
-    const auto op = static_cast<Op>(
-        static_cast<unsigned char>(header[kHeaderBytes + 8]));
+    const auto raw_op = static_cast<unsigned char>(header[kHeaderBytes + 8]);
+    // An op outside the table fails with its header: nothing of its body
+    // is waited for or buffered.
+    if (!known_op(raw_op)) {
+      fail(DecodeError::UnknownOp, "svc::Decoder: unknown opcode");
+      return pos;
+    }
     // A frame is one event: wait for all of it.
     if (available < kHeaderBytes + len) return pos;
-    if (!decode_frame(session, op,
+    if (!decode_frame(session, static_cast<Op>(raw_op),
                       in.substr(pos + kFrameHeaderBytes,
                                 len - kPayloadHeaderBytes)))
       return pos;
@@ -315,11 +420,11 @@ bool Decoder::decode_frame(SessionId session, Op op, std::string_view body) {
       bool valid = false;
       if (packed_mode_ == PackedMode::Pool) {
         PackedReader reader(body);
-        PackedElement element;
-        while (reader.next(element)) {
+        valid = reader.skip();
+        if (valid) {
+          ev.packed = pool_.take(body, reader.count());
+          stride_bodies_ += reader.stride_elements() > 0;
         }
-        valid = reader.complete();
-        if (valid) ev.packed = pool_.take(body, reader.count());
       } else {
         valid = decode_packed(body, ev.symbols);
       }
@@ -407,8 +512,6 @@ bool Decoder::decode_frame(SessionId session, Op op, std::string_view body) {
       ev.shed_symbols = get_u64le(body.data() + 2);
       break;
     }
-    default:
-      return fail(DecodeError::UnknownOp, "svc::Decoder: unknown opcode");
   }
   ready_.push(std::move(ev));
   return true;

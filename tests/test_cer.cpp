@@ -817,6 +817,73 @@ TEST(CerOracle, FlatRuntimeMatchesLegacyRunResultsAfterEveryFeed) {
   EXPECT_EQ(result.cases_run, cfg.cases);
 }
 
+/// CerAcceptor::feed_run is per-symbol feed() in one call: fed in random
+/// runs of 1-300 elements -- runs that cross the point where the verdict
+/// settles, and a second pass after reset() -- it returns the verdict and
+/// holds every RunResult field an acceptor fed one symbol at a time does,
+/// after every run and after finish.
+TEST(CerAcceptor, FeedRunMatchesPerSymbolFeeds) {
+  rtw::proptest::Config cfg;
+  cfg.cases = 300;
+  cfg.max_size = 64;
+  cfg.seed ^= 0xfeed7;
+  std::uint64_t settled_inside_a_run = 0;
+  const auto result = rtw::proptest::run_property(
+      "cer_feed_run_vs_feed", cfg,
+      [&](rtw::sim::Xoshiro256ss& rng,
+          std::size_t size) -> std::optional<std::string> {
+        const cer::Query query =
+            random_query(rng, 2 + rng.uniform(std::uint64_t{8}));
+        auto compiled = cer::compile(query);
+        if (!compiled.ok()) return std::nullopt;  // limits are not a bug
+        const auto word = rng.bernoulli(0.5)
+                              ? long_stream_word(rng, query)
+                              : random_mutated_word(rng, 8 * size, query);
+        cer::CerAcceptor by_symbol(*compiled.compiled);
+        cer::CerAcceptor by_run(*compiled.compiled);
+        const auto differs = [&]() -> std::optional<std::string> {
+          const auto& a = by_run.result();
+          const auto& b = by_symbol.result();
+          if (by_run.verdict() != by_symbol.verdict() ||
+              a.symbols_consumed != b.symbols_consumed ||
+              a.ticks != b.ticks || a.f_count != b.f_count ||
+              a.first_f != b.first_f || a.exact != b.exact ||
+              a.accepted != b.accepted)
+            return std::string("feed_run differs from per-symbol feeds");
+          return std::nullopt;
+        };
+        for (int pass = 0; pass < 2; ++pass) {
+          for (std::size_t pos = 0; pos < word.size();) {
+            const std::size_t n = std::min<std::size_t>(
+                1 + rng.uniform(std::uint64_t{300}), word.size() - pos);
+            const bool open = !final_verdict(by_symbol.verdict());
+            Verdict expected = by_symbol.verdict();
+            for (std::size_t i = pos; i < pos + n; ++i) {
+              expected = by_symbol.feed(word[i].sym, word[i].time);
+              if (open && final_verdict(expected) && i + 1 < pos + n)
+                ++settled_inside_a_run;
+            }
+            if (by_run.feed_run(word.data() + pos, n) != expected)
+              return "feed_run returned another verdict at " +
+                     std::to_string(pos);
+            if (auto why = differs()) return why;
+            pos += n;
+          }
+          const StreamEnd end = rng.bernoulli(0.5) ? StreamEnd::EndOfWord
+                                                   : StreamEnd::Truncated;
+          by_symbol.finish(end);
+          by_run.finish(end);
+          if (auto why = differs()) return *why + " after finish";
+          by_symbol.reset();
+          by_run.reset();
+        }
+        return std::nullopt;
+      });
+  EXPECT_TRUE(result.ok()) << rtw::proptest::describe("cer_feed_run_vs_feed",
+                                                      cfg, *result.failure);
+  EXPECT_GT(settled_inside_a_run, 0u);
+}
+
 TEST(CerOracle, LongStreamsFillFlushAndTripTheTransitionCache) {
   // Thousands of symbols per word push the transition cache through
   // every path: hits, misses after hits (the sweep reloads an interned

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -282,12 +283,35 @@ TEST(WireAlloc, CompleteFramesDecodeInPlace) {
   EXPECT_LE(largest, run.size() * sizeof(TimedSymbol));
 }
 
+/// Holds the shard worker that feeds it until the gate opens.
+class GateAcceptor final : public rtw::core::OnlineAcceptor {
+public:
+  explicit GateAcceptor(const std::atomic<bool>& open) : open_(open) {}
+  Verdict feed(rtw::core::Symbol, Tick) override {
+    open_.wait(false);
+    return Verdict::Undetermined;
+  }
+  Verdict finish(rtw::core::StreamEnd) override { return Verdict::Rejecting; }
+  Verdict verdict() const override { return Verdict::Undetermined; }
+  const rtw::core::RunResult& result() const override { return result_; }
+  void reset() override {}
+  std::string name() const override { return "gate"; }
+
+private:
+  const std::atomic<bool>& open_;
+  rtw::core::RunResult result_;
+};
+
 TEST(WireAlloc, PackedFramesThroughAServerAllocateNothingAfterWarmup) {
   // Two shards, two query sessions and two count:K sessions, fed rounds
   // of one 256-symbol op-12 frame each.  After a warm-up -- acceptor
   // caches, body buffers, decoder chunks, staging vectors -- a round
   // makes no operator new call on any thread: not the reactor's decode
   // and body copy, nor the shard's walk, nor the buffer's trip back.
+  // The pool stops allocating once it has held its peak number of bodies
+  // in flight (body_pool.hpp), so the warm-up ends by queueing as many
+  // rounds as the measurement sends while both shards are held on a gate:
+  // a lagging shard cannot then push the measured rounds past that peak.
   rtw::svc::ServerConfig config;
   config.shard.count = 2;
   rtw::svc::Server server(config, rtw::svc::profile_factory());
@@ -299,11 +323,12 @@ TEST(WireAlloc, PackedFramesThroughAServerAllocateNothingAfterWarmup) {
                   : rtw::svc::encode_open(s, "count:1000000");
   ASSERT_TRUE(conn->on_bytes(open));
 
-  // Every round's bytes are encoded up front: encoding allocates.
+  // Every round's bytes are encoded up front: encoding allocates.  The
+  // gated warm-up sends kRounds rounds of its own.
   constexpr int kWarmRounds = 64, kRounds = 32;
   std::vector<std::string> rounds;
   Tick t = 0;
-  for (int r = 0; r < kWarmRounds + kRounds; ++r) {
+  for (int r = 0; r < kWarmRounds + 2 * kRounds; ++r) {
     std::vector<TimedSymbol> run;
     for (int i = 0; i < 256; ++i)
       run.push_back({Symbol::chr(static_cast<char>('a' + i % 4)), ++t});
@@ -317,13 +342,33 @@ TEST(WireAlloc, PackedFramesThroughAServerAllocateNothingAfterWarmup) {
     server.manager().drain();
   };
   feed(0, kWarmRounds);
+  {
+    // One gate session per shard, opened under ids picked to land there.
+    std::atomic<bool> open{false};
+    auto& manager = server.manager();
+    std::vector<rtw::svc::SessionId> gates;
+    for (rtw::svc::SessionId id = 1; gates.size() < manager.shards(); ++id)
+      if (manager.shard_of(id) == gates.size()) gates.push_back(id);
+    for (const auto id : gates) {
+      manager.open(id, std::make_unique<GateAcceptor>(open));
+      ASSERT_EQ(manager.feed(id, rtw::core::Symbol::chr('g'), 0),
+                rtw::svc::Admit::Accepted);
+    }
+    for (int r = kWarmRounds; r < kWarmRounds + kRounds; ++r)
+      ASSERT_TRUE(conn->on_bytes(rounds[r]));
+    open.store(true);
+    open.notify_all();
+    for (const auto id : gates) manager.close(id);
+    manager.drain();
+    (void)manager.collect();
+  }
   // The ring-wait reservoirs were reserved by their first sample; a take
   // keeps their capacity.
   (void)server.manager().take_feed_latency_samples();
   const auto warm = server.manager().stats();
 
   const std::uint64_t before = g_allocations.load();
-  feed(kWarmRounds, kWarmRounds + kRounds);
+  feed(kWarmRounds + kRounds, kWarmRounds + 2 * kRounds);
   const std::uint64_t allocations = g_allocations.load() - before;
 
   const auto stats = server.manager().stats();

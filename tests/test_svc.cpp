@@ -307,6 +307,40 @@ std::vector<TimedSymbol> random_feed_elements(rtw::sim::Xoshiro256ss& rng,
   return out;
 }
 
+/// Random packed-feed element list shaped for the stride tail: a first
+/// element whose dt takes 1-3 bytes, then runs of 3-byte elements (Chars
+/// of any byte, Nats below 128 and empty markers, with gaps of 0-127),
+/// each run possibly broken by one element that leaves the stride (a Nat
+/// of 128 or more, a named marker or a gap of 128 or more).  Lengths
+/// reach past the shard's 64-element chunk.
+std::vector<TimedSymbol> random_stride_elements(rtw::sim::Xoshiro256ss& rng,
+                                                std::size_t size) {
+  const std::size_t len = rng.uniform(std::uint64_t{8 * size + 2});
+  std::vector<TimedSymbol> out;
+  out.reserve(len);
+  Tick t = rng.uniform(std::uint64_t{1} << (7 * (1 + rng.uniform(std::uint64_t{3}))));
+  for (std::size_t i = 0; i < len; ++i) {
+    Symbol sym;
+    const bool leave = i > 0 && rng.uniform(std::uint64_t{24}) == 0;
+    switch (rng.uniform(std::uint64_t{4})) {
+      case 0:
+        sym = leave ? Symbol::nat(128 + rng.uniform(std::uint64_t{1} << 20))
+                    : Symbol::nat(rng.uniform(std::uint64_t{128}));
+        break;
+      case 1:
+        sym = Symbol::marker(leave ? "w" : "");
+        break;
+      default:
+        sym = Symbol::chr(static_cast<char>(rng.uniform(std::uint64_t{256})));
+    }
+    if (i > 0)
+      t += leave && rng.uniform(std::uint64_t{2}) ? 128 + rng.uniform(std::uint64_t{1000})
+                                                  : rng.uniform(std::uint64_t{128});
+    out.push_back({sym, t});
+  }
+  return out;
+}
+
 /// Pushes `stream` in chunks drawn from [1, max_chunk] and returns every
 /// event decoded, or nullopt when the decoder failed.
 std::optional<std::vector<WireEvent>> decode_chunked(
@@ -345,6 +379,10 @@ private:
   RunResult result_;
 };
 
+/// Frames check_pooled_agrees saw whose stride tail the reactor's
+/// validator and the shard's read covered in the fixed-stride pass.
+std::uint64_t g_stride_reactor = 0, g_stride_shard = 0;
+
 /// Pushes one frame through a default (decoding) Decoder and a
 /// PackedMode::Pool Decoder -- the reactor's validator -- and checks that
 /// both accept it or both reject it as a sticky MalformedBody.  When they
@@ -355,6 +393,22 @@ private:
 std::optional<std::string> check_pooled_agrees(std::string_view frame) {
   using rtw::svc::DecodeError;
   using rtw::svc::PackedMode;
+  // The shard's chunked read (the stride pass where the body reaches its
+  // stride tail) yields what the element walk yields, up to the same
+  // malformation.
+  {
+    rtw::svc::PackedReader walk(frame.substr(13));
+    rtw::svc::PackedReader chunked(frame.substr(13));
+    std::vector<TimedSymbol> by_next, by_read;
+    rtw::svc::PackedElement element;
+    while (walk.next(element)) by_next.push_back({element.symbol(), element.time});
+    TimedSymbol chunk[64];
+    while (const std::size_t m = chunked.read(chunk, 64))
+      by_read.insert(by_read.end(), chunk, chunk + m);
+    if (by_read != by_next || chunked.complete() != walk.complete())
+      return std::string("PackedReader::read differs from next()");
+    if (chunked.stride_elements() > 0) ++g_stride_shard;
+  }
   Decoder decoding;
   Decoder pooled(rtw::svc::kDefaultMaxFrameBytes, PackedMode::Pool);
   decoding.push(frame);
@@ -370,6 +424,7 @@ std::optional<std::string> check_pooled_agrees(std::string_view frame) {
     return std::nullopt;
   }
   WireEvent decoded, walked;
+  if (pooled.stride_bodies() > 0) ++g_stride_reactor;
   if (!decoding.next(decoded) || !pooled.next(walked) ||
       walked.kind != WireEvent::Kind::Symbols || !walked.symbols.empty() ||
       !walked.packed || walked.session != decoded.session)
@@ -498,6 +553,51 @@ TEST(WireCodec, PackedFeedBatchRoundTripsUnderEveryChunking) {
             return "packed run split or changed, max_chunk=" +
                    std::to_string(max_chunk);
         }
+
+        // A stride-shaped body, its mutants, and a fault planted in its
+        // tail: a dt with its high bit set, or a Nat of 128 or more in one
+        // byte.  Both keep the body 3 bytes per element, so the validator
+        // and the shard meet them inside the stride pass.
+        const auto strided = random_stride_elements(rng, size);
+        const std::string strided_frame =
+            rtw::svc::encode_feed_batch(9, strided);
+        {
+          Decoder decoder;
+          decoder.push(strided_frame);
+          if (!decoder.next(ev) || ev.symbols != strided)
+            return std::string("stride body does not round-trip");
+        }
+        if (auto why = check_pooled_agrees(strided_frame)) return why;
+        const std::string body = strided_frame.substr(13);
+        for (const auto& mutant : packed_mutants(body, rng))
+          if (auto why = check_pooled_agrees(raw_frame(12, mutant, 9)))
+            return why;
+        // The stride tail: the 3-byte elements after the last longer one.
+        std::size_t tail = 0;
+        for (std::size_t i = strided.size(); i > 1; --i) {
+          const Symbol sym = strided[i - 1].sym;
+          const bool three_bytes =
+              strided[i - 1].time - strided[i - 2].time < 128 &&
+              (sym.is_char() || (sym.is_nat() && sym.as_nat() < 128) ||
+               (sym.is_marker() && sym.name().empty()));
+          if (!three_bytes) break;
+          ++tail;
+        }
+        if (tail > 0) {
+          const std::size_t at =
+              body.size() - 3 * (1 + rng.uniform(std::uint64_t{tail}));
+          for (const bool nat : {false, true}) {
+            std::string planted = body;
+            if (nat) {
+              planted[at] = 1;
+              planted[at + 1] = static_cast<char>(0x80 | rng.uniform(std::uint64_t{128}));
+            } else {
+              planted[at + 2] = static_cast<char>(planted[at + 2] | 0x80);
+            }
+            if (auto why = check_pooled_agrees(raw_frame(12, planted, 9)))
+              return why;
+          }
+        }
         return std::nullopt;
       });
   EXPECT_TRUE(result.ok()) << rtw::proptest::describe(
@@ -505,6 +605,9 @@ TEST(WireCodec, PackedFeedBatchRoundTripsUnderEveryChunking) {
   // Mutants land on both sides, or the agreement was checked on one only.
   EXPECT_GT(mutants_accepted, 0u);
   EXPECT_GT(mutants_rejected, 0u);
+  // The stride pass ran on both stages.
+  EXPECT_GT(g_stride_reactor, 0u);
+  EXPECT_GT(g_stride_shard, 0u);
 }
 
 TEST(WireCodec, HostilePackedBodiesAreStickyMalformedBody) {
@@ -761,6 +864,29 @@ TEST(WireCodec, UnknownOpsAreTypedRejections) {
     decoder.push(rtw::svc::encode_open(1, "x"));
     EXPECT_FALSE(decoder.next(ev));
   }
+}
+
+/// An op outside the v3 table fails with its 13-byte header: a 256 KiB
+/// retired op-2 frame pushed a byte at a time is refused at its 13th byte,
+/// and nothing of its body is ever buffered.
+TEST(WireCodec, UnknownOpFailsAsSoonAsItsHeaderIsIn) {
+  using rtw::svc::DecodeError;
+  const std::string frame = raw_frame(2, std::string(256 * 1024, '7'));
+  Decoder decoder;
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    decoder.push(std::string_view(frame).substr(i, 1));
+    if (i + 1 < 13) {
+      ASSERT_TRUE(decoder.ok()) << "failed at byte " << i;
+      EXPECT_EQ(decoder.buffered(), i + 1);
+    } else {
+      ASSERT_FALSE(decoder.ok()) << "still decoding at byte " << i;
+      EXPECT_EQ(decoder.error_code(), DecodeError::UnknownOp);
+      EXPECT_EQ(decoder.buffered(), 0u) << "byte " << i;
+    }
+  }
+  WireEvent ev;
+  EXPECT_FALSE(decoder.next(ev));
+  EXPECT_EQ(decoder.frames(), 0u);
 }
 
 TEST(WireCodec, MalformedV1BodiesAreTypedRejections) {
