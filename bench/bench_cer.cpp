@@ -19,7 +19,11 @@
 //     with 1-3 tick gaps).  `seq` and `window` have no such word: they
 //     are fed the cycling word and reset whenever they lock, so every
 //     counted symbol steps the acceptor.  This prices the runtime alone.
-//     It depends only on the query, so every row of a query repeats it.
+//     It depends only on the query, so every row of a query repeats it;
+//   * run_step_rate: step_rate's word fed through CerAcceptor::feed_run
+//     in 256-element runs (an op-12 frame's size, the run a shard hands a
+//     served query session), reset on a final verdict and resumed after
+//     the element that locked.  This prices the acceptor step as served.
 //
 // Stdout carries the human table; `--json=PATH` appends JSONL under the
 // standard bench envelope (schema "cer").  CI runs a smoke-sized sweep
@@ -33,6 +37,7 @@
 //   --batch=64          run length per batched admission
 //   --json=PATH         append JSONL records
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -99,17 +104,33 @@ std::vector<TimedSymbol> step_word(StepWord kind) {
 
 /// Symbols per second fed straight into one CerAcceptor: one warm-up
 /// pass, then 128 timed passes over step_word, with a reset() before
-/// each pass and after each lock.
-double step_rate(const QuerySpec& query) {
+/// each pass and after each lock.  A symbol at a time (step_rate), or in
+/// kRunElements-element feed_run calls (run_step_rate), each resuming
+/// after the element that locked.
+double step_rate(const QuerySpec& query, bool runs) {
   using clock = std::chrono::steady_clock;
   constexpr int kPasses = 128;
+  constexpr std::size_t kRunElements = 256;
   auto compiled = rtw::cer::compile(*rtw::cer::parse(query.text).query);
   rtw::cer::CerAcceptor acceptor(std::move(*compiled.compiled));
   const auto word = step_word(query.step_word);
   const auto pass = [&] {
     acceptor.reset();
-    for (const auto& e : word)
-      if (final_verdict(acceptor.feed(e.sym, e.time))) acceptor.reset();
+    if (!runs) {
+      for (const auto& e : word)
+        if (final_verdict(acceptor.feed(e.sym, e.time))) acceptor.reset();
+      return;
+    }
+    for (std::size_t pos = 0; pos < word.size();) {
+      const std::size_t n = std::min(kRunElements, word.size() - pos);
+      const std::uint64_t before = acceptor.result().symbols_consumed;
+      if (!final_verdict(acceptor.feed_run(word.data() + pos, n))) {
+        pos += n;
+        continue;
+      }
+      pos += acceptor.result().symbols_consumed - before;
+      acceptor.reset();
+    }
   };
   pass();
   const auto start = clock::now();
@@ -258,18 +279,22 @@ int main(int argc, char** argv) {
   std::cout << " EXP-CER: timed-pattern query serving throughput\n";
   std::cout << " " << symbols << " symbols/session, batch " << batch << "\n";
   std::cout << "==========================================================\n\n";
-  std::cout << " query      sessions  shards   opens/s    Msym/s  step Msym/s\n";
-  std::cout << " ---------------------------------------------------------------\n";
+  std::cout << " query      sessions  shards   opens/s    Msym/s  step Msym/s"
+               "   run Msym/s\n";
+  std::cout << " ----------------------------------------------------------------"
+               "-------------\n";
 
   std::vector<std::string> json;
   for (const auto& query : kQueries) {
-    const double query_step_rate = step_rate(query);
+    const double query_step_rate = step_rate(query, /*runs=*/false);
+    const double query_run_step_rate = step_rate(query, /*runs=*/true);
     for (const auto sessions : session_counts) {
       for (const auto shards : shard_counts) {
         const auto cell = run_cell(query, sessions, shards, symbols, batch);
-        std::printf(" %-9s  %8u  %6u  %8.0f  %8.3f  %11.3f\n", query.label,
-                    sessions, shards, cell.open_rate, cell.symbols_rate / 1e6,
-                    query_step_rate / 1e6);
+        std::printf(" %-9s  %8u  %6u  %8.0f  %8.3f  %11.3f  %11.3f\n",
+                    query.label, sessions, shards, cell.open_rate,
+                    cell.symbols_rate / 1e6, query_step_rate / 1e6,
+                    query_run_step_rate / 1e6);
         json.push_back(rtw::sim::bench_record("cer")
                            .field("query", query.label)
                            .field("query_text", query.text)
@@ -282,6 +307,7 @@ int main(int argc, char** argv) {
                            .field("feed_wall_s", cell.feed_wall_s)
                            .field("symbols_rate", cell.symbols_rate)
                            .field("step_rate", query_step_rate)
+                           .field("run_step_rate", query_run_step_rate)
                            .field("ingested", cell.ingested)
                            .field("shed", cell.shed)
                            .field("query_compiled", cell.query_compiled)

@@ -48,7 +48,16 @@
 //                         stages a frame crosses: the reader's on_bytes
 //                         (thread CPU ns per frame) and the shard workers
 //                         (process CPU minus the reader's, ns per ring
-//                         command), plus the frames' wall Msym/s.
+//                         command), plus the frames' wall Msym/s.  Beside
+//                         them it reads the host's load over the same
+//                         windows (Linux /proc, 0 where absent): the
+//                         steal delta (steal_ms, /proc/stat) and the
+//                         run-queue delay deltas of the reader thread
+//                         (reader_runq_ns_per_frame) and of every other
+//                         task of the process, the shards
+//                         (shard_runq_ns_per_command), from field 2 of
+//                         /proc/self/task/<tid>/schedstat.  They are read
+//                         only, to tell a slow stage from a busy host.
 // Acceptors (deadline workload only):
 //   --acceptor=engine     deadline::make_online_acceptor (engine replica,
 //                         per-symbol drive loop);
@@ -71,14 +80,18 @@
 //   --warmup=0.2          warmup fraction excluded from measurement
 //   --json=PATH           append JSONL records
 
+#include <sys/syscall.h>
 #include <time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -334,6 +347,54 @@ Cell run_cell(const CellConfig& cc) {
   return cell;
 }
 
+/// The host's steal time so far, in ms: the 8th value of /proc/stat's
+/// "cpu" line (clock ticks); 0 where it cannot be read.
+double steal_ms() {
+  std::ifstream in("/proc/stat");
+  std::string label;
+  std::uint64_t fields[8] = {};
+  if (!(in >> label) || label != "cpu") return 0;
+  for (auto& field : fields)
+    if (!(in >> field)) return 0;
+  return static_cast<double>(fields[7]) * 1000.0 /
+         static_cast<double>(sysconf(_SC_CLK_TCK));
+}
+
+/// Run-queue delay so far (ns) of each task of this process: field 2 of
+/// /proc/self/task/<tid>/schedstat.  Empty where it cannot be read.
+std::map<long, double> runq_ns_by_task() {
+  std::map<long, double> wait;
+  std::error_code ec;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task", ec)) {
+    std::ifstream in(task.path() / "schedstat");
+    std::uint64_t run = 0, waited = 0;
+    if (in >> run >> waited)
+      wait[std::stol(task.path().filename().string())] =
+          static_cast<double>(waited);
+  }
+  return wait;
+}
+
+/// Run-queue delay accrued between two runq_ns_by_task() samples: the
+/// calling thread's, and every other task's (a task born in between
+/// counts whole).
+struct RunQueueDelta {
+  double self_ns = 0;
+  double others_ns = 0;
+};
+RunQueueDelta runq_delta(const std::map<long, double>& before,
+                         const std::map<long, double>& after) {
+  const long self = static_cast<long>(syscall(SYS_gettid));
+  RunQueueDelta delta;
+  for (const auto& [tid, waited] : after) {
+    const auto it = before.find(tid);
+    const double d = it == before.end() ? waited : waited - it->second;
+    (tid == self ? delta.self_ns : delta.others_ns) += d;
+  }
+  return delta;
+}
+
 struct WireCell {
   std::uint64_t frames = 0;    ///< op-12 frames pushed in measurement
   std::uint64_t commands = 0;  ///< ring commands the shards drained
@@ -344,6 +405,9 @@ struct WireCell {
   double symbols_per_sec = 0;
   double reactor_ns_per_frame = 0;
   double shard_ns_per_command = 0;
+  double steal_ms = 0;  ///< host steal over the measured windows
+  double reader_runq_ns_per_frame = 0;   ///< reader's run-queue delay
+  double shard_runq_ns_per_command = 0;  ///< other tasks' run-queue delay
 };
 
 /// The wire-replay cell (see the file comment).  Only the frames are
@@ -397,12 +461,17 @@ WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
   double reactor_ns = 0;
   double process_ns = 0;
   double wall_s = 0;
+  double reader_runq_ns = 0, shard_runq_ns = 0;
   std::string out;
   for (unsigned round = 0; round <= rounds; ++round) {
     auto conn = server.connect();
     conn->on_bytes(rtw::svc::encode_hello() + opens);
     server.manager().drain();
     const auto before = server.manager().stats();
+    // Host-load probes bracket the CPU window, so their own reads are not
+    // charged to the shards.
+    const double steal0 = steal_ms();
+    const auto runq0 = runq_ns_by_task();
     const auto start = clock::now();
     const double process0 = cpu_ns(CLOCK_PROCESS_CPUTIME_ID);
     double reader = 0;
@@ -415,6 +484,8 @@ WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
     const double process = cpu_ns(CLOCK_PROCESS_CPUTIME_ID) - process0;
     const double wall =
         std::chrono::duration<double>(clock::now() - start).count();
+    const auto runq = runq_delta(runq0, runq_ns_by_task());
+    const double steal = steal_ms() - steal0;
     const auto after = server.manager().stats();
     conn->on_bytes(closes);
     server.manager().drain();
@@ -425,6 +496,9 @@ WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
     reactor_ns += reader;
     process_ns += process;
     wall_s += wall;
+    cell.steal_ms += steal;
+    reader_runq_ns += runq.self_ns;
+    shard_runq_ns += runq.others_ns;
     cell.frames += frame_count;
     cell.commands += after.batches - before.batches;
     cell.symbols += after.ingested - before.ingested;
@@ -441,6 +515,10 @@ WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
       cell.commands ? (process_ns - reactor_ns) /
                           static_cast<double>(cell.commands)
                     : 0;
+  cell.reader_runq_ns_per_frame =
+      cell.frames ? reader_runq_ns / static_cast<double>(cell.frames) : 0;
+  cell.shard_runq_ns_per_command =
+      cell.commands ? shard_runq_ns / static_cast<double>(cell.commands) : 0;
   return cell;
 }
 
@@ -532,6 +610,10 @@ int main(int argc, char** argv) {
                 cell.symbols_per_sec / 1e6,
                 static_cast<unsigned long long>(cell.sheds),
                 static_cast<unsigned long long>(cell.stride_bodies));
+    std::printf(" host load: steal %.0f ms  run-queue delay: reader %.0f"
+                " ns/frame  shards %.0f ns/command\n",
+                cell.steal_ms, cell.reader_runq_ns_per_frame,
+                cell.shard_runq_ns_per_command);
     const std::string line = rtw::sim::bench_record("svc")
                                  .field("workload", "wire_replay")
                                  .field("shards", shards)
@@ -550,6 +632,11 @@ int main(int argc, char** argv) {
                                         cell.reactor_ns_per_frame)
                                  .field("shard_ns_per_command",
                                         cell.shard_ns_per_command)
+                                 .field("steal_ms", cell.steal_ms)
+                                 .field("reader_runq_ns_per_frame",
+                                        cell.reader_runq_ns_per_frame)
+                                 .field("shard_runq_ns_per_command",
+                                        cell.shard_runq_ns_per_command)
                                  .str();
     std::cout << "--- jsonl ------------------------------------------------\n";
     std::cout << line << "\n";

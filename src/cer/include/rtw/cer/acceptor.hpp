@@ -58,6 +58,15 @@
 ///     reset(): a stream whose sets never repeat (a clock drifting inside
 ///     a long window) then pays one branch per feed, not a failed probe
 ///     and an intern.
+///   * Run loop.  feed_run() steps a stretch of cache hits with the
+///     current set id, the last time and the RunResult counters held in
+///     locals: an element costs classify(), one edge probe and two flag
+///     reads, and the locals are committed once per stretch.  Whatever
+///     the stretch cannot take -- a miss, the first feed, the cache off,
+///     a time below the last -- goes through feed() unchanged, so a run
+///     leaves the verdict, result() and cache_stats() exactly as feeding
+///     its elements one at a time does, and throws ModelError at the
+///     same element.
 ///
 /// Dominance pruning never removes a state from the set (a dropped
 /// successor is subsumed by a kept one in the same state), so the set
@@ -93,8 +102,9 @@ public:
 
   core::Verdict feed(core::Symbol symbol, core::Tick at) override;
   using core::OnlineAcceptor::feed;
-  /// One virtual call per run: a direct loop over feed() that stops at
-  /// the first final verdict.
+  /// One virtual call per run, stopping at the first final verdict.
+  /// Stretches of cache hits run in run_hits(); every other element goes
+  /// through feed() (see the file comment).
   core::Verdict feed_run(const core::TimedSymbol* run, std::size_t n) override;
   core::Verdict finish(core::StreamEnd end) override;
   core::Verdict verdict() const override { return verdict_; }
@@ -118,6 +128,13 @@ public:
   static constexpr std::size_t kMaxCacheBytes = 8 * 1024 + 256;
 
 private:
+  /// The run loop: steps run[i..n) while each element is a cache hit at
+  /// a time no lower than the last, with the set id, the last time and
+  /// the RunResult counters in locals, and commits them once.  Returns
+  /// the first element it did not take (past the one that emptied the
+  /// set, if one did).  Requires the cache on and current_ interned.
+  std::size_t run_hits(const core::TimedSymbol* run, std::size_t i,
+                       std::size_t n);
   /// Advances the config set over one event; false when it is empty.
   bool step(core::Symbol symbol, core::Tick at);
   /// The config-set sweep: the one definition of a transition.

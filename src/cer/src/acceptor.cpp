@@ -1,6 +1,7 @@
 #include "rtw/cer/acceptor.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "rtw/core/error.hpp"
@@ -90,9 +91,72 @@ core::Verdict CerAcceptor::feed(core::Symbol symbol, core::Tick at) {
 
 core::Verdict CerAcceptor::feed_run(const core::TimedSymbol* run,
                                     std::size_t n) {
-  for (std::size_t i = 0; i < n && !core::final_verdict(verdict_); ++i)
+  std::size_t i = 0;
+  while (i < n && !core::final_verdict(verdict_)) {
+    // current_ is interned only after a first feed, so a stretch never
+    // starts the stream.
+    if (!cache_off_ && current_ != kNoSet) {
+      i = run_hits(run, i, n);
+      if (i == n || core::final_verdict(verdict_)) break;
+    }
+    // What the stretch cannot take -- a miss, a time below the last (it
+    // throws here), the first feed, the cache off -- feed() takes.
     CerAcceptor::feed(run[i].sym, run[i].time);
+    ++i;
+  }
   return verdict_;
+}
+
+std::size_t CerAcceptor::run_hits(const core::TimedSymbol* run,
+                                  std::size_t i, std::size_t n) {
+  const std::size_t first = i;
+  const bool clocked = compiled_.num_clocks != 0;
+  const ClockValue cap = compiled_.clock_cap;
+  const CachedSet* sets = sets_.data();
+  std::uint32_t set = current_;
+  core::Tick last = last_time_;
+  std::uint64_t f_count = result_.f_count;
+  std::optional<core::Tick> first_f = result_.first_f;
+  bool dead = false;
+  for (; i < n; ++i) {
+    const core::Tick at = run[i].time;
+    if (at < last) break;
+    const ClockValue elapsed =
+        clocked ? std::min<ClockValue>(at - last, cap) : 0;
+    const std::uint32_t to =
+        find_edge(set, compiled_.classify(run[i].sym), elapsed);
+    if (to == kNoSet) break;
+    set = to;
+    last = at;
+    if (sets[to].size == 0) {
+      dead = true;
+      ++i;
+      break;
+    }
+    if (sets[to].accepting) {
+      ++f_count;
+      if (!first_f) first_f = at;
+    }
+  }
+  const std::size_t taken = i - first;
+  if (taken == 0) return i;
+  // One commit per stretch: exactly what `taken` hits through feed()
+  // would have left behind.
+  cache_stats_.hits += taken;
+  current_ = set;
+  stale_ = true;
+  any_accepting_ = sets[set].accepting;
+  last_time_ = last;
+  result_.symbols_consumed += taken;
+  result_.ticks = last;
+  result_.f_count = f_count;
+  result_.first_f = first_f;
+  if (dead) {
+    verdict_ = core::Verdict::Rejecting;
+    result_.accepted = false;
+    result_.exact = true;
+  }
+  return i;
 }
 
 // Inlined into step(), so a feed with the cache off costs what the

@@ -14,6 +14,10 @@
 /// word may legitimately repeat (symbol, time) pairs, so deduplication is
 /// the acceptor's business (and the acceptors in this library are
 /// duplicate-tolerant by construction or lock first).
+///
+/// A final verdict absorbs every later element, so once the acceptor has
+/// settled only the stale filter's counts can still change: a settled
+/// session reads only the clocks of what it is fed (feed_packed).
 
 #include <algorithm>
 #include <cstddef>
@@ -81,17 +85,27 @@ public:
   }
 
   /// Feeds a validated op-12 body (wire.hpp) exactly as feed_run feeds
-  /// the run it decodes to.  The body is decoded a chunk at a time into a
-  /// stack chunk (PackedReader::read: its stride tail in the fixed-stride
-  /// pass), filtered there in place, and fed; no decoded copy of the
-  /// whole run exists, and each marker is interned as it is read.
+  /// the run it decodes to.  While the acceptor is open, the body is
+  /// decoded a chunk at a time into a stack chunk (PackedReader::read: its
+  /// stride tail in the fixed-stride pass), filtered there in place, and
+  /// fed; no decoded copy of the whole run exists, and each marker is
+  /// interned as it is read.  Once the acceptor has settled -- before the
+  /// body or within it -- a settled session reads its clocks only: the
+  /// rest of the body goes through the times-only read into the stale
+  /// filter (admit_times), and no symbol is built.
   core::Verdict feed_packed(std::string_view body) {
     if (finished_) return acceptor_->verdict();
-    bool settled = core::final_verdict(acceptor_->verdict());
-    core::TimedSymbol chunk[kFeedChunk];
     PackedReader reader(body);
-    while (const std::size_t m = reader.read(chunk, kFeedChunk))
-      settled = feed_chunk(chunk, m, chunk, settled);
+    if (!core::final_verdict(acceptor_->verdict())) {
+      core::TimedSymbol chunk[kFeedChunk];
+      bool settled = false;
+      while (!settled) {
+        const std::size_t m = reader.read(chunk, kFeedChunk);
+        if (m == 0) return acceptor_->verdict();
+        settled = feed_chunk(chunk, m, chunk, false);
+      }
+    }
+    admit_times(reader, filter_);
     return acceptor_->verdict();
   }
 

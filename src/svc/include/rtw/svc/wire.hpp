@@ -72,7 +72,10 @@
 /// session reads those bytes again, a chunk at a time, through the
 /// session's stale filter into its acceptor's feed_run (or, for a
 /// lane-family session, decodes the run into shard-owned wave storage),
-/// so markers of such a body are interned on the shard.
+/// so markers of such a body are interned on the shard.  Once the
+/// session's acceptor has settled, the shard reads the rest of the body
+/// with the times-only read (PackedReader::read_times, admit_times): the
+/// stale filter needs the times alone, so no symbol is built.
 ///
 /// Decoder is frame-atomic: push() accepts any byte-chunking (including
 /// mid-header splits) and a frame yields its event only once its last
@@ -98,6 +101,10 @@
 #include "rtw/svc/admit.hpp"
 #include "rtw/svc/body_pool.hpp"
 #include "rtw/svc/ring.hpp"
+
+namespace rtw::core {
+struct LaneFilter;
+}
 
 namespace rtw::svc {
 
@@ -188,8 +195,16 @@ struct PackedElement {
 /// re-read by next() up to the malformation.  In served traffic the
 /// stride starts after the first element, whose dt is the absolute time.
 ///
-/// next() and skip() allocate and intern nothing: PackedElement::symbol()
-/// interns a marker when asked, and read() interns the markers it yields.
+/// The times-only read.  read_times() yields each element's time alone,
+/// for a reader that needs nothing else (a settled session's stale
+/// filter, admit_times below).  It walks the same grammar with the same
+/// stride rules, stops at the same malformation and counts the same
+/// stride_elements() as read(), but builds no Symbol and interns no
+/// marker.
+///
+/// next(), skip() and read_times() allocate and intern nothing:
+/// PackedElement::symbol() interns a marker when asked, and read() interns
+/// the markers it yields.
 class PackedReader {
 public:
   explicit PackedReader(std::string_view body) noexcept
@@ -209,6 +224,9 @@ public:
   /// through next(), a stride tail through the fixed-stride pass.
   std::size_t read(core::TimedSymbol* out, std::size_t max);
 
+  /// read() for the times alone: the same elements, the same stop.
+  std::size_t read_times(core::Tick* out, std::size_t max) noexcept;
+
   /// Walks every element left without yielding it -- the reactor's
   /// validator -- and returns complete().
   bool skip() noexcept;
@@ -217,29 +235,41 @@ public:
   std::uint64_t stride_elements() const noexcept { return stride_elements_; }
 
   /// Reads the next element; false at the end or at a malformation.
-  bool next(PackedElement& out) noexcept {
+  bool next(PackedElement& out) noexcept { return walk(&out); }
+
+  /// True once every counted element was read and no byte trails them.
+  bool complete() const noexcept { return ok_ && left_ == 0 && p_ == end_; }
+
+private:
+  /// The packed grammar: reads one element and sums its dt into time_,
+  /// filling `out` unless it is null (skip() and read_times() want no
+  /// element); false at the end or at a malformation.
+  bool walk(PackedElement* out) noexcept {
     if (!ok_ || left_ == 0) return false;
     ok_ = false;
     if (p_ == end_) return false;
-    out.is_marker = false;
+    if (out) out->is_marker = false;
     switch (static_cast<PackedKind>(*p_++)) {
       case PackedKind::Char:
         if (p_ == end_) return false;
-        out.sym = core::Symbol::chr(static_cast<char>(*p_++));
+        if (out) out->sym = core::Symbol::chr(static_cast<char>(*p_));
+        ++p_;
         break;
       case PackedKind::Nat: {
         std::uint64_t value = 0;
         if (!read_varint(value)) return false;
-        out.sym = core::Symbol::nat(value);
+        if (out) out->sym = core::Symbol::nat(value);
         break;
       }
       case PackedKind::Marker: {
         std::uint64_t len = 0;
         if (!read_varint(len) || len > static_cast<std::uint64_t>(end_ - p_))
           return false;
-        out.marker = std::string_view(reinterpret_cast<const char*>(p_),
-                                      static_cast<std::size_t>(len));
-        out.is_marker = true;
+        if (out) {
+          out->marker = std::string_view(reinterpret_cast<const char*>(p_),
+                                         static_cast<std::size_t>(len));
+          out->is_marker = true;
+        }
         p_ += len;
         break;
       }
@@ -249,16 +279,12 @@ public:
     std::uint64_t dt = 0;
     if (!read_varint(dt)) return false;
     time_ += dt;  // mod 2^64: any time sequence round-trips
-    out.time = time_;
+    if (out) out->time = time_;
     --left_;
     ok_ = true;
     return true;
   }
 
-  /// True once every counted element was read and no byte trails them.
-  bool complete() const noexcept { return ok_ && left_ == 0 && p_ == end_; }
-
-private:
   /// True when the rest of a well-formed body is a stride tail.  (left_
   /// is at most a third of the body, so the product cannot wrap.)
   bool at_stride() const noexcept {
@@ -273,6 +299,12 @@ private:
   /// only checks them and leaves their times unsummed (skip() yields no
   /// element).  False, with nothing consumed, when one breaks the rules.
   bool stride(core::TimedSymbol* out, std::size_t n);
+  /// stride() yielding the times alone.
+  bool stride_times(core::Tick* out, std::size_t n) noexcept;
+  /// Ends a stride pass that read `n` elements up to `p`: false, with
+  /// nothing consumed, when `fault` or a dt's high bit (in `dts`) is set.
+  bool end_stride(const unsigned char* p, std::size_t n, unsigned fault,
+                  unsigned dts) noexcept;
   /// LEB128 of at most 10 bytes whose 10th byte is <= 1 (exactly 64 bits).
   bool read_varint(std::uint64_t& v) noexcept {
     std::uint64_t result = 0;
@@ -297,6 +329,12 @@ private:
   core::Tick time_ = 0;
   bool ok_ = false;
 };
+
+/// A settled session's pass over the rest of a body: reads every element
+/// left as its time alone (read_times) and runs each through `filter`
+/// with LaneFilter::admit, as the session's stale filter does for the
+/// elements it feeds.
+void admit_times(PackedReader& reader, core::LaneFilter& filter) noexcept;
 
 /// Decodes a whole op-12 body into `out` (reserved to its exact count);
 /// false on any malformation.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "rtw/cer/parser.hpp"
+#include "rtw/core/lane.hpp"
 
 namespace rtw::svc {
 
@@ -116,20 +117,42 @@ bool PackedReader::stride(core::TimedSymbol* out, std::size_t n) {
                           : core::Symbol::nat(byte),
                 time};
     }
-    if (fault | (dts & 0x80)) return false;
+    const unsigned char* const first = p_;
+    if (!end_stride(p, n, fault, dts)) return false;
     if (markers) {
       const core::Symbol marker = empty_marker();
       for (std::size_t i = 0; i < n; ++i)
-        if (p_[i * kMinPackedElementBytes] == 2) out[i].sym = marker;
+        if (first[i * kMinPackedElementBytes] == 2) out[i].sym = marker;
     }
     time_ = time;
-  } else {
-    for (std::size_t i = 0; i < n; ++i, p += kMinPackedElementBytes) {
-      fault |= (p[1] | 0x100u) & kStrideMask[p[0]];
-      dts |= p[2];
-    }
-    if (fault | (dts & 0x80)) return false;
+    return true;
   }
+  for (std::size_t i = 0; i < n; ++i, p += kMinPackedElementBytes) {
+    fault |= (p[1] | 0x100u) & kStrideMask[p[0]];
+    dts |= p[2];
+  }
+  return end_stride(p, n, fault, dts);
+}
+
+bool PackedReader::stride_times(core::Tick* out, std::size_t n) noexcept {
+  const unsigned char* p = p_;
+  unsigned fault = 0;
+  unsigned dts = 0;
+  core::Tick time = time_;
+  for (std::size_t i = 0; i < n; ++i, p += kMinPackedElementBytes) {
+    fault |= (p[1] | 0x100u) & kStrideMask[p[0]];
+    dts |= p[2];
+    time += p[2];
+    out[i] = time;
+  }
+  if (!end_stride(p, n, fault, dts)) return false;
+  time_ = time;
+  return true;
+}
+
+bool PackedReader::end_stride(const unsigned char* p, std::size_t n,
+                              unsigned fault, unsigned dts) noexcept {
+  if (fault | (dts & 0x80)) return false;
   p_ = p;
   left_ -= n;
   stride_elements_ += n;
@@ -151,14 +174,37 @@ std::size_t PackedReader::read(core::TimedSymbol* out, std::size_t max) {
   return got;
 }
 
+std::size_t PackedReader::read_times(core::Tick* out,
+                                     std::size_t max) noexcept {
+  std::size_t got = 0;
+  while (got < max && !at_stride()) {
+    if (!walk(nullptr)) return got;
+    out[got++] = time_;
+  }
+  const auto n =
+      static_cast<std::size_t>(std::min<std::uint64_t>(left_, max - got));
+  if (n == 0 || stride_times(out + got, n)) return got + n;
+  while (got < max && walk(nullptr)) out[got++] = time_;
+  return got;
+}
+
 bool PackedReader::skip() noexcept {
-  PackedElement element;
   while (!at_stride())
-    if (!next(element)) return false;
+    if (!walk(nullptr)) return false;
   if (left_ > 0 && !stride(nullptr, static_cast<std::size_t>(left_)))
-    while (next(element)) {
+    while (walk(nullptr)) {
     }
   return complete();
+}
+
+void admit_times(PackedReader& reader, core::LaneFilter& filter) noexcept {
+  constexpr std::size_t kChunk = 64;
+  core::Tick times[kChunk];
+  // A local copy of the filter stays in registers across the stores.
+  core::LaneFilter local = filter;
+  while (const std::size_t m = reader.read_times(times, kChunk))
+    for (std::size_t i = 0; i < m; ++i) local.admit(times[i]);
+  filter = local;
 }
 
 bool decode_packed(std::string_view body, std::vector<core::TimedSymbol>& out) {

@@ -817,17 +817,104 @@ TEST(CerOracle, FlatRuntimeMatchesLegacyRunResultsAfterEveryFeed) {
   EXPECT_EQ(result.cases_run, cfg.cases);
 }
 
+namespace {
+
+/// Why `by_run` differs from `by_symbol` in verdict, any RunResult field
+/// or any cache_stats() counter; nullopt when they agree.
+std::optional<std::string> fed_state_differs(const cer::CerAcceptor& by_run,
+                                             const cer::CerAcceptor& by_symbol) {
+  const auto& a = by_run.result();
+  const auto& b = by_symbol.result();
+  if (by_run.verdict() != by_symbol.verdict() ||
+      a.symbols_consumed != b.symbols_consumed || a.ticks != b.ticks ||
+      a.f_count != b.f_count || a.first_f != b.first_f ||
+      a.exact != b.exact || a.accepted != b.accepted)
+    return std::string("feed_run differs from per-symbol feeds");
+  const auto& x = by_run.cache_stats();
+  const auto& y = by_symbol.cache_stats();
+  if (x.hits != y.hits || x.misses != y.misses || x.flushes != y.flushes ||
+      x.trips != y.trips)
+    return "feed_run's cache_stats differ: hits " + std::to_string(x.hits) +
+           "/" + std::to_string(y.hits) + " misses " +
+           std::to_string(x.misses) + "/" + std::to_string(y.misses) +
+           " flushes " + std::to_string(x.flushes) + "/" +
+           std::to_string(y.flushes) + " trips " + std::to_string(x.trips) +
+           "/" + std::to_string(y.trips);
+  return std::nullopt;
+}
+
+/// Cache events the per-symbol twin saw at an element of a run after a
+/// hit earlier in the same run: where feed_run's loop hands an element
+/// to feed() partway through a run.
+struct InsideRun {
+  std::uint64_t settled = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t flushes = 0;
+  std::uint64_t trips = 0;
+};
+
+/// Feeds `word` to `by_run` in random runs of 1-300 elements and to
+/// `by_symbol` one element at a time, twice (reset() between), comparing
+/// the verdict, every RunResult field and cache_stats() after every run
+/// and after finish.
+std::optional<std::string> feed_runs_against_symbols(
+    rtw::sim::Xoshiro256ss& rng, const std::vector<TimedSymbol>& word,
+    cer::CerAcceptor& by_run, cer::CerAcceptor& by_symbol,
+    InsideRun& inside) {
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t pos = 0; pos < word.size();) {
+      const std::size_t n = std::min<std::size_t>(
+          1 + rng.uniform(std::uint64_t{300}), word.size() - pos);
+      const bool open = !final_verdict(by_symbol.verdict());
+      Verdict expected = by_symbol.verdict();
+      bool hit = false;
+      for (std::size_t i = pos; i < pos + n; ++i) {
+        const auto before = by_symbol.cache_stats();
+        expected = by_symbol.feed(word[i].sym, word[i].time);
+        const auto& after = by_symbol.cache_stats();
+        if (open && final_verdict(expected) && i + 1 < pos + n)
+          ++inside.settled;
+        if (hit) {
+          inside.misses += after.misses - before.misses;
+          inside.flushes += after.flushes - before.flushes;
+          inside.trips += after.trips - before.trips;
+        }
+        hit = hit || after.hits != before.hits;
+      }
+      if (by_run.feed_run(word.data() + pos, n) != expected)
+        return "feed_run returned another verdict at " + std::to_string(pos);
+      if (auto why = fed_state_differs(by_run, by_symbol))
+        return *why + " after the run at " + std::to_string(pos);
+      pos += n;
+    }
+    const StreamEnd end = rng.bernoulli(0.5) ? StreamEnd::EndOfWord
+                                             : StreamEnd::Truncated;
+    by_symbol.finish(end);
+    by_run.finish(end);
+    if (auto why = fed_state_differs(by_run, by_symbol))
+      return *why + " after finish";
+    by_symbol.reset();
+    by_run.reset();
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 /// CerAcceptor::feed_run is per-symbol feed() in one call: fed in random
 /// runs of 1-300 elements -- runs that cross the point where the verdict
 /// settles, and a second pass after reset() -- it returns the verdict and
-/// holds every RunResult field an acceptor fed one symbol at a time does,
-/// after every run and after finish.
+/// holds every RunResult field and every cache_stats() counter an
+/// acceptor fed one symbol at a time does, after every run and after
+/// finish.  The long-stream words of the transition-cache oracle below
+/// drive the run loop through its exits: a miss, a flush and a guard trip
+/// each happen partway through some run, after a hit in it.
 TEST(CerAcceptor, FeedRunMatchesPerSymbolFeeds) {
   rtw::proptest::Config cfg;
   cfg.cases = 300;
   cfg.max_size = 64;
   cfg.seed ^= 0xfeed7;
-  std::uint64_t settled_inside_a_run = 0;
+  InsideRun inside;
   const auto result = rtw::proptest::run_property(
       "cer_feed_run_vs_feed", cfg,
       [&](rtw::sim::Xoshiro256ss& rng,
@@ -841,47 +928,94 @@ TEST(CerAcceptor, FeedRunMatchesPerSymbolFeeds) {
                               : random_mutated_word(rng, 8 * size, query);
         cer::CerAcceptor by_symbol(*compiled.compiled);
         cer::CerAcceptor by_run(*compiled.compiled);
-        const auto differs = [&]() -> std::optional<std::string> {
-          const auto& a = by_run.result();
-          const auto& b = by_symbol.result();
-          if (by_run.verdict() != by_symbol.verdict() ||
-              a.symbols_consumed != b.symbols_consumed ||
-              a.ticks != b.ticks || a.f_count != b.f_count ||
-              a.first_f != b.first_f || a.exact != b.exact ||
-              a.accepted != b.accepted)
-            return std::string("feed_run differs from per-symbol feeds");
-          return std::nullopt;
-        };
-        for (int pass = 0; pass < 2; ++pass) {
-          for (std::size_t pos = 0; pos < word.size();) {
-            const std::size_t n = std::min<std::size_t>(
-                1 + rng.uniform(std::uint64_t{300}), word.size() - pos);
-            const bool open = !final_verdict(by_symbol.verdict());
-            Verdict expected = by_symbol.verdict();
-            for (std::size_t i = pos; i < pos + n; ++i) {
-              expected = by_symbol.feed(word[i].sym, word[i].time);
-              if (open && final_verdict(expected) && i + 1 < pos + n)
-                ++settled_inside_a_run;
-            }
-            if (by_run.feed_run(word.data() + pos, n) != expected)
-              return "feed_run returned another verdict at " +
-                     std::to_string(pos);
-            if (auto why = differs()) return why;
-            pos += n;
-          }
-          const StreamEnd end = rng.bernoulli(0.5) ? StreamEnd::EndOfWord
-                                                   : StreamEnd::Truncated;
-          by_symbol.finish(end);
-          by_run.finish(end);
-          if (auto why = differs()) return *why + " after finish";
-          by_symbol.reset();
-          by_run.reset();
-        }
-        return std::nullopt;
+        return feed_runs_against_symbols(rng, word, by_run, by_symbol,
+                                         inside);
       });
   EXPECT_TRUE(result.ok()) << rtw::proptest::describe("cer_feed_run_vs_feed",
                                                       cfg, *result.failure);
-  EXPECT_GT(settled_inside_a_run, 0u);
+  EXPECT_GT(inside.settled, 0u);
+
+  rtw::proptest::Config long_cfg;
+  long_cfg.cases = 200;
+  long_cfg.seed ^= 0x10a65;  // the oracle's words below
+  InsideRun long_inside;
+  const auto long_result = rtw::proptest::run_property(
+      "cer_feed_run_vs_feed_long", long_cfg,
+      [&](rtw::sim::Xoshiro256ss& rng,
+          std::size_t) -> std::optional<std::string> {
+        const cer::Query query = long_stream_query(rng);
+        auto compiled = cer::compile(query);
+        if (!compiled.ok()) return std::nullopt;  // limits are not a bug
+        const auto word = long_stream_word(rng, query);
+        cer::CerAcceptor by_symbol(*compiled.compiled);
+        cer::CerAcceptor by_run(*compiled.compiled);
+        return feed_runs_against_symbols(rng, word, by_run, by_symbol,
+                                         long_inside);
+      });
+  EXPECT_TRUE(long_result.ok()) << rtw::proptest::describe(
+      "cer_feed_run_vs_feed_long", long_cfg, *long_result.failure);
+  EXPECT_GT(long_inside.misses, 0u);
+  EXPECT_GT(long_inside.flushes, 0u);
+  EXPECT_GT(long_inside.trips, 0u);
+}
+
+/// A time below the last, partway through a run, throws ModelError at
+/// that element -- after the run loop has taken the cache hits before it
+/// -- and leaves the verdict, every RunResult field and cache_stats()
+/// exactly where per-symbol feeding leaves them up to that element.
+TEST(CerAcceptor, FeedRunThrowsAtATimeBelowTheLastInsideARun) {
+  rtw::proptest::Config cfg;
+  cfg.cases = 300;
+  cfg.seed ^= 0xbac4;
+  std::uint64_t thrown_after_a_hit = 0;
+  const auto result = rtw::proptest::run_property(
+      "cer_feed_run_backwards", cfg,
+      [&](rtw::sim::Xoshiro256ss& rng,
+          std::size_t) -> std::optional<std::string> {
+        const cer::Query query = long_stream_query(rng);
+        auto compiled = cer::compile(query);
+        if (!compiled.ok()) return std::nullopt;  // limits are not a bug
+        auto word = long_stream_word(rng, query);
+        word.resize(std::min<std::size_t>(word.size(), 400));
+        cer::CerAcceptor by_symbol(*compiled.compiled);
+        cer::CerAcceptor by_run(*compiled.compiled);
+        // Warm both caches on the clean word, so the run below hits.
+        for (const auto& e : word) by_symbol.feed(e.sym, e.time);
+        by_run.feed_run(word.data(), word.size());
+        by_symbol.reset();
+        by_run.reset();
+        // Step one element's time below its predecessor's.
+        const std::size_t j = 1 + rng.uniform(word.size() - 1);
+        if (word[j - 1].time == 0) return std::nullopt;
+        word[j].time = rng.uniform(word[j - 1].time);
+        bool symbol_threw = false;
+        bool hit_before = false;
+        for (std::size_t i = 0; i < word.size(); ++i) {
+          const std::uint64_t hits = by_symbol.cache_stats().hits;
+          try {
+            by_symbol.feed(word[i].sym, word[i].time);
+          } catch (const rtw::core::ModelError&) {
+            symbol_threw = true;
+            break;
+          }
+          if (i + 1 == j) hit_before = by_symbol.cache_stats().hits != hits;
+        }
+        bool run_threw = false;
+        try {
+          by_run.feed_run(word.data(), word.size());
+        } catch (const rtw::core::ModelError&) {
+          run_threw = true;
+        }
+        if (run_threw != symbol_threw)
+          return std::string(run_threw ? "feed_run threw, feed() did not"
+                                       : "feed() threw, feed_run did not");
+        if (auto why = fed_state_differs(by_run, by_symbol)) return why;
+        thrown_after_a_hit += symbol_threw && hit_before;
+        return std::nullopt;
+      });
+  EXPECT_TRUE(result.ok()) << rtw::proptest::describe(
+      "cer_feed_run_backwards", cfg, *result.failure);
+  EXPECT_GT(thrown_after_a_hit, 0u);
 }
 
 TEST(CerOracle, LongStreamsFillFlushAndTripTheTransitionCache) {

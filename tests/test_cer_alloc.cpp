@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -105,21 +106,35 @@ std::vector<TimedSymbol> word_for(const std::string& label, std::size_t n) {
   return word;
 }
 
-/// Allocations made by 10k feeds after a 1k-symbol warm-up.
+/// Allocations made by 10k feeds after a 1k-symbol warm-up, summed over
+/// two acceptors: one fed a symbol at a time, one through feed_run in
+/// 256-element runs (the op-12 frame size).
 std::uint64_t allocations_per_10k_feeds(const std::string& label,
                                         const char* text) {
-  constexpr std::size_t kWarmup = 1000, kFeeds = 10000;
+  constexpr std::size_t kWarmup = 1000, kFeeds = 10000, kRun = 256;
   const auto word = word_for(label, kWarmup + kFeeds);
-  auto acceptor = rtw::cer::make_online_acceptor(*rtw::cer::parse(text).query);
-  EXPECT_NE(acceptor, nullptr);
-  for (std::size_t i = 0; i < kWarmup; ++i) acceptor->feed(word[i]);
-  const std::uint64_t before = g_allocations.load();
-  for (std::size_t i = kWarmup; i < word.size(); ++i) acceptor->feed(word[i]);
-  const std::uint64_t after = g_allocations.load();
-  // The stream must still be live, or the feeds were no-ops.
-  EXPECT_EQ(acceptor->verdict(), Verdict::Undetermined) << label;
-  EXPECT_EQ(acceptor->result().symbols_consumed, word.size()) << label;
-  return after - before;
+  std::uint64_t allocations = 0;
+  for (const bool runs : {false, true}) {
+    auto acceptor =
+        rtw::cer::make_online_acceptor(*rtw::cer::parse(text).query);
+    EXPECT_NE(acceptor, nullptr);
+    const auto feed = [&](std::size_t first, std::size_t last) {
+      if (!runs) {
+        for (std::size_t i = first; i < last; ++i) acceptor->feed(word[i]);
+        return;
+      }
+      for (std::size_t i = first; i < last; i += kRun)
+        acceptor->feed_run(word.data() + i, std::min(kRun, last - i));
+    };
+    feed(0, kWarmup);
+    const std::uint64_t before = g_allocations.load();
+    feed(kWarmup, word.size());
+    allocations += g_allocations.load() - before;
+    // The stream must still be live, or the feeds were no-ops.
+    EXPECT_EQ(acceptor->verdict(), Verdict::Undetermined) << label;
+    EXPECT_EQ(acceptor->result().symbols_consumed, word.size()) << label;
+  }
+  return allocations;
 }
 
 }  // namespace

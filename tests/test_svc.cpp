@@ -395,10 +395,12 @@ std::optional<std::string> check_pooled_agrees(std::string_view frame) {
   using rtw::svc::PackedMode;
   // The shard's chunked read (the stride pass where the body reaches its
   // stride tail) yields what the element walk yields, up to the same
-  // malformation.
+  // malformation; the settled session's times-only read yields the same
+  // elements' times, stops at the same place and counts the same stride.
   {
     rtw::svc::PackedReader walk(frame.substr(13));
     rtw::svc::PackedReader chunked(frame.substr(13));
+    rtw::svc::PackedReader timed(frame.substr(13));
     std::vector<TimedSymbol> by_next, by_read;
     rtw::svc::PackedElement element;
     while (walk.next(element)) by_next.push_back({element.symbol(), element.time});
@@ -407,6 +409,15 @@ std::optional<std::string> check_pooled_agrees(std::string_view frame) {
       by_read.insert(by_read.end(), chunk, chunk + m);
     if (by_read != by_next || chunked.complete() != walk.complete())
       return std::string("PackedReader::read differs from next()");
+    std::vector<Tick> by_times;
+    Tick times[64];
+    while (const std::size_t m = timed.read_times(times, 64))
+      by_times.insert(by_times.end(), times, times + m);
+    std::vector<Tick> read_times;
+    for (const auto& e : by_read) read_times.push_back(e.time);
+    if (by_times != read_times || timed.complete() != chunked.complete() ||
+        timed.stride_elements() != chunked.stride_elements())
+      return std::string("PackedReader::read_times differs from read()");
     if (chunked.stride_elements() > 0) ++g_stride_shard;
   }
   Decoder decoding;
@@ -1461,6 +1472,120 @@ TEST(Session, DropsStaleSymbolsInsteadOfThrowing) {
   const auto report = session.report(false);
   EXPECT_EQ(report.verdict, Verdict::Rejecting);
   EXPECT_EQ(report.stale_dropped, 1u);
+}
+
+/// Settles (Rejecting) once it has been fed `k` elements; 0 settles it
+/// before any.
+class LockingAcceptor final : public OnlineAcceptor {
+public:
+  explicit LockingAcceptor(std::uint64_t k) : k_(k) { reset(); }
+  Verdict feed(Symbol, Tick) override {
+    if (final_verdict(verdict_)) return verdict_;
+    if (++seen >= k_) verdict_ = Verdict::Rejecting;
+    return verdict_;
+  }
+  Verdict finish(StreamEnd) override { return verdict_; }
+  Verdict verdict() const override { return verdict_; }
+  const RunResult& result() const override { return result_; }
+  void reset() override {
+    seen = 0;
+    verdict_ = k_ == 0 ? Verdict::Rejecting : Verdict::Undetermined;
+  }
+  std::string name() const override { return "locking"; }
+
+  std::uint64_t seen = 0;  ///< elements fed before the lock
+
+private:
+  std::uint64_t k_;
+  Verdict verdict_ = Verdict::Undetermined;
+  RunResult result_;
+};
+
+/// A session whose acceptor settles before a body, inside it or past it
+/// reads the rest of the body's clocks only (feed_packed's times-only
+/// pass), and ends exactly where feed_run over the decoded runs ends: the
+/// same fed(), stale_dropped() and filter high-water mark.  Each case
+/// feeds a prefix body, then the frame's body.  The bodies hold stale
+/// prefixes, times that decrease mod 2^64, multi-byte first dts,
+/// non-empty markers and Nats of 128 or more.
+TEST(Session, SettledSessionsReadOnlyTheClocksOfAPackedBody) {
+  rtw::proptest::Config cfg;
+  cfg.seed ^= 0x5e771edULL;
+  cfg.cases = 400;
+  cfg.max_size = 48;
+  struct {
+    std::uint64_t before = 0, inside = 0, past = 0;  // where k fell
+    std::uint64_t stale_after_settling = 0, wrapped = 0, wide_first_dt = 0,
+                  named_markers = 0, wide_nats = 0;
+  } seen;
+  const auto random_body = [](rtw::sim::Xoshiro256ss& rng, std::size_t size) {
+    return rng.bernoulli(0.5) ? random_feed_elements(rng, size)
+                              : random_stride_elements(rng, size);
+  };
+  const auto result = rtw::proptest::run_property(
+      "svc.settled_sessions_read_clocks", cfg,
+      [&](rtw::sim::Xoshiro256ss& rng,
+          std::size_t size) -> std::optional<std::string> {
+        auto prefix = random_body(rng, size);
+        const auto body = random_body(rng, size);
+        // Lift the prefix above part of the body, so the body opens stale.
+        if (!body.empty() && rng.bernoulli(0.5)) {
+          const Tick lift = body[rng.uniform(body.size())].time;
+          for (auto& e : prefix) e.time += lift;
+        }
+        for (std::size_t i = 0; i < body.size(); ++i) {
+          seen.wrapped += i > 0 && body[i].time < body[i - 1].time;
+          seen.named_markers += body[i].sym.is_marker() &&
+                                !body[i].sym.name().empty();
+          seen.wide_nats += body[i].sym.is_nat() && body[i].sym.as_nat() >= 128;
+        }
+        seen.wide_first_dt += !body.empty() && body[0].time >= 128;
+        const std::uint64_t k =
+            rng.uniform(std::uint64_t{prefix.size() + body.size() + 3});
+
+        auto by_packed = std::make_unique<LockingAcceptor>(k);
+        auto by_run = std::make_unique<LockingAcceptor>(k);
+        const LockingAcceptor& packed_fed = *by_packed;
+        const LockingAcceptor& run_fed = *by_run;
+        rtw::svc::Session packed(1, std::move(by_packed));
+        rtw::svc::Session run(2, std::move(by_run));
+        const std::string prefix_frame = rtw::svc::encode_feed_batch(9, prefix);
+        const std::string body_frame = rtw::svc::encode_feed_batch(9, body);
+        packed.feed_packed(std::string_view(prefix_frame).substr(13));
+        run.feed_run(prefix.data(), prefix.size());
+        const bool settled_before = final_verdict(run.verdict());
+        const std::uint64_t stale_before = run.stale_dropped();
+        packed.feed_packed(std::string_view(body_frame).substr(13));
+        run.feed_run(body.data(), body.size());
+
+        if (packed.fed() != run.fed() ||
+            packed.stale_dropped() != run.stale_dropped() ||
+            packed.lane_filter().high_water != run.lane_filter().high_water ||
+            packed.lane_filter().any != run.lane_filter().any)
+          return "feed_packed's filter differs from feed_run's: fed " +
+                 std::to_string(packed.fed()) + "/" + std::to_string(run.fed()) +
+                 " stale " + std::to_string(packed.stale_dropped()) + "/" +
+                 std::to_string(run.stale_dropped());
+        if (packed.verdict() != run.verdict() || packed_fed.seen != run_fed.seen)
+          return std::string("feed_packed fed the acceptor differently");
+        if (settled_before) {
+          ++seen.before;
+          seen.stale_after_settling += run.stale_dropped() > stale_before;
+        } else {
+          ++(final_verdict(run.verdict()) ? seen.inside : seen.past);
+        }
+        return std::nullopt;
+      });
+  EXPECT_TRUE(result.ok()) << rtw::proptest::describe(
+      "svc.settled_sessions_read_clocks", cfg, *result.failure);
+  EXPECT_GT(seen.before, 0u);
+  EXPECT_GT(seen.inside, 0u);
+  EXPECT_GT(seen.past, 0u);
+  EXPECT_GT(seen.stale_after_settling, 0u);
+  EXPECT_GT(seen.wrapped, 0u);
+  EXPECT_GT(seen.wide_first_dt, 0u);
+  EXPECT_GT(seen.named_markers, 0u);
+  EXPECT_GT(seen.wide_nats, 0u);
 }
 
 TEST(SessionManager, BasicLifecycle) {
