@@ -1,17 +1,18 @@
-// EXP-BATCH-KERNEL: per-variant throughput of the deadline lane kernel.
+// EXP-BATCH-KERNEL: throughput of the deadline lane kernel.
 //
 // Strips the serving layer away and measures the kernel itself: L promoted
 // deadline lanes (compressed Working phase, completion past the horizon so
-// no lane ever settles), stepped through R rounds of W-symbol runs.  Four
+// no lane ever settles), stepped through R rounds of W-symbol runs.  Two
 // legs over identical streams:
 //   engine   Session::feed_run over deadline::make_online_acceptor -- the
 //            per-symbol virtual drive loop the kernel replaces;
-//   scalar   BatchStepper(Scalar) over promoted lanes -- the portable
-//            reference kernel, also the RTW_FORCE_SCALAR path;
-//   sse2     BatchStepper(SSE2), 2 lanes per instruction;
-//   avx2     BatchStepper(AVX2), 4 lanes per instruction (skipped with a
-//            note when the build or CPU lacks it).
-// Every leg feeds the same symbols, so symbols/s divides out and the
+//   scalar   the deadline BatchStepper over promoted lanes.
+// Data is laid out the way a shard reads it: every lane's run of a round
+// sits in its own buffer, in shuffled address order, and the buffers of
+// consecutive rounds rotate through a ring of at least kRingBytes (larger
+// than one core's L2), so a run is cold when its lane is stepped.  Refilling
+// a ring slot for a later round happens between rounds, outside the timed
+// step.  Every leg feeds the same symbols, so symbols/s divides out and the
 // `speedup_vs_engine` field is the honest per-core kernel win.  Rows append
 // to BENCH_kernel.json beside the sim EventQueue rows under the distinct
 // bench name "batch_kernel".
@@ -22,6 +23,7 @@
 //   --rounds=200    measured rounds (each: one run per lane)
 //   --kernel_json=PATH | --json=PATH   append JSONL records
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -37,6 +39,7 @@
 #include "rtw/deadline/online.hpp"
 #include "rtw/deadline/problem.hpp"
 #include "rtw/sim/jsonl.hpp"
+#include "rtw/sim/rng.hpp"
 #include "rtw/svc/session.hpp"
 
 namespace {
@@ -50,9 +53,9 @@ struct Config {
   std::size_t rounds = 200;
 };
 
-/// The shared symbol stream: every lane sees the same timed word, so one
-/// run buffer serves all lanes of a round.  Mostly waits, with a
-/// (deadline, usefulness) pair every 32 ticks to exercise the P_m fold.
+/// The symbol stream, one vector per round: every lane sees the same timed
+/// word.  Mostly waits, with a (deadline, usefulness) pair every 32 ticks to
+/// exercise the P_m fold.
 std::vector<std::vector<TimedSymbol>> build_rounds(const Config& cfg) {
   std::vector<std::vector<TimedSymbol>> rounds(cfg.rounds);
   Tick t = 1;
@@ -97,6 +100,60 @@ std::vector<std::unique_ptr<Session>> open_lanes(const Config& cfg,
   return sessions;
 }
 
+/// The ring of per-lane run buffers is at least this large, so a round's
+/// runs have left the stepping core's L2 by the time they are read.
+constexpr std::size_t kRingBytes = std::size_t{8} << 20;
+
+/// Per-lane run buffers for every round, read the way a shard reads pooled
+/// runs: each (round, lane) run has its own allocation, the lanes of one
+/// ring slot are allocated in a shuffled order, and `slots` rounds rotate
+/// through the ring.  refill() rewrites a slot for a later round.
+class LaneBuffers {
+public:
+  LaneBuffers(const Config& cfg,
+              const std::vector<std::vector<TimedSymbol>>& rounds)
+      : rounds_(rounds) {
+    const std::size_t slot_bytes =
+        cfg.lanes * cfg.run * sizeof(TimedSymbol);
+    const std::size_t slots = std::min(
+        cfg.rounds, std::max<std::size_t>(1, (kRingBytes + slot_bytes - 1) /
+                                                 slot_bytes));
+    rtw::sim::Xoshiro256ss rng(0x6c616e6573ULL);  // "lanes"
+    ring_.resize(slots);
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+      std::vector<std::size_t> order(cfg.lanes);
+      for (std::size_t i = 0; i < cfg.lanes; ++i) order[i] = i;
+      for (std::size_t i = cfg.lanes; i > 1; --i)
+        std::swap(order[i - 1], order[rng.uniform(std::uint64_t{i})]);
+      ring_[slot].resize(cfg.lanes);
+      for (const std::size_t lane : order)
+        ring_[slot][lane] = std::make_unique<TimedSymbol[]>(cfg.run);
+      refill(slot);
+    }
+  }
+
+  /// Lane `lane`'s run of round `round`.
+  const TimedSymbol* run(std::size_t round, std::size_t lane) const {
+    return ring_[round % ring_.size()][lane].get();
+  }
+
+  /// After `round` is stepped, load its ring slot with the round that will
+  /// use the slot next (untimed).
+  void advance(std::size_t round) {
+    if (round + ring_.size() < rounds_.size()) refill(round + ring_.size());
+  }
+
+private:
+  void refill(std::size_t round) {
+    const auto& symbols = rounds_[round];
+    for (auto& buffer : ring_[round % ring_.size()])
+      std::copy(symbols.begin(), symbols.end(), buffer.get());
+  }
+
+  const std::vector<std::vector<TimedSymbol>>& rounds_;
+  std::vector<std::vector<std::unique_ptr<TimedSymbol[]>>> ring_;
+};
+
 struct Leg {
   std::string name;
   double wall_s = 0;
@@ -110,36 +167,40 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+void finish_leg(Leg& leg) {
+  leg.symbols_per_sec =
+      leg.wall_s > 0 ? static_cast<double>(leg.symbols) / leg.wall_s : 0;
+  leg.ran = true;
+}
+
 Leg run_engine(const Config& cfg,
                const std::vector<std::vector<TimedSymbol>>& rounds) {
   auto sessions = open_lanes(cfg, [](const auto& problem, const auto& opt) {
     return rtw::deadline::make_online_acceptor(problem, opt);
   });
+  LaneBuffers buffers(cfg, rounds);
   Leg leg{"engine"};
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& round : rounds)
-    for (auto& s : sessions) {
-      s->feed_run(round.data(), round.size());
-      leg.symbols += round.size();
-    }
-  leg.wall_s = seconds_since(t0);
-  leg.symbols_per_sec =
-      leg.wall_s > 0 ? static_cast<double>(leg.symbols) / leg.wall_s : 0;
-  leg.ran = true;
+  for (std::size_t round = 0; round < rounds.size(); ++round) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < sessions.size(); ++i)
+      sessions[i]->feed_run(buffers.run(round, i), cfg.run);
+    leg.wall_s += seconds_since(t0);
+    leg.symbols += cfg.run * cfg.lanes;
+    buffers.advance(round);
+  }
+  finish_leg(leg);
   return leg;
 }
 
 Leg run_kernel(const Config& cfg,
-               const std::vector<std::vector<TimedSymbol>>& rounds,
-               KernelVariant variant) {
-  Leg leg{std::string(to_string(variant))};
+               const std::vector<std::vector<TimedSymbol>>& rounds) {
+  Leg leg{"scalar"};
   auto sessions = open_lanes(cfg, [](const auto& problem, const auto& opt) {
     return rtw::deadline::make_lane_acceptor(problem, opt);
   });
-  auto stepper = sessions.front()->acceptor().make_lane_stepper(variant);
-  if (!stepper || stepper->variant() != variant) {
-    std::cout << " (" << to_string(variant)
-              << " unavailable on this build/CPU -- skipped)\n";
+  auto stepper = sessions.front()->acceptor().make_lane_stepper();
+  if (!stepper) {
+    std::cerr << "no lane stepper (TimedSymbol layout probe failed)\n";
     return leg;
   }
   std::vector<LaneRun> runs(cfg.lanes);
@@ -151,20 +212,19 @@ Leg run_kernel(const Config& cfg,
     }
     runs[i].filter = &sessions[i]->lane_filter();
     runs[i].state = state;
+    runs[i].size = cfg.run;
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& round : rounds) {
-    for (auto& r : runs) {
-      r.data = round.data();
-      r.size = round.size();
-    }
+  LaneBuffers buffers(cfg, rounds);
+  for (std::size_t round = 0; round < rounds.size(); ++round) {
+    for (std::size_t i = 0; i < cfg.lanes; ++i)
+      runs[i].data = buffers.run(round, i);
+    const auto t0 = std::chrono::steady_clock::now();
     stepper->step(runs.data(), runs.size());
-    leg.symbols += round.size() * cfg.lanes;
+    leg.wall_s += seconds_since(t0);
+    leg.symbols += cfg.run * cfg.lanes;
+    buffers.advance(round);
   }
-  leg.wall_s = seconds_since(t0);
-  leg.symbols_per_sec =
-      leg.wall_s > 0 ? static_cast<double>(leg.symbols) / leg.wall_s : 0;
-  leg.ran = true;
+  finish_leg(leg);
   return leg;
 }
 
@@ -200,15 +260,13 @@ int main(int argc, char** argv) {
   std::cout << "==========================================================\n";
   std::cout << " EXP-BATCH-KERNEL: " << cfg.lanes << " lanes x " << cfg.rounds
             << " rounds x " << cfg.run << " symbols/run\n";
-  std::cout << " dispatch would pick: " << to_string(dispatch_variant())
-            << "\n";
+  std::cout << " one buffer per lane and round, ring of >= "
+            << (kRingBytes >> 20) << " MiB\n";
   std::cout << "==========================================================\n\n";
 
   std::vector<Leg> legs;
   legs.push_back(run_engine(cfg, rounds));
-  for (const auto variant :
-       {KernelVariant::Scalar, KernelVariant::SSE2, KernelVariant::AVX2})
-    legs.push_back(run_kernel(cfg, rounds, variant));
+  legs.push_back(run_kernel(cfg, rounds));
 
   const double engine_rate = legs.front().symbols_per_sec;
   std::cout << " leg        Msym/s    speedup vs engine\n";

@@ -15,13 +15,17 @@
 //     from the manager's sampled stamps -- the time a symbol actually
 //     waited in the ring -- with the sample count (`feed_samples`) emitted
 //     so a reader can judge how much the percentiles are worth,
-//   * lane-kernel effectiveness: symbols stepped by the SIMD batch kernel
+//   * lane-kernel effectiveness: symbols stepped by the batch lane kernel
 //     and the wave count,
 //   * the two stages' CPU prices: the producer's thread CPU per run it
 //     offered (`producer_ns_per_run`: buffering, admission, the pooled
 //     copy) and the shard workers' per ring command they drained
 //     (`shard_ns_per_command`: process CPU minus the producer's; drain()
-//     blocks, so nothing else burns CPU).
+//     blocks, so nothing else burns CPU),
+//   * the host's load over the measured window, read as the wire cell
+//     reads it (see below): the steal delta (`steal_ms`) and the run-queue
+//     delay of every task but the producer, the shards, per drained ring
+//     command (`shard_runq_ns_per_command`).
 //
 // The first `--warmup` fraction of each session's stream is fed, drained
 // and *excluded*: stats are deltaed and latency samples discarded, so the
@@ -180,6 +184,8 @@ struct Cell {
   Percentiles feed_ns;    ///< enqueue -> worker-process ring wait
   double producer_ns_per_run = 0;   ///< producer thread CPU per offered run
   double shard_ns_per_command = 0;  ///< shard CPU per drained ring command
+  double steal_ms = 0;  ///< host steal over the measured window
+  double shard_runq_ns_per_command = 0;  ///< shards' run-queue delay
 };
 
 /// CPU time of `clock` (a thread or the process) in ns.
@@ -187,6 +193,54 @@ double cpu_ns(clockid_t clock) {
   timespec ts{};
   clock_gettime(clock, &ts);
   return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
+}
+
+/// The host's steal time so far, in ms: the 8th value of /proc/stat's
+/// "cpu" line (clock ticks); 0 where it cannot be read.
+double steal_ms() {
+  std::ifstream in("/proc/stat");
+  std::string label;
+  std::uint64_t fields[8] = {};
+  if (!(in >> label) || label != "cpu") return 0;
+  for (auto& field : fields)
+    if (!(in >> field)) return 0;
+  return static_cast<double>(fields[7]) * 1000.0 /
+         static_cast<double>(sysconf(_SC_CLK_TCK));
+}
+
+/// Run-queue delay so far (ns) of each task of this process: field 2 of
+/// /proc/self/task/<tid>/schedstat.  Empty where it cannot be read.
+std::map<long, double> runq_ns_by_task() {
+  std::map<long, double> wait;
+  std::error_code ec;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task", ec)) {
+    std::ifstream in(task.path() / "schedstat");
+    std::uint64_t run = 0, waited = 0;
+    if (in >> run >> waited)
+      wait[std::stol(task.path().filename().string())] =
+          static_cast<double>(waited);
+  }
+  return wait;
+}
+
+/// Run-queue delay accrued between two runq_ns_by_task() samples: the
+/// calling thread's, and every other task's (a task born in between
+/// counts whole).
+struct RunQueueDelta {
+  double self_ns = 0;
+  double others_ns = 0;
+};
+RunQueueDelta runq_delta(const std::map<long, double>& before,
+                         const std::map<long, double>& after) {
+  const long self = static_cast<long>(syscall(SYS_gettid));
+  RunQueueDelta delta;
+  for (const auto& [tid, waited] : after) {
+    const auto it = before.find(tid);
+    const double d = it == before.end() ? waited : waited - it->second;
+    (tid == self ? delta.self_ns : delta.others_ns) += d;
+  }
+  return delta;
 }
 
 /// One deadline session's acceptor.  Completion is pushed past the horizon
@@ -302,6 +356,9 @@ Cell run_cell(const CellConfig& cc) {
   cell.offered = 0;
 
   const std::uint64_t warm_flushes = flushes;
+  // Host-load probes bracket the CPU window, as in the wire cell.
+  const double steal0 = steal_ms();
+  const auto runq0 = runq_ns_by_task();
   const auto start = clock::now();
   const double process0 = cpu_ns(CLOCK_PROCESS_CPUTIME_ID);
   const double producer0 = cpu_ns(CLOCK_THREAD_CPUTIME_ID);
@@ -312,6 +369,8 @@ Cell run_cell(const CellConfig& cc) {
   const double producer = cpu_ns(CLOCK_THREAD_CPUTIME_ID) - producer0;
   const double process = cpu_ns(CLOCK_PROCESS_CPUTIME_ID) - process0;
   const auto stop = clock::now();
+  const auto runq = runq_delta(runq0, runq_ns_by_task());
+  cell.steal_ms = steal_ms() - steal0;
 
   const auto stats = manager.stats();
   cell.symbols = stats.ingested - warm.ingested;
@@ -341,58 +400,12 @@ Cell run_cell(const CellConfig& cc) {
       runs ? producer / static_cast<double>(runs) : 0;
   cell.shard_ns_per_command =
       commands ? (process - producer) / static_cast<double>(commands) : 0;
+  cell.shard_runq_ns_per_command =
+      commands ? runq.others_ns / static_cast<double>(commands) : 0;
   // Sanity: every opened session must come back exactly once.
   if (manager.collect().size() != cc.sessions)
     std::cerr << "WARNING: report count != sessions\n";
   return cell;
-}
-
-/// The host's steal time so far, in ms: the 8th value of /proc/stat's
-/// "cpu" line (clock ticks); 0 where it cannot be read.
-double steal_ms() {
-  std::ifstream in("/proc/stat");
-  std::string label;
-  std::uint64_t fields[8] = {};
-  if (!(in >> label) || label != "cpu") return 0;
-  for (auto& field : fields)
-    if (!(in >> field)) return 0;
-  return static_cast<double>(fields[7]) * 1000.0 /
-         static_cast<double>(sysconf(_SC_CLK_TCK));
-}
-
-/// Run-queue delay so far (ns) of each task of this process: field 2 of
-/// /proc/self/task/<tid>/schedstat.  Empty where it cannot be read.
-std::map<long, double> runq_ns_by_task() {
-  std::map<long, double> wait;
-  std::error_code ec;
-  for (const auto& task :
-       std::filesystem::directory_iterator("/proc/self/task", ec)) {
-    std::ifstream in(task.path() / "schedstat");
-    std::uint64_t run = 0, waited = 0;
-    if (in >> run >> waited)
-      wait[std::stol(task.path().filename().string())] =
-          static_cast<double>(waited);
-  }
-  return wait;
-}
-
-/// Run-queue delay accrued between two runq_ns_by_task() samples: the
-/// calling thread's, and every other task's (a task born in between
-/// counts whole).
-struct RunQueueDelta {
-  double self_ns = 0;
-  double others_ns = 0;
-};
-RunQueueDelta runq_delta(const std::map<long, double>& before,
-                         const std::map<long, double>& after) {
-  const long self = static_cast<long>(syscall(SYS_gettid));
-  RunQueueDelta delta;
-  for (const auto& [tid, waited] : after) {
-    const auto it = before.find(tid);
-    const double d = it == before.end() ? waited : waited - it->second;
-    (tid == self ? delta.self_ns : delta.others_ns) += d;
-  }
-  return delta;
 }
 
 struct WireCell {
@@ -647,21 +660,20 @@ int main(int argc, char** argv) {
   const char* workload =
       cc.workload == Workload::Counting ? "counting" : "deadline";
   const char* acceptor = cc.acceptor == AcceptorKind::Engine ? "engine" : "lane";
-  const auto variant = rtw::core::dispatch_variant();
 
   std::cout << "==========================================================\n";
   std::cout << " EXP-SVC: sessions x shards, " << cc.symbols_per_session
             << " symbols/session, ring " << cc.ring << ", batch " << cc.batch
             << ", shed-on-full\n";
   std::cout << " workload " << workload << ", acceptor " << acceptor
-            << ", kernel " << (cc.kernel ? "on" : "off") << " ("
-            << rtw::core::to_string(variant) << "), warmup " << cc.warmup
-            << "\n";
+            << ", kernel " << (cc.kernel ? "on" : "off") << ", warmup "
+            << cc.warmup << "\n";
   std::cout << "==========================================================\n\n";
   std::cout << " sessions  shards    Msym/s   shed%  admit p50/p99(ns)"
-               "  feed p50/p99(us)  lane%  ns/run  ns/cmd\n";
+               "  feed p50/p99(us)  lane%  ns/run  ns/cmd  steal(ms)"
+               "  runq/cmd\n";
   std::cout << " ---------------------------------------------------------"
-               "--------------------------------\n";
+               "--------------------------------------------------\n";
 
   std::vector<std::string> json;
   for (const auto sessions : session_counts) {
@@ -675,20 +687,19 @@ int main(int argc, char** argv) {
                        : 0.0;
       std::printf(
           " %8u  %6u  %8.3f  %6.2f  %8llu /%8llu  %8.1f /%8.1f  %5.1f"
-          "  %6.0f  %6.0f\n",
+          "  %6.0f  %6.0f  %9.0f  %8.0f\n",
           sessions, shards, cell.symbols_per_sec / 1e6,
           100.0 * cell.shed_rate,
           static_cast<unsigned long long>(cell.admit_ns.p50),
           static_cast<unsigned long long>(cell.admit_ns.p99),
           static_cast<double>(cell.feed_ns.p50) / 1e3,
           static_cast<double>(cell.feed_ns.p99) / 1e3, lane_frac,
-          cell.producer_ns_per_run, cell.shard_ns_per_command);
+          cell.producer_ns_per_run, cell.shard_ns_per_command, cell.steal_ms,
+          cell.shard_runq_ns_per_command);
       json.push_back(rtw::sim::bench_record("svc")
                          .field("workload", workload)
                          .field("acceptor", acceptor)
                          .field("kernel", cc.kernel ? "on" : "off")
-                         .field("kernel_variant",
-                                std::string(rtw::core::to_string(variant)))
                          .field("sessions", sessions)
                          .field("shards", shards)
                          .field("symbols_per_session", cc.symbols_per_session)
@@ -717,6 +728,9 @@ int main(int argc, char** argv) {
                                 cell.producer_ns_per_run)
                          .field("shard_ns_per_command",
                                 cell.shard_ns_per_command)
+                         .field("steal_ms", cell.steal_ms)
+                         .field("shard_runq_ns_per_command",
+                                cell.shard_runq_ns_per_command)
                          .str());
     }
     std::cout << "\n";

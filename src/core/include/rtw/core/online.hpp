@@ -126,7 +126,7 @@ public:
   /// \name Batch-lane hooks (see rtw/core/lane.hpp)
   /// An acceptor whose automaton state compresses to fixed-width registers
   /// can advertise a lane family; the serving layer then steps many such
-  /// sessions per SIMD instruction instead of one virtual feed per symbol.
+  /// sessions per kernel call instead of one virtual feed per symbol.
   /// The defaults opt out: family None, no lane state, no stepper.
   ///@{
 
@@ -139,11 +139,9 @@ public:
   /// phase mid-stream (e.g. once a header is parsed).
   virtual void* lane_state() noexcept { return nullptr; }
 
-  /// Builds the family's batch kernel for `variant` (one stepper serves
-  /// every lane of the family; it holds no per-session state).
-  virtual std::unique_ptr<BatchStepper> make_lane_stepper(
-      KernelVariant variant) const {
-    (void)variant;
+  /// Builds the family's batch kernel (one stepper serves every lane of
+  /// the family; it holds no per-session state).
+  virtual std::unique_ptr<BatchStepper> make_lane_stepper() const {
     return nullptr;
   }
   ///@}

@@ -1,33 +1,6 @@
 #include "rtw/core/lane.hpp"
 
-#include <cstdlib>
-
 namespace rtw::core {
-
-namespace {
-
-#if defined(__x86_64__) || defined(__i386__) || defined(_M_X64) || \
-    defined(_M_IX86)
-constexpr bool kX86 = true;
-#else
-constexpr bool kX86 = false;
-#endif
-
-bool cpu_supports(KernelVariant variant) noexcept {
-#if defined(__x86_64__) || defined(__i386__) || defined(_M_X64) || \
-    defined(_M_IX86)
-  switch (variant) {
-    case KernelVariant::Scalar: return true;
-    case KernelVariant::SSE2: return __builtin_cpu_supports("sse2") != 0;
-    case KernelVariant::AVX2: return __builtin_cpu_supports("avx2") != 0;
-  }
-  return false;
-#else
-  return variant == KernelVariant::Scalar;
-#endif
-}
-
-}  // namespace
 
 std::string_view to_string(LaneFamily family) noexcept {
   switch (family) {
@@ -35,45 +8,6 @@ std::string_view to_string(LaneFamily family) noexcept {
     case LaneFamily::Deadline: return "deadline";
   }
   return "?";
-}
-
-std::string_view to_string(KernelVariant variant) noexcept {
-  switch (variant) {
-    case KernelVariant::Scalar: return "scalar";
-    case KernelVariant::SSE2: return "sse2";
-    case KernelVariant::AVX2: return "avx2";
-  }
-  return "?";
-}
-
-KernelVariant detect_variant(const char* force_scalar_env) noexcept {
-  // The env override wins over everything, including SIMD-enabled builds:
-  // the CI forced-scalar leg sets RTW_FORCE_SCALAR=1 on a normal binary.
-  if (force_scalar_env && *force_scalar_env && *force_scalar_env != '0')
-    return KernelVariant::Scalar;
-#if defined(RTW_FORCE_SCALAR_BUILD)
-  return KernelVariant::Scalar;
-#else
-  if (kX86) {
-    if (cpu_supports(KernelVariant::AVX2)) return KernelVariant::AVX2;
-    if (cpu_supports(KernelVariant::SSE2)) return KernelVariant::SSE2;
-  }
-  return KernelVariant::Scalar;
-#endif
-}
-
-bool variant_supported(KernelVariant variant) noexcept {
-#if defined(RTW_FORCE_SCALAR_BUILD)
-  return variant == KernelVariant::Scalar;
-#else
-  return cpu_supports(variant);
-#endif
-}
-
-KernelVariant dispatch_variant() noexcept {
-  static const KernelVariant variant =
-      detect_variant(std::getenv("RTW_FORCE_SCALAR"));
-  return variant;
 }
 
 }  // namespace rtw::core

@@ -10,10 +10,20 @@
 /// dispatch) or even per-tick emulation: with fast-forward on, the engine
 /// emulates exactly one driver tick per *newer* fed element (the previous
 /// input frontier), so the whole drive loop collapses to the constant-work
-/// transition in lane_hot_feed below.  That is what makes the family ideal
-/// for SIMD lanes: DeadlineLaneState is a handful of u64 registers, and an
-/// SSE2/AVX2 kernel steps 2/4 sessions per instruction (see lane_sse2.cpp /
-/// lane_avx2.cpp; the scalar kernel is the portable reference).
+/// transition in lane_hot_feed below, and DeadlineLaneState is a handful of
+/// u64 registers.
+///
+/// By Definition 3.5 where a stream is split into runs cannot change the
+/// verdict, so a whole run that lies inside the Working window -- sorted,
+/// nothing stale, its last time at or before both `completion` and the
+/// horizon -- is one transition with a closed form (lane_step_run): the
+/// counters move by the run's length and its last time group, and P_m's
+/// registers by "any d" and "the last nat".  Every other run (a lock or an
+/// end inside it, a stale element, a settled lane) falls back to
+/// lane_step_element per element, so lane_hot_feed stays the one definition
+/// of a transition.  The kernel (lane_scalar.cpp) holds each lane's filter
+/// and state in locals for its whole run and prefetches the next lane's run
+/// while it steps this one.
 ///
 /// Equivalence contract: DeadlineLaneAcceptor wraps an EngineOnlineAcceptor
 /// and *delegates* every cold phase (header at time 0, malformed headers,
@@ -22,7 +32,8 @@
 /// phase: Working, unlocked, not ended, fast-forward on.  From there every
 /// transition below is derived case by case from EngineOnlineAcceptor's
 /// drive loop, and tests/test_lane_kernel.cpp proves bit-identity of
-/// verdicts, RunResult fields and stale counters per compiled variant.
+/// verdicts, RunResult fields and stale counters, and that lane_step_run
+/// equals the per-element loop field for field.
 
 #include <algorithm>
 #include <cstddef>
@@ -46,7 +57,7 @@ inline constexpr std::uint8_t kLaneLive = 0;
 inline constexpr std::uint8_t kLaneLocked = 1;
 inline constexpr std::uint8_t kLaneEnded = 2;
 
-/// Raw Symbol::Kind values as the kernels read them (one gathered byte).
+/// Raw Symbol::Kind values as the kernel reads them (one raw byte).
 inline constexpr std::uint8_t kLaneKindChar = 0;
 inline constexpr std::uint8_t kLaneKindNat = 1;
 inline constexpr std::uint8_t kLaneKindMarker = 2;
@@ -57,12 +68,11 @@ static_assert(static_cast<std::uint8_t>(core::Symbol::Kind::Nat) ==
 static_assert(static_cast<std::uint8_t>(core::Symbol::Kind::Marker) ==
               kLaneKindMarker);
 
-/// The kernels read TimedSymbol fields as raw loads (SIMD gathers can't
-/// call accessors): kind byte at offset 0, payload u64 at offset 8, time
-/// u64 at offset 16.  The static asserts pin the layout the gathers
-/// assume; lane_layout_ok() re-verifies the member offsets at runtime with
-/// a probe element (offsetof into Symbol's private members is not ours to
-/// write down).
+/// The kernel reads TimedSymbol fields as raw loads: kind byte at offset 0,
+/// payload u64 at offset 8, time u64 at offset 16.  The static asserts pin
+/// the layout the loads assume; lane_layout_ok() re-verifies the member
+/// offsets at runtime with a probe element (offsetof into Symbol's private
+/// members is not ours to write down).
 static_assert(std::is_standard_layout_v<core::TimedSymbol>);
 static_assert(sizeof(core::Symbol) == 16);
 static_assert(sizeof(core::TimedSymbol) == 24);
@@ -86,8 +96,8 @@ bool lane_layout_ok() noexcept;
 /// The interned id of section 4.1's `d` marker, as lane_raw_value reads it.
 std::uint64_t deadline_marker_id() noexcept;
 
-/// One session's compressed Working-phase state.  Plain u64 registers so a
-/// kernel can hold W lanes of each field in one SIMD register.
+/// One session's compressed Working-phase state.  Plain u64 registers so
+/// the kernel can hold a lane in locals for a whole run.
 struct DeadlineLaneState {
   core::Tick frontier = 0;    ///< next emulable driver tick (= last fed time)
   core::Tick ticks = 0;       ///< RunResult::ticks (last emulated tick)
@@ -197,9 +207,8 @@ inline void lane_hot_finish(DeadlineLaneState& s, core::StreamEnd end) noexcept 
 }
 
 /// One run element through the session stale filter, then the lane step --
-/// exactly Session::feed on an in-table session.  Shared by the scalar
-/// kernel and the SIMD kernels' remainder lanes, so every variant's
-/// reference semantics are literally the same code.
+/// exactly Session::feed on an in-table session.  The kernel's fallback for
+/// every run lane_step_run does not take.
 inline void lane_step_element(core::LaneFilter& filter, DeadlineLaneState& s,
                               const core::TimedSymbol& ts,
                               std::uint64_t d_id) noexcept {
@@ -207,30 +216,83 @@ inline void lane_step_element(core::LaneFilter& filter, DeadlineLaneState& s,
     lane_hot_feed(s, lane_raw_kind(ts), lane_raw_value(ts), ts.time, d_id);
 }
 
-/// \name Kernel entry points (one TU per ISA; see deadline/src/lane_*.cpp)
-/// Each advances every lane in `runs` by its whole run.  On builds or CPUs
-/// without the ISA the symbol still links and forwards to the scalar
-/// kernel; *_compiled() reports whether the real vector body is present.
-///@{
+/// A whole run as one transition, or false (nothing changed) when the run
+/// is not inside the Working window.  It is taken when the lane is live,
+/// the run is sorted from a first time at or above both the filter's
+/// high-water mark and the frontier (so nothing is stale and lane_hot_feed's
+/// precondition holds throughout), and its last time is at or before both
+/// `completion` and the horizon (so no element locks or ends the lane).
+/// Then, with j the first index of the run's last time group, the
+/// per-element loop of lane_step_element reduces to:
+///  * filter: fed += n, high_water = the last time;
+///  * last time == frontier (every element ties): pending += n;
+///  * last time > frontier: the element at j is the last to open a newer
+///    tick, so everything fed before it is delivered (delivered += pending
+///    + j), pending = n - j, ticks = the frontier just before j (the time
+///    of element j-1, or the old frontier when j == 0), frontier = the
+///    last time;
+///  * P_m: every element is at or before `completion`, so the fold gate
+///    always holds: deadline_passed |= any `d`, usefulness = the last nat.
+inline bool lane_step_run(core::LaneFilter& filter, DeadlineLaneState& s,
+                          const core::TimedSymbol* run, std::size_t n,
+                          std::uint64_t d_id) noexcept {
+  if (n == 0) return true;
+  const core::Tick last = run[n - 1].time;
+  if (s.status != kLaneLive || run[0].time < filter.high_water ||
+      last > s.completion || last > s.horizon)
+    return false;
+  // One forward pass: sortedness from the frontier on, the last nat, and
+  // any `d` -- not looked for once deadline_passed is set, since the fold
+  // could only set it again.  The last time group is then scanned back
+  // from the end.
+  core::Tick prev = s.frontier;
+  bool sorted = true;
+  bool d_seen = s.deadline_passed;
+  std::uint64_t usefulness = s.usefulness;
+  const auto pass = [&](auto find_d) {
+    for (const core::TimedSymbol* p = run; p != run + n; ++p) {
+      sorted &= p->time >= prev;
+      prev = p->time;
+      const std::uint8_t kind = lane_raw_kind(*p);
+      const std::uint64_t value = lane_raw_value(*p);
+      if constexpr (decltype(find_d)::value)
+        d_seen |= kind == kLaneKindMarker && value == d_id;
+      usefulness = kind == kLaneKindNat ? value : usefulness;
+    }
+  };
+  if (d_seen) pass(std::false_type{});
+  else pass(std::true_type{});
+  if (!sorted) return false;
+  filter.high_water = last;
+  filter.any = true;
+  filter.fed += n;
+  if (last != s.frontier) {
+    std::size_t j = n - 1;
+    while (j > 0 && run[j - 1].time == last) --j;
+    s.delivered += s.pending + j;
+    s.pending = n - j;
+    s.ticks = j > 0 ? run[j - 1].time : s.frontier;
+    s.frontier = last;
+  } else {
+    s.pending += n;
+  }
+  s.deadline_passed = d_seen;
+  s.usefulness = usefulness;
+  return true;
+}
+
+/// The deadline family's one kernel: each lane of `runs` by its whole run,
+/// through lane_step_run or, where that declines, lane_step_element.
 void step_lanes_scalar(const core::LaneRun* runs, std::size_t count,
                        std::uint64_t d_id) noexcept;
-void step_lanes_sse2(const core::LaneRun* runs, std::size_t count,
-                     std::uint64_t d_id) noexcept;
-void step_lanes_avx2(const core::LaneRun* runs, std::size_t count,
-                     std::uint64_t d_id) noexcept;
-bool sse2_kernel_compiled() noexcept;
-bool avx2_kernel_compiled() noexcept;
-///@}
 
-/// The deadline family's batch kernel for `variant`, clamped to the best
-/// variant this build + CPU can actually run.  Returns nullptr if the
-/// TimedSymbol layout probe fails (then every session stays on the
-/// per-symbol path -- slower, never wrong).
-std::unique_ptr<core::BatchStepper> make_deadline_stepper(
-    core::KernelVariant variant);
+/// The deadline family's batch stepper over step_lanes_scalar.  Returns
+/// nullptr if the TimedSymbol layout probe fails (then every session stays
+/// on the per-symbol path -- slower, never wrong).
+std::unique_ptr<core::BatchStepper> make_deadline_stepper();
 
-/// An online acceptor for L(Pi) that is vectorizable: delegates to the
-/// engine replica while cold, promotes itself to a DeadlineLaneState lane
+/// An online acceptor for L(Pi) that the lane kernel can step: delegates to
+/// the engine replica while cold, promotes itself to a DeadlineLaneState lane
 /// once the engine reaches the compressed phase.  Drop-in replacement for
 /// deadline::make_online_acceptor with identical verdicts and RunResults.
 class DeadlineLaneAcceptor final : public core::OnlineAcceptor {
@@ -250,9 +312,8 @@ public:
     return core::LaneFamily::Deadline;
   }
   void* lane_state() noexcept override { return hot_ ? &state_ : nullptr; }
-  std::unique_ptr<core::BatchStepper> make_lane_stepper(
-      core::KernelVariant variant) const override {
-    return make_deadline_stepper(variant);
+  std::unique_ptr<core::BatchStepper> make_lane_stepper() const override {
+    return make_deadline_stepper();
   }
 
   /// True once promoted to the compressed automaton (tests/bench probe).

@@ -4,7 +4,6 @@
 
 namespace rtw::deadline {
 
-using rtw::core::KernelVariant;
 using rtw::core::LaneRun;
 using rtw::core::RunOptions;
 using rtw::core::RunResult;
@@ -35,48 +34,27 @@ std::uint64_t deadline_marker_id() noexcept {
 
 namespace {
 
-/// Clamp the requested variant to what this build + CPU can execute.  The
-/// kernel TUs always link (non-ISA builds forward to scalar), so the clamp
-/// only decides which entry point the hot loop calls.
-KernelVariant effective_variant(KernelVariant requested) noexcept {
-  if (requested == KernelVariant::AVX2 && avx2_kernel_compiled() &&
-      core::variant_supported(KernelVariant::AVX2))
-    return KernelVariant::AVX2;
-  if (requested != KernelVariant::Scalar && sse2_kernel_compiled() &&
-      core::variant_supported(KernelVariant::SSE2))
-    return KernelVariant::SSE2;
-  return KernelVariant::Scalar;
-}
-
 class DeadlineStepper final : public core::BatchStepper {
 public:
-  explicit DeadlineStepper(KernelVariant variant)
-      : variant_(effective_variant(variant)), d_id_(deadline_marker_id()) {}
+  DeadlineStepper() : d_id_(deadline_marker_id()) {}
 
   core::LaneFamily family() const noexcept override {
     return core::LaneFamily::Deadline;
   }
-  KernelVariant variant() const noexcept override { return variant_; }
 
   void step(const LaneRun* runs, std::size_t count) override {
-    switch (variant_) {
-      case KernelVariant::AVX2: step_lanes_avx2(runs, count, d_id_); return;
-      case KernelVariant::SSE2: step_lanes_sse2(runs, count, d_id_); return;
-      case KernelVariant::Scalar: step_lanes_scalar(runs, count, d_id_); return;
-    }
+    step_lanes_scalar(runs, count, d_id_);
   }
 
 private:
-  KernelVariant variant_;
   std::uint64_t d_id_;
 };
 
 }  // namespace
 
-std::unique_ptr<core::BatchStepper> make_deadline_stepper(
-    KernelVariant variant) {
+std::unique_ptr<core::BatchStepper> make_deadline_stepper() {
   if (!lane_layout_ok()) return nullptr;
-  return std::make_unique<DeadlineStepper>(variant);
+  return std::make_unique<DeadlineStepper>();
 }
 
 // ---------------------------------------------------------------------------

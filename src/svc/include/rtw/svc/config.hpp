@@ -20,14 +20,14 @@
 namespace rtw::svc {
 
 /// Shard-worker behavior: how many workers, when they evict, and whether
-/// runs go through the SIMD lane kernel.
+/// runs go through the lane kernel.
 struct ShardConfig {
   unsigned count = 1;             ///< worker count (and ring count)
   /// Sessions idle for this many shard epochs are finished
   /// (StreamEnd::Truncated) and reported with `evicted = true`.
   /// 0 disables eviction.
   std::uint64_t idle_epochs = 0;
-  /// Route runs of lane-family sessions through the SIMD batch kernel
+  /// Route runs of lane-family sessions through the batch lane kernel
   /// (rtw/core/lane.hpp) instead of Session::feed_run.  Verdicts
   /// are bit-identical either way; off = always the virtual path.
   bool lane_kernel = true;

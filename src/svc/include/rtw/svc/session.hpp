@@ -122,8 +122,8 @@ public:
   const core::OnlineAcceptor& acceptor() const { return *acceptor_; }
   core::OnlineAcceptor& acceptor() { return *acceptor_; }
 
-  /// The stale filter as lane-kernel state: a batch stepper advances it in
-  /// SIMD registers with LaneFilter::admit's exact semantics.
+  /// The stale filter as lane-kernel state: a batch stepper advances it
+  /// with LaneFilter::admit's exact semantics.
   core::LaneFilter& lane_filter() noexcept { return filter_; }
 
   /// Wave membership flag, owned by the shard worker: set while a run for

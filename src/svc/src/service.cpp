@@ -459,7 +459,7 @@ SessionManager::take_data(Shard& shard, const Command& command, std::size_t n,
   core::OnlineAcceptor& acceptor = session.acceptor();
   if (!shard.stepper && !shard.stepper_probed) {
     shard.stepper_probed = true;
-    shard.stepper = acceptor.make_lane_stepper(core::dispatch_variant());
+    shard.stepper = acceptor.make_lane_stepper();
   }
   void* lane = acceptor.lane_state();
   if (lane && shard.stepper &&
@@ -512,7 +512,7 @@ void SessionManager::process(Shard& shard, std::uint64_t epoch) {
         Session& session = entry->session;
         ingested += n;
         // Runs of lane-family sessions stage into the wave and are stepped
-        // many-at-a-time by the SIMD kernel; everything else (cold
+        // many-at-a-time by the lane kernel; everything else (cold
         // acceptors, foreign families) takes feed_run.  The LaneRun aliases
         // the command's buffer, which outlives the wave: the staging vector
         // is stable until the next drain and every wave is flushed before
