@@ -19,9 +19,11 @@
 //     and the wave count,
 //   * the two stages' CPU prices: the producer's thread CPU per run it
 //     offered (`producer_ns_per_run`: buffering, admission, the pooled
-//     copy) and the shard workers' per ring command they drained
-//     (`shard_ns_per_command`: process CPU minus the producer's; drain()
-//     blocks, so nothing else burns CPU),
+//     copy, up to the closing drain()) and the shard workers' per ring
+//     command they drained (`shard_ns_per_command`: process CPU minus the
+//     main thread's, drain()'s yielding wait included, minus the time the
+//     dedicated workers spun on empty rings), with that spin beside it
+//     (`spin_ns_per_command`) and the workers' futex `parks` and `wakes`,
 //   * the host's load over the measured window, read as the wire cell
 //     reads it (see below): the steal delta (`steal_ms`) and the run-queue
 //     delay of every task but the producer, the shards, per drained ring
@@ -51,8 +53,10 @@
 //                         unmeasured warm-up round.  It prices the two
 //                         stages a frame crosses: the reader's on_bytes
 //                         (thread CPU ns per frame) and the shard workers
-//                         (process CPU minus the reader's, ns per ring
-//                         command), plus the frames' wall Msym/s.  Beside
+//                         (process CPU minus the main thread's and minus
+//                         the workers' spin, ns per ring command; the
+//                         spin, parks and wakes beside it), plus the
+//                         frames' wall Msym/s.  Beside
 //                         them it reads the host's load over the same
 //                         windows (Linux /proc, 0 where absent): the
 //                         steal delta (steal_ms, /proc/stat) and the
@@ -184,6 +188,9 @@ struct Cell {
   Percentiles feed_ns;    ///< enqueue -> worker-process ring wait
   double producer_ns_per_run = 0;   ///< producer thread CPU per offered run
   double shard_ns_per_command = 0;  ///< shard CPU per drained ring command
+  double spin_ns_per_command = 0;   ///< worker spin per drained ring command
+  std::uint64_t parks = 0;  ///< worker futex waits in the window
+  std::uint64_t wakes = 0;  ///< ... ended by a claimed wake
   double steal_ms = 0;  ///< host steal over the measured window
   double shard_runq_ns_per_command = 0;  ///< shards' run-queue delay
 };
@@ -365,8 +372,9 @@ Cell run_cell(const CellConfig& cc) {
   for (; t < first + cc.symbols_per_session; ++t) feed_tick(t);
   for (unsigned s = 0; s < cc.sessions; ++s) flush(s);
   for (const auto id : ids) manager.close(id, StreamEnd::Truncated);
-  manager.drain();
   const double producer = cpu_ns(CLOCK_THREAD_CPUTIME_ID) - producer0;
+  manager.drain();  // yields on this thread until the shards are idle
+  const double main_thread = cpu_ns(CLOCK_THREAD_CPUTIME_ID) - producer0;
   const double process = cpu_ns(CLOCK_PROCESS_CPUTIME_ID) - process0;
   const auto stop = clock::now();
   const auto runq = runq_delta(runq0, runq_ns_by_task());
@@ -396,10 +404,16 @@ Cell run_cell(const CellConfig& cc) {
   cell.feed_ns = percentiles(manager.take_feed_latency_samples());
   const std::uint64_t runs = flushes - warm_flushes;
   const std::uint64_t commands = stats.batches - warm.batches;
+  const auto spin = static_cast<double>(stats.spin_ns - warm.spin_ns);
+  cell.parks = stats.parks - warm.parks;
+  cell.wakes = stats.wakes - warm.wakes;
   cell.producer_ns_per_run =
       runs ? producer / static_cast<double>(runs) : 0;
   cell.shard_ns_per_command =
-      commands ? (process - producer) / static_cast<double>(commands) : 0;
+      commands ? (process - main_thread - spin) / static_cast<double>(commands)
+               : 0;
+  cell.spin_ns_per_command =
+      commands ? spin / static_cast<double>(commands) : 0;
   cell.shard_runq_ns_per_command =
       commands ? runq.others_ns / static_cast<double>(commands) : 0;
   // Sanity: every opened session must come back exactly once.
@@ -418,6 +432,9 @@ struct WireCell {
   double symbols_per_sec = 0;
   double reactor_ns_per_frame = 0;
   double shard_ns_per_command = 0;
+  double spin_ns_per_command = 0;  ///< worker spin per drained ring command
+  std::uint64_t parks = 0;  ///< worker futex waits in the windows
+  std::uint64_t wakes = 0;  ///< ... ended by a claimed wake
   double steal_ms = 0;  ///< host steal over the measured windows
   double reader_runq_ns_per_frame = 0;   ///< reader's run-queue delay
   double shard_runq_ns_per_command = 0;  ///< other tasks' run-queue delay
@@ -472,6 +489,8 @@ WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
 
   WireCell cell;
   double reactor_ns = 0;
+  double main_ns = 0;  ///< the reader thread's CPU, drain() included
+  double spin_ns = 0;
   double process_ns = 0;
   double wall_s = 0;
   double reader_runq_ns = 0, shard_runq_ns = 0;
@@ -487,6 +506,7 @@ WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
     const auto runq0 = runq_ns_by_task();
     const auto start = clock::now();
     const double process0 = cpu_ns(CLOCK_PROCESS_CPUTIME_ID);
+    const double main0 = cpu_ns(CLOCK_THREAD_CPUTIME_ID);
     double reader = 0;
     for (std::size_t off = 0; off < frames.size(); off += kReadChunk) {
       const double t0 = cpu_ns(CLOCK_THREAD_CPUTIME_ID);
@@ -494,6 +514,7 @@ WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
       reader += cpu_ns(CLOCK_THREAD_CPUTIME_ID) - t0;
     }
     server.manager().drain();
+    const double main = cpu_ns(CLOCK_THREAD_CPUTIME_ID) - main0;
     const double process = cpu_ns(CLOCK_PROCESS_CPUTIME_ID) - process0;
     const double wall =
         std::chrono::duration<double>(clock::now() - start).count();
@@ -507,7 +528,11 @@ WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
     if (round == 0) continue;  // warm-up: first-touch allocation, caches
     cell.stride_bodies += conn->stats().stride_bodies;
     reactor_ns += reader;
+    main_ns += main;
     process_ns += process;
+    spin_ns += static_cast<double>(after.spin_ns - before.spin_ns);
+    cell.parks += after.parks - before.parks;
+    cell.wakes += after.wakes - before.wakes;
     wall_s += wall;
     cell.steal_ms += steal;
     reader_runq_ns += runq.self_ns;
@@ -522,12 +547,15 @@ WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
       wall_s > 0 ? static_cast<double>(cell.symbols) / wall_s : 0;
   cell.reactor_ns_per_frame =
       cell.frames ? reactor_ns / static_cast<double>(cell.frames) : 0;
-  // The reader's thread CPU is part of the process CPU; the rest is the
-  // shard workers' (drain() blocks without spinning).
+  // The reader thread's CPU (on_bytes, then drain()'s yielding wait) is
+  // part of the process CPU; the rest is the shard workers', less the time
+  // they spun on empty rings.
   cell.shard_ns_per_command =
-      cell.commands ? (process_ns - reactor_ns) /
+      cell.commands ? (process_ns - main_ns - spin_ns) /
                           static_cast<double>(cell.commands)
                     : 0;
+  cell.spin_ns_per_command =
+      cell.commands ? spin_ns / static_cast<double>(cell.commands) : 0;
   cell.reader_runq_ns_per_frame =
       cell.frames ? reader_runq_ns / static_cast<double>(cell.frames) : 0;
   cell.shard_runq_ns_per_command =
@@ -623,6 +651,10 @@ int main(int argc, char** argv) {
                 cell.symbols_per_sec / 1e6,
                 static_cast<unsigned long long>(cell.sheds),
                 static_cast<unsigned long long>(cell.stride_bodies));
+    std::printf(" shard workers: spin %.0f ns/command  parks %llu  wakes %llu\n",
+                cell.spin_ns_per_command,
+                static_cast<unsigned long long>(cell.parks),
+                static_cast<unsigned long long>(cell.wakes));
     std::printf(" host load: steal %.0f ms  run-queue delay: reader %.0f"
                 " ns/frame  shards %.0f ns/command\n",
                 cell.steal_ms, cell.reader_runq_ns_per_frame,
@@ -645,6 +677,10 @@ int main(int argc, char** argv) {
                                         cell.reactor_ns_per_frame)
                                  .field("shard_ns_per_command",
                                         cell.shard_ns_per_command)
+                                 .field("spin_ns_per_command",
+                                        cell.spin_ns_per_command)
+                                 .field("parks", cell.parks)
+                                 .field("wakes", cell.wakes)
                                  .field("steal_ms", cell.steal_ms)
                                  .field("reader_runq_ns_per_frame",
                                         cell.reader_runq_ns_per_frame)
@@ -670,10 +706,11 @@ int main(int argc, char** argv) {
             << cc.warmup << "\n";
   std::cout << "==========================================================\n\n";
   std::cout << " sessions  shards    Msym/s   shed%  admit p50/p99(ns)"
-               "  feed p50/p99(us)  lane%  ns/run  ns/cmd  steal(ms)"
-               "  runq/cmd\n";
+               "  feed p50/p99(us)  lane%  ns/run  ns/cmd  spin/cmd   parks"
+               "  steal(ms)  runq/cmd\n";
   std::cout << " ---------------------------------------------------------"
-               "--------------------------------------------------\n";
+               "-----------------------------------------------------------"
+               "------\n";
 
   std::vector<std::string> json;
   for (const auto sessions : session_counts) {
@@ -687,14 +724,16 @@ int main(int argc, char** argv) {
                        : 0.0;
       std::printf(
           " %8u  %6u  %8.3f  %6.2f  %8llu /%8llu  %8.1f /%8.1f  %5.1f"
-          "  %6.0f  %6.0f  %9.0f  %8.0f\n",
+          "  %6.0f  %6.0f  %8.0f  %6llu  %9.0f  %8.0f\n",
           sessions, shards, cell.symbols_per_sec / 1e6,
           100.0 * cell.shed_rate,
           static_cast<unsigned long long>(cell.admit_ns.p50),
           static_cast<unsigned long long>(cell.admit_ns.p99),
           static_cast<double>(cell.feed_ns.p50) / 1e3,
           static_cast<double>(cell.feed_ns.p99) / 1e3, lane_frac,
-          cell.producer_ns_per_run, cell.shard_ns_per_command, cell.steal_ms,
+          cell.producer_ns_per_run, cell.shard_ns_per_command,
+          cell.spin_ns_per_command,
+          static_cast<unsigned long long>(cell.parks), cell.steal_ms,
           cell.shard_runq_ns_per_command);
       json.push_back(rtw::sim::bench_record("svc")
                          .field("workload", workload)
@@ -728,6 +767,9 @@ int main(int argc, char** argv) {
                                 cell.producer_ns_per_run)
                          .field("shard_ns_per_command",
                                 cell.shard_ns_per_command)
+                         .field("spin_ns_per_command", cell.spin_ns_per_command)
+                         .field("parks", cell.parks)
+                         .field("wakes", cell.wakes)
                          .field("steal_ms", cell.steal_ms)
                          .field("shard_runq_ns_per_command",
                                 cell.shard_runq_ns_per_command)

@@ -5,18 +5,17 @@
 /// pool provides *actual* parallelism where determinism of interleaving
 /// does not matter (independent tasks, joined results).
 ///
-/// Two callers use it, and each posts at most one task per worker:
-///   * engine::BatchRunner::map posts min(count, threads) tasks that claim
-///     index chunks from a shared counter;
-///   * svc::SessionManager posts one drain task per shard when it wakes a
-///     parked shard worker.
-/// So one mutex-guarded FIFO queue serves both: there is no fan-out of
-/// thousands of small tasks to spread across per-worker queues, and a
-/// task blocked on one worker never strands a queued task, because every
-/// idle worker pops from the same queue.
+/// Its one caller is engine::BatchRunner::map, which posts min(count,
+/// threads) tasks that claim index chunks from a shared counter and waits
+/// for them on a condition variable of its own.  So one mutex-guarded
+/// FIFO queue serves: there is no fan-out of thousands of small tasks to
+/// spread across per-worker queues, and a task blocked on one worker
+/// never strands a queued task, because every idle worker pops from the
+/// same queue.  (The serving layer's shards run on dedicated threads of
+/// their own; see svc/service.hpp.)
 ///
-/// post() enqueues a task (one SmallFn move); wait_idle() blocks until the
-/// queue is empty and no task is running.  The queue is a ring that only
+/// post() enqueues a task (one SmallFn move); the destructor runs every
+/// queued task before it joins the workers.  The queue is a ring that only
 /// grows, so once it has held the most tasks ever queued at once, posting
 /// allocates nothing (a std::deque allocates a block every few pushes).
 ///
@@ -51,9 +50,6 @@ public:
   /// captures.  Throws std::runtime_error once shutdown has begun.
   void post(Task task);
 
-  /// Blocks until the queue is empty and all workers are idle.
-  void wait_idle();
-
   unsigned threads() const noexcept {
     return static_cast<unsigned>(threads_.size());
   }
@@ -65,11 +61,9 @@ private:
 
   std::mutex mutex_;  ///< guards everything below
   std::condition_variable wake_;
-  std::condition_variable idle_;
   std::vector<Task> tasks_;  ///< ring of queued_ tasks from head_
   std::size_t head_ = 0;
   std::size_t queued_ = 0;
-  std::size_t running_ = 0;  ///< tasks popped but not yet finished
   bool stopping_ = false;
 };
 

@@ -49,18 +49,11 @@ void ThreadPool::worker_loop() {
       Task task = std::move(tasks_[head_]);
       head_ = (head_ + 1) % tasks_.size();
       --queued_;
-      ++running_;
       lock.unlock();
       task();
     }  // the task's captures are destroyed outside the lock
     lock.lock();
-    if (--running_ == 0 && queued_ == 0) idle_.notify_all();
   }
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  idle_.wait(lock, [this] { return running_ == 0 && queued_ == 0; });
 }
 
 }  // namespace rtw::sim

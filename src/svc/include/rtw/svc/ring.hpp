@@ -8,14 +8,17 @@
 /// cell's sequence, and the consumer observes it with an acquire load --
 /// no mutex anywhere on the enqueue path.  Capacity is rounded up to a
 /// power of two so the cell index is one mask.  The head and tail live on
-/// their own cache lines: producers only contend on the tail, the (single
-/// elected) consumer only writes the head, and neither invalidates the
-/// other's line on every operation.
+/// their own cache lines: producers only contend on the tail, the single
+/// consumer only writes the head, and neither invalidates the other's line
+/// on every operation.  Each cell is padded to a cache line of its own, so
+/// a producer writing cell k+1 never shares a line with the consumer
+/// reading cell k.
 ///
-/// The queue is formally MPMC-safe, but the serving layer uses it MPSC:
-/// the shard election protocol (`Shard::scheduled`) guarantees at most one
-/// consumer at a time, which lets `try_pop` update the head with a plain
-/// store instead of a CAS.
+/// The ring is MPSC: each shard has one dedicated worker thread, the only
+/// consumer, which lets the pops update the head with a plain store instead
+/// of a CAS.  `pop_batch` takes up to a batch of cells and publishes the
+/// head once; producers read the head on every admission (`approx_size`),
+/// so its line changes once per batch rather than once per pop.
 ///
 /// `SessionTable` is a fixed-capacity open-addressed hash table of
 /// admission *hints* -- session priority and in-flight symbol count --
@@ -102,7 +105,7 @@ class MpscRing {
   }
   bool try_push(T&& value) noexcept { return try_push(value); }
 
-  /// Single-consumer dequeue (callers must hold the shard election).
+  /// Single-consumer dequeue of one element.
   bool try_pop(T& out) noexcept {
     const std::size_t pos = head_.load(std::memory_order_relaxed);
     Cell& cell = cells_[pos & mask_];
@@ -110,13 +113,32 @@ class MpscRing {
     if (static_cast<std::intptr_t>(seq) -
             static_cast<std::intptr_t>(pos + 1) < 0)
       return false;  // the cell has not been published for this lap yet
-    head_.store(pos + 1, std::memory_order_relaxed);
-    T* stored = std::launder(reinterpret_cast<T*>(cell.storage));
-    out = std::move(*stored);
-    stored->~T();
-    // Mark the cell writable for the next lap.
-    cell.seq.store(pos + mask_ + 1, std::memory_order_release);
+    head_.store(pos + 1, std::memory_order_release);
+    out = std::move(value_of(cell));
+    recycle(cell, pos);
     return true;
+  }
+
+  /// Single-consumer dequeue of up to `max` elements, appended to `out`
+  /// (anything with push_back(T&&)) in FIFO order.  The head is published
+  /// once, with a release store, after the last cell is taken: whoever
+  /// reads that head with acquire also sees every store the consumer made
+  /// before the pop.  Returns the number popped.
+  template <typename Out>
+  std::size_t pop_batch(Out& out, std::size_t max) {
+    const std::size_t first = head_.load(std::memory_order_relaxed);
+    std::size_t pos = first;
+    for (; pos - first < max; ++pos) {
+      Cell& cell = cells_[pos & mask_];
+      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
+      if (static_cast<std::intptr_t>(seq) -
+              static_cast<std::intptr_t>(pos + 1) < 0)
+        break;  // not published for this lap yet
+      out.push_back(std::move(value_of(cell)));
+      recycle(cell, pos);
+    }
+    if (pos != first) head_.store(pos, std::memory_order_release);
+    return pos - first;
   }
 
   /// Occupancy estimate for admission watermarks.  Exact when quiescent;
@@ -136,10 +158,22 @@ class MpscRing {
   bool empty() const noexcept { return approx_size() == 0; }
 
  private:
-  struct Cell {
+  struct alignas(kCacheLine) Cell {
     std::atomic<std::size_t> seq{0};
     alignas(T) unsigned char storage[sizeof(T)];
   };
+
+  /// The element a published cell holds.
+  static T& value_of(Cell& cell) noexcept {
+    return *std::launder(reinterpret_cast<T*>(cell.storage));
+  }
+
+  /// Destroys the moved-from element at `pos` and marks its cell writable
+  /// for the next lap.
+  void recycle(Cell& cell, std::size_t pos) noexcept {
+    value_of(cell).~T();
+    cell.seq.store(pos + mask_ + 1, std::memory_order_release);
+  }
 
   const std::size_t mask_;
   std::unique_ptr<Cell[]> cells_;

@@ -342,6 +342,10 @@ std::optional<std::string> closed_form_vs_elements(
   filter.any = true;
   filter.fed = state.delivered + state.pending;
   filter.stale = rng.uniform(std::uint64_t{3});
+  // A quarter of the cases start from a fresh filter (nothing fed yet, no
+  // mark), so the closed form must raise `any` itself.  OneStale keeps a
+  // fed filter: its first element is stale only below a real mark.
+  if (shape != RunShape::OneStale && rng.bernoulli(0.25)) filter = LaneFilter{};
 
   // The run: 1-300 elements (scaled by the size ramp), times from the
   // frontier on in steps of 0-2.
@@ -425,6 +429,20 @@ std::optional<std::string> closed_form_vs_elements(
                                 elements))
     return "shape " + std::to_string(static_cast<int>(shape)) + ", " +
            std::to_string(n) + " elements, closed/element:" + *diff;
+  // Then one stale element through lane_step_element on both: it must be
+  // dropped against the mark (and `any`) the run left behind.
+  const Tick mark = element_filter.high_water;
+  if (mark > 0) {
+    const TimedSymbol stale{Symbol::chr('w'),
+                            mark - 1 - rng.uniform(std::uint64_t{mark})};
+    rtw::deadline::lane_step_element(closed_filter, closed, stale, d_id);
+    rtw::deadline::lane_step_element(element_filter, elements, stale, d_id);
+    if (auto diff = lane_mismatch(closed_filter, closed, element_filter,
+                                  elements))
+      return "shape " + std::to_string(static_cast<int>(shape)) + ", " +
+             std::to_string(n) +
+             " elements, then a stale one, closed/element:" + *diff;
+  }
   return std::nullopt;
 }
 

@@ -217,18 +217,29 @@ TEST(RtProcTest, Validation) {
 // ------------------------------------------------------------ ThreadPool
 
 TEST(ThreadPoolTest, ManyTasksAllComplete) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 200; ++i) pool.post([&counter] { ++counter; });
-  pool.wait_idle();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 200; ++i) pool.post([&counter] { ++counter; });
+  }  // the destructor runs every queued task before it joins
   EXPECT_EQ(counter.load(), 200);
 }
 
-TEST(ThreadPoolTest, WaitIdleDrains) {
-  ThreadPool pool(2);
+TEST(ThreadPoolTest, DestructorRunsEveryQueuedTask) {
+  // Both workers are held until the pool is being destroyed, so the 50
+  // tasks are still queued when the destructor begins.
   std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) pool.post([&counter] { ++counter; });
-  pool.wait_idle();
+  std::atomic<bool> release{false};
+  {
+    ThreadPool pool(2);
+    for (int w = 0; w < 2; ++w)
+      pool.post([&release] {
+        while (!release.load()) std::this_thread::yield();
+      });
+    for (int i = 0; i < 50; ++i) pool.post([&counter] { ++counter; });
+    EXPECT_EQ(counter.load(), 0);
+    release.store(true);
+  }
   EXPECT_EQ(counter.load(), 50);
 }
 

@@ -19,6 +19,7 @@
 //      for the CI svc-soak job).
 
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
@@ -2154,6 +2155,90 @@ TEST(SessionManager, PinnedShardDoesNotStallItsSibling) {
   ASSERT_EQ(last.size(), 1u);
   EXPECT_EQ(last[0].id, pinned);
   EXPECT_EQ(manager.stats().closed, free_ids.size() + 1);
+}
+
+/// Process CPU time so far, in ns (every thread of the test binary).
+std::uint64_t process_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
+/// Opens `sessions` accept-all sessions, feeds each a short run and
+/// drains: every worker has done some work and is idle afterwards.
+void feed_and_drain(SessionManager& manager, int sessions) {
+  std::vector<SessionId> ids;
+  for (int s = 0; s < sessions; ++s)
+    ids.push_back(manager.open(std::make_unique<EngineOnlineAcceptor>(
+        std::make_unique<AcceptAll>())));
+  for (const SessionId id : ids)
+    ASSERT_EQ(manager.feed_batch(id, {{Symbol::chr('a'), 0},
+                                      {Symbol::chr('a'), 1}}),
+              Admit::Accepted);
+  manager.drain();
+}
+
+/// Waits (up to 10 s) until every worker has parked at least `parks` times
+/// in total.
+bool await_parks(const SessionManager& manager, std::uint64_t parks) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (manager.stats().parks < parks) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Once drained and past the spin window, the dedicated shard workers
+/// sleep on their futex words: a 4-shard manager burns (almost) no CPU.
+TEST(SessionManager, IdleWorkersBurnNoCpuAfterTheSpinWindow) {
+  ShardConfig shard;
+  shard.count = 4;
+  SessionManager manager(shard, IngressConfig{});
+  feed_and_drain(manager, 64);
+  // The spin window is 50 us; every worker parks well inside this wait.
+  ASSERT_TRUE(await_parks(manager, 4));
+  const std::uint64_t before = process_cpu_ns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::uint64_t burned = process_cpu_ns() - before;
+  EXPECT_LT(burned, 5'000'000u) << "idle workers burned " << burned
+                                << " ns of CPU in 100 ms";
+
+  // A push to a parked shard wakes its worker, which counts the wake.
+  const auto stats = manager.stats();
+  feed_and_drain(manager, 8);
+  EXPECT_GT(manager.stats().wakes, stats.wakes);
+  EXPECT_LE(manager.stats().wakes, manager.stats().parks);
+}
+
+/// Destroying a manager joins its workers whether they are still spinning
+/// on their empty rings or already parked, and every session is reported.
+TEST(SessionManager, DestroyingTheManagerJoinsSpinningAndParkedWorkers) {
+  ShardConfig shard;
+  shard.count = 4;
+  for (int round = 0; round < 32; ++round) {
+    std::mutex mutex;
+    std::vector<SessionReport> reports;
+    {
+      SessionManager manager(shard, IngressConfig{});
+      // Four workers report at once; shutdown's close-all runs before the
+      // destructor joins them.
+      manager.set_report_sink([&](const SessionReport& r) {
+        std::lock_guard lock(mutex);
+        reports.push_back(r);
+        return true;
+      });
+      feed_and_drain(manager, 16);
+      // Even rounds: destroyed within the spin window of the drain.  Odd
+      // rounds: destroyed once every worker has parked.
+      if (round % 2) {
+        ASSERT_TRUE(await_parks(manager, 4));
+      }
+    }
+    EXPECT_EQ(reports.size(), 16u) << "round " << round;
+  }
 }
 
 // ---------------------------------------- observation never perturbs
