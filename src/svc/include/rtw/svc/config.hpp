@@ -52,8 +52,9 @@ struct IngressConfig {
   std::uint64_t max_queue_delay_ns = 0;
   /// Per-shard capacity of the lock-free priority/quota hint table.
   std::size_t session_slots = 8192;
-  /// Stamp every Nth data command with its enqueue time and record the
-  /// enqueue->process delta (the true feed latency) on the worker.
+  /// Stamp every Nth data command each admitting thread submits with its
+  /// enqueue time and record the enqueue->process delta (the true feed
+  /// latency) on the worker.
   /// 0 disables sampling; age shedding stamps every command regardless.
   std::size_t latency_sample_every = 16;
 };
