@@ -24,6 +24,9 @@
 //     main thread's, drain()'s yielding wait included, minus the time the
 //     dedicated workers spun on empty rings), with that spin beside it
 //     (`spin_ns_per_command`) and the workers' futex `parks` and `wakes`,
+//   * the BodyPool heap calls per offered run (`pool_allocs_per_run`, 0
+//     once every pool holds its in-flight peak; the wire cell reports it
+//     per frame's body),
 //   * the host's load over the measured window, read as the wire cell
 //     reads it (see below): the steal delta (`steal_ms`) and the run-queue
 //     delay of every task but the producer, the shards, per drained ring
@@ -112,6 +115,7 @@
 #include "rtw/deadline/problem.hpp"
 #include "rtw/sim/jsonl.hpp"
 #include "rtw/sim/rng.hpp"
+#include "rtw/svc/body_pool.hpp"
 #include "rtw/svc/profiles.hpp"
 #include "rtw/svc/server.hpp"
 #include "rtw/svc/service.hpp"
@@ -189,6 +193,7 @@ struct Cell {
   double producer_ns_per_run = 0;   ///< producer thread CPU per offered run
   double shard_ns_per_command = 0;  ///< shard CPU per drained ring command
   double spin_ns_per_command = 0;   ///< worker spin per drained ring command
+  double pool_allocs_per_run = 0;   ///< BodyPool heap calls per offered run
   std::uint64_t parks = 0;  ///< worker futex waits in the window
   std::uint64_t wakes = 0;  ///< ... ended by a claimed wake
   double steal_ms = 0;  ///< host steal over the measured window
@@ -366,6 +371,7 @@ Cell run_cell(const CellConfig& cc) {
   // Host-load probes bracket the CPU window, as in the wire cell.
   const double steal0 = steal_ms();
   const auto runq0 = runq_ns_by_task();
+  const std::uint64_t allocs0 = rtw::svc::BodyPool::heap_allocations();
   const auto start = clock::now();
   const double process0 = cpu_ns(CLOCK_PROCESS_CPUTIME_ID);
   const double producer0 = cpu_ns(CLOCK_THREAD_CPUTIME_ID);
@@ -414,6 +420,11 @@ Cell run_cell(const CellConfig& cc) {
                : 0;
   cell.spin_ns_per_command =
       commands ? spin / static_cast<double>(commands) : 0;
+  cell.pool_allocs_per_run =
+      runs ? static_cast<double>(rtw::svc::BodyPool::heap_allocations() -
+                                 allocs0) /
+                 static_cast<double>(runs)
+           : 0;
   cell.shard_runq_ns_per_command =
       commands ? runq.others_ns / static_cast<double>(commands) : 0;
   // Sanity: every opened session must come back exactly once.
@@ -433,6 +444,7 @@ struct WireCell {
   double reactor_ns_per_frame = 0;
   double shard_ns_per_command = 0;
   double spin_ns_per_command = 0;  ///< worker spin per drained ring command
+  double pool_allocs_per_run = 0;  ///< BodyPool heap calls per frame's body
   std::uint64_t parks = 0;  ///< worker futex waits in the windows
   std::uint64_t wakes = 0;  ///< ... ended by a claimed wake
   double steal_ms = 0;  ///< host steal over the measured windows
@@ -491,6 +503,7 @@ WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
   double reactor_ns = 0;
   double main_ns = 0;  ///< the reader thread's CPU, drain() included
   double spin_ns = 0;
+  std::uint64_t pool_allocs = 0;
   double process_ns = 0;
   double wall_s = 0;
   double reader_runq_ns = 0, shard_runq_ns = 0;
@@ -504,6 +517,7 @@ WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
     // charged to the shards.
     const double steal0 = steal_ms();
     const auto runq0 = runq_ns_by_task();
+    const std::uint64_t allocs0 = rtw::svc::BodyPool::heap_allocations();
     const auto start = clock::now();
     const double process0 = cpu_ns(CLOCK_PROCESS_CPUTIME_ID);
     const double main0 = cpu_ns(CLOCK_THREAD_CPUTIME_ID);
@@ -518,6 +532,8 @@ WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
     const double process = cpu_ns(CLOCK_PROCESS_CPUTIME_ID) - process0;
     const double wall =
         std::chrono::duration<double>(clock::now() - start).count();
+    const std::uint64_t allocs =
+        rtw::svc::BodyPool::heap_allocations() - allocs0;
     const auto runq = runq_delta(runq0, runq_ns_by_task());
     const double steal = steal_ms() - steal0;
     const auto after = server.manager().stats();
@@ -531,6 +547,7 @@ WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
     main_ns += main;
     process_ns += process;
     spin_ns += static_cast<double>(after.spin_ns - before.spin_ns);
+    pool_allocs += allocs;
     cell.parks += after.parks - before.parks;
     cell.wakes += after.wakes - before.wakes;
     wall_s += wall;
@@ -556,6 +573,10 @@ WireCell run_wire_cell(unsigned shards, std::uint64_t symbols_per_session,
                     : 0;
   cell.spin_ns_per_command =
       cell.commands ? spin_ns / static_cast<double>(cell.commands) : 0;
+  cell.pool_allocs_per_run =
+      cell.frames ? static_cast<double>(pool_allocs) /
+                        static_cast<double>(cell.frames)
+                  : 0;
   cell.reader_runq_ns_per_frame =
       cell.frames ? reader_runq_ns / static_cast<double>(cell.frames) : 0;
   cell.shard_runq_ns_per_command =
@@ -651,10 +672,12 @@ int main(int argc, char** argv) {
                 cell.symbols_per_sec / 1e6,
                 static_cast<unsigned long long>(cell.sheds),
                 static_cast<unsigned long long>(cell.stride_bodies));
-    std::printf(" shard workers: spin %.0f ns/command  parks %llu  wakes %llu\n",
+    std::printf(" shard workers: spin %.0f ns/command  parks %llu  wakes %llu"
+                "  pool allocs %.4f/body\n",
                 cell.spin_ns_per_command,
                 static_cast<unsigned long long>(cell.parks),
-                static_cast<unsigned long long>(cell.wakes));
+                static_cast<unsigned long long>(cell.wakes),
+                cell.pool_allocs_per_run);
     std::printf(" host load: steal %.0f ms  run-queue delay: reader %.0f"
                 " ns/frame  shards %.0f ns/command\n",
                 cell.steal_ms, cell.reader_runq_ns_per_frame,
@@ -679,6 +702,8 @@ int main(int argc, char** argv) {
                                         cell.shard_ns_per_command)
                                  .field("spin_ns_per_command",
                                         cell.spin_ns_per_command)
+                                 .field("pool_allocs_per_run",
+                                        cell.pool_allocs_per_run)
                                  .field("parks", cell.parks)
                                  .field("wakes", cell.wakes)
                                  .field("steal_ms", cell.steal_ms)
@@ -707,10 +732,10 @@ int main(int argc, char** argv) {
   std::cout << "==========================================================\n\n";
   std::cout << " sessions  shards    Msym/s   shed%  admit p50/p99(ns)"
                "  feed p50/p99(us)  lane%  ns/run  ns/cmd  spin/cmd   parks"
-               "  steal(ms)  runq/cmd\n";
+               "  steal(ms)  runq/cmd  allocs/run\n";
   std::cout << " ---------------------------------------------------------"
                "-----------------------------------------------------------"
-               "------\n";
+               "------------------\n";
 
   std::vector<std::string> json;
   for (const auto sessions : session_counts) {
@@ -724,7 +749,7 @@ int main(int argc, char** argv) {
                        : 0.0;
       std::printf(
           " %8u  %6u  %8.3f  %6.2f  %8llu /%8llu  %8.1f /%8.1f  %5.1f"
-          "  %6.0f  %6.0f  %8.0f  %6llu  %9.0f  %8.0f\n",
+          "  %6.0f  %6.0f  %8.0f  %6llu  %9.0f  %8.0f  %10.4f\n",
           sessions, shards, cell.symbols_per_sec / 1e6,
           100.0 * cell.shed_rate,
           static_cast<unsigned long long>(cell.admit_ns.p50),
@@ -734,7 +759,7 @@ int main(int argc, char** argv) {
           cell.producer_ns_per_run, cell.shard_ns_per_command,
           cell.spin_ns_per_command,
           static_cast<unsigned long long>(cell.parks), cell.steal_ms,
-          cell.shard_runq_ns_per_command);
+          cell.shard_runq_ns_per_command, cell.pool_allocs_per_run);
       json.push_back(rtw::sim::bench_record("svc")
                          .field("workload", workload)
                          .field("acceptor", acceptor)
@@ -768,6 +793,7 @@ int main(int argc, char** argv) {
                          .field("shard_ns_per_command",
                                 cell.shard_ns_per_command)
                          .field("spin_ns_per_command", cell.spin_ns_per_command)
+                         .field("pool_allocs_per_run", cell.pool_allocs_per_run)
                          .field("parks", cell.parks)
                          .field("wakes", cell.wakes)
                          .field("steal_ms", cell.steal_ms)

@@ -51,6 +51,9 @@ public:
   constexpr bool is_char() const noexcept { return kind_ == Kind::Char; }
   constexpr bool is_nat() const noexcept { return kind_ == Kind::Nat; }
   constexpr bool is_marker() const noexcept { return kind_ == Kind::Marker; }
+  /// The payload as stored, whatever the kind: a character's code, a
+  /// natural, or a marker's interned id.
+  constexpr std::uint64_t payload() const noexcept { return value_; }
 
   /// Character payload; contract: is_char().
   char as_char() const;

@@ -18,12 +18,15 @@
 /// nothing stale, its last time at or before both `completion` and the
 /// horizon -- is one transition with a closed form (lane_step_run): the
 /// counters move by the run's length and its last time group, and P_m's
-/// registers by "any d" and "the last nat".  Every other run (a lock or an
-/// end inside it, a stale element, a settled lane) falls back to
-/// lane_step_element per element, so lane_hot_feed stays the one definition
-/// of a transition.  The kernel (lane_scalar.cpp) holds each lane's filter
-/// and state in locals for its whole run and prefetches the next lane's run
-/// while it steps this one.
+/// registers by "any d" and "the last nat".  The closed form reads those
+/// from the run's core::RunSummary, never from its elements, so a run
+/// summarised where it was produced is stepped without the shard touching
+/// it.  Every other run (a lock or an end inside it, a stale element, a
+/// settled lane, markers with two ids) falls back to lane_step_element per
+/// element, so lane_hot_feed stays the one definition of a transition.
+/// The kernel (lane_scalar.cpp) holds each lane's filter and state in
+/// locals for its whole run and prefetches the next lane's filter, state
+/// and summary while it steps this one.
 ///
 /// Equivalence contract: DeadlineLaneAcceptor wraps an EngineOnlineAcceptor
 /// and *delegates* every cold phase (header at time 0, malformed headers,
@@ -216,14 +219,15 @@ inline void lane_step_element(core::LaneFilter& filter, DeadlineLaneState& s,
     lane_hot_feed(s, lane_raw_kind(ts), lane_raw_value(ts), ts.time, d_id);
 }
 
-/// A whole run as one transition, or false (nothing changed) when the run
-/// is not inside the Working window.  It is taken when the lane is live,
-/// the run is sorted from a first time at or above both the filter's
-/// high-water mark and the frontier (so nothing is stale and lane_hot_feed's
-/// precondition holds throughout), and its last time is at or before both
-/// `completion` and the horizon (so no element locks or ends the lane).
-/// Then, with j the first index of the run's last time group, the
-/// per-element loop of lane_step_element reduces to:
+/// A whole run as one transition, read from its summary, or false (nothing
+/// changed) when the run is not inside the Working window.  It is taken
+/// when the lane is live, the run is sorted from a first time at or above
+/// both the filter's high-water mark and the frontier (so nothing is stale
+/// and lane_hot_feed's precondition holds throughout), its last time is at
+/// or before both `completion` and the horizon (so no element locks or
+/// ends the lane), and its markers share one id.  Then, with j the first
+/// index of the run's last time group, the per-element loop of
+/// lane_step_element reduces to:
 ///  * filter: fed += n, high_water = the last time;
 ///  * last time == frontier (every element ties): pending += n;
 ///  * last time > frontier: the element at j is the last to open a newer
@@ -232,57 +236,36 @@ inline void lane_step_element(core::LaneFilter& filter, DeadlineLaneState& s,
 ///    of element j-1, or the old frontier when j == 0), frontier = the
 ///    last time;
 ///  * P_m: every element is at or before `completion`, so the fold gate
-///    always holds: deadline_passed |= any `d`, usefulness = the last nat.
+///    always holds: deadline_passed |= the markers' one id is `d`,
+///    usefulness = the last nat if there is one.
+/// Markers with two ids decline: the summary cannot say whether one is `d`.
 inline bool lane_step_run(core::LaneFilter& filter, DeadlineLaneState& s,
-                          const core::TimedSymbol* run, std::size_t n,
+                          const core::RunSummary& run,
                           std::uint64_t d_id) noexcept {
-  if (n == 0) return true;
-  const core::Tick last = run[n - 1].time;
-  if (s.status != kLaneLive || run[0].time < filter.high_water ||
-      last > s.completion || last > s.horizon)
+  if (run.size == 0) return true;
+  if (s.status != kLaneLive || !run.sorted || run.mixed ||
+      run.first < filter.high_water || run.first < s.frontier ||
+      run.last > s.completion || run.last > s.horizon)
     return false;
-  // One forward pass: sortedness from the frontier on, the last nat, and
-  // any `d` -- not looked for once deadline_passed is set, since the fold
-  // could only set it again.  The last time group is then scanned back
-  // from the end.
-  core::Tick prev = s.frontier;
-  bool sorted = true;
-  bool d_seen = s.deadline_passed;
-  std::uint64_t usefulness = s.usefulness;
-  const auto pass = [&](auto find_d) {
-    for (const core::TimedSymbol* p = run; p != run + n; ++p) {
-      sorted &= p->time >= prev;
-      prev = p->time;
-      const std::uint8_t kind = lane_raw_kind(*p);
-      const std::uint64_t value = lane_raw_value(*p);
-      if constexpr (decltype(find_d)::value)
-        d_seen |= kind == kLaneKindMarker && value == d_id;
-      usefulness = kind == kLaneKindNat ? value : usefulness;
-    }
-  };
-  if (d_seen) pass(std::false_type{});
-  else pass(std::true_type{});
-  if (!sorted) return false;
-  filter.high_water = last;
+  filter.high_water = run.last;
   filter.any = true;
-  filter.fed += n;
-  if (last != s.frontier) {
-    std::size_t j = n - 1;
-    while (j > 0 && run[j - 1].time == last) --j;
-    s.delivered += s.pending + j;
-    s.pending = n - j;
-    s.ticks = j > 0 ? run[j - 1].time : s.frontier;
-    s.frontier = last;
+  filter.fed += run.size;
+  if (run.last != s.frontier) {
+    s.delivered += s.pending + run.last_start;
+    s.pending = run.size - run.last_start;
+    s.ticks = run.last_start > 0 ? run.before_last : s.frontier;
+    s.frontier = run.last;
   } else {
-    s.pending += n;
+    s.pending += run.size;
   }
-  s.deadline_passed = d_seen;
-  s.usefulness = usefulness;
+  s.deadline_passed |= run.markers != 0 && run.marker == d_id;
+  if (run.has_nat) s.usefulness = run.last_nat;
   return true;
 }
 
 /// The deadline family's one kernel: each lane of `runs` by its whole run,
-/// through lane_step_run or, where that declines, lane_step_element.
+/// through lane_step_run on the run's summary (made on the spot for a run
+/// staged without one) or, where that declines, lane_step_element.
 void step_lanes_scalar(const core::LaneRun* runs, std::size_t count,
                        std::uint64_t d_id) noexcept;
 

@@ -1,13 +1,13 @@
 // The deadline lane kernel: one lane at a time, each run as one closed-form
-// transition (lane_step_run) where it lies inside the Working window, else
-// element by element through lane_step_element.  A lane's filter and state
-// are copied into locals for the whole run and written back once.  The
-// shard's runs sit in separate pooled buffers written on another core, so
-// while lane k steps, lane k+1's filter, state and the head of its run are
-// prefetched; the hardware prefetcher streams the rest of the run once the
-// pass reaches it.
-
-#include <algorithm>
+// transition (lane_step_run) from its summary where it lies inside the
+// Working window, else element by element through lane_step_element.  A
+// lane's filter and state are copied into locals for the whole run and
+// written back once.  A run pooled by its producer arrives summarised, so
+// the closed form never reads its elements, which sit in a buffer written
+// on another core; a run staged without a summary (an op-12 run the shard
+// decoded) is summarised here.  While lane k steps, lane k+1's filter,
+// state and summary are prefetched -- never its elements, which only a
+// declined run reads.
 
 #include "rtw/deadline/lane.hpp"
 
@@ -15,20 +15,15 @@ namespace rtw::deadline {
 
 namespace {
 
-constexpr std::size_t kCacheLine = 64;
-/// Bytes of the next lane's run prefetched ahead of its pass.  Prefetching
-/// a whole 6 KiB run competed with the current lane's own loads in the
-/// per-lane-buffer bench (EXPERIMENTS.md EXP-LANE-CLOSED).
-constexpr std::size_t kRunPrefetchBytes = 4 * kCacheLine;
-
 void prefetch_lane(const core::LaneRun& run) noexcept {
   __builtin_prefetch(run.filter);
   __builtin_prefetch(run.state);
-  const auto* bytes = reinterpret_cast<const char*>(run.data);
-  const std::size_t size = std::min(kRunPrefetchBytes,
-                                    run.size * sizeof(core::TimedSymbol));
-  for (std::size_t off = 0; off < size; off += kCacheLine)
-    __builtin_prefetch(bytes + off);
+  if (run.summary) {
+    // The summary sits right after the body buffer's header, so it may
+    // straddle two lines.
+    __builtin_prefetch(run.summary);
+    __builtin_prefetch(reinterpret_cast<const char*>(run.summary + 1) - 1);
+  }
 }
 
 }  // namespace
@@ -40,7 +35,9 @@ void step_lanes_scalar(const core::LaneRun* runs, std::size_t count,
     const core::LaneRun& run = runs[lane];
     core::LaneFilter filter = *run.filter;
     DeadlineLaneState state = *static_cast<DeadlineLaneState*>(run.state);
-    if (!lane_step_run(filter, state, run.data, run.size, d_id))
+    const core::RunSummary summary =
+        run.summary ? *run.summary : core::summarize_run(run.data, run.size);
+    if (!lane_step_run(filter, state, summary, d_id))
       for (std::size_t i = 0; i < run.size; ++i)
         lane_step_element(filter, state, run.data[i], d_id);
     *run.filter = filter;

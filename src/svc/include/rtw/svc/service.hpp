@@ -39,12 +39,15 @@
 /// (body_pool.hpp) in one 48-byte Command.  feed_packed() moves in an
 /// op-12 body that already sits in a buffer from its connection's
 /// BodyPool; feed_batch() copies the run, once admission has passed its
-/// checks, into a buffer from a pool owned by the calling thread, and the
-/// caller's own vector is freed on the caller's thread.  The shard worker
-/// reads a Feed run's TimedSymbols in place and decodes packed bytes a
-/// stack chunk at a time; either way the stale filter hands the acceptor
-/// one feed_run call per chunk (session.hpp).  A lane-family run is
-/// decoded into the shard's own wave storage instead.  Dropping the
+/// checks, into a buffer from a pool owned by the calling thread, behind
+/// the run's core::RunSummary, which the copy computes while the run is
+/// still in the producer's cache.  The caller's own vector is freed on the
+/// caller's thread.  The shard worker steps a lane-family Feed run from its
+/// summary alone unless the lane kernel's closed form declines it; any
+/// other Feed run is read in place.  It decodes packed bytes a stack chunk
+/// at a time; either way the stale filter hands the acceptor one feed_run
+/// call per chunk (session.hpp).  A lane-family packed run is decoded into
+/// the shard's own wave storage instead.  Dropping the
 /// command hands the buffer back to its pool with one lock-free push, so
 /// the worker never frees a block another thread allocated.
 ///
@@ -361,9 +364,11 @@ private:
   /// The session's lane state when its runs go through the shard's lane
   /// wave (probing the shard's stepper on first use); nullptr otherwise.
   void* lane_of(Shard& shard, Session& session);
-  /// Stages one run into the wave; flushes it once it is full.
+  /// Stages one run, with its summary or nullptr, into the wave; flushes
+  /// it once it is full.
   void stage_lane_run(Shard& shard, Session& session, void* lane,
-                      const core::TimedSymbol* run, std::size_t n);
+                      const core::TimedSymbol* run, std::size_t n,
+                      const core::RunSummary* summary);
   /// Dispatches the staged lane wave through the shard's batch stepper and
   /// folds the per-lane stale deltas into the service stats.
   void flush_wave(Shard& shard);

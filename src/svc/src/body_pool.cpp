@@ -33,7 +33,11 @@ struct PoolState {
 
 namespace {
 
+/// Every allocate() call in the process: read by heap_allocations().
+std::atomic<std::uint64_t> allocations{0};
+
 BodyBuffer* allocate(PoolState* pool, std::size_t size) {
+  allocations.fetch_add(1, std::memory_order_relaxed);
   const std::size_t bytes =
       std::bit_ceil(std::max(sizeof(BodyBuffer) + size, kMinBufferBytes));
   auto* buffer = ::new (::operator new(bytes)) BodyBuffer;
@@ -124,28 +128,36 @@ void BodyPool::refill() noexcept {
   }
 }
 
-PackedBody BodyPool::take(std::string_view body, std::uint64_t symbols) {
+PackedBody BodyPool::take(std::string_view head, std::string_view tail,
+                          std::uint64_t symbols) {
   if (!state_) state_ = new detail::PoolState;
   detail::PoolState& pool = *state_;
-  if (!pool.spare || pool.spare->capacity < body.size()) refill();
+  const std::size_t size = head.size() + tail.size();
+  if (!pool.spare || pool.spare->capacity < size) refill();
   detail::BodyBuffer* buffer = pool.spare;
   if (buffer) {
     pool.spare = buffer->next;
     pool.spare_bytes -= buffer->capacity;
     --pool.spare_count;
-    if (buffer->capacity < body.size()) {
+    if (buffer->capacity < size) {
       // The stream's bodies outgrew this spare: let it go.
       detail::free_buffer(buffer);
       buffer = nullptr;
     }
   }
-  if (!buffer) buffer = detail::allocate(&pool, body.size());
+  if (!buffer) buffer = detail::allocate(&pool, size);
   buffer->next = nullptr;
-  buffer->size = body.size();
+  buffer->size = size;
   buffer->symbols = symbols;
-  if (!body.empty()) std::memcpy(buffer->data(), body.data(), body.size());
+  if (!head.empty()) std::memcpy(buffer->data(), head.data(), head.size());
+  if (!tail.empty())
+    std::memcpy(buffer->data() + head.size(), tail.data(), tail.size());
   ++pool.lent;
   return PackedBody(buffer);
+}
+
+std::uint64_t BodyPool::heap_allocations() noexcept {
+  return detail::allocations.load(std::memory_order_relaxed);
 }
 
 std::size_t BodyPool::spare_buffers() const noexcept {

@@ -53,16 +53,24 @@ constexpr std::size_t kWaveSymbols = std::size_t{1} << 14;
 constexpr double kWatermarkLow = 0.5;
 constexpr double kWatermarkHigh = 0.875;
 
-/// Copies a Feed run into a buffer from the calling thread's pool.  The
-/// shard reads the elements in place (run_of), so they must survive a
-/// byte copy and sit aligned at the start of the body.
+/// Copies a Feed run into a buffer from the calling thread's pool, behind
+/// its summary: the body is a core::RunSummary, then the elements.  The
+/// summary is made here, once, while the run is in this thread's cache,
+/// so a shard that steps the run in closed form reads only the summary
+/// (summary_of) and never pulls the elements (run_of) across cores.  Both
+/// are read in place, so they must survive a byte copy and sit aligned.
 PackedBody pooled_run(const core::TimedSymbol* run, std::size_t n) {
-  static_assert(std::is_trivially_copyable_v<core::TimedSymbol>,
-                "a run is copied into its buffer byte for byte");
-  static_assert(alignof(core::TimedSymbol) <= BodyPool::kAlign,
-                "a body's bytes start aligned for its elements");
+  static_assert(std::is_trivially_copyable_v<core::TimedSymbol> &&
+                    std::is_trivially_copyable_v<core::RunSummary>,
+                "a run and its summary are copied byte for byte");
+  static_assert(alignof(core::RunSummary) <= BodyPool::kAlign &&
+                    sizeof(core::RunSummary) % alignof(core::TimedSymbol) ==
+                        0,
+                "a body's summary and elements sit aligned");
   thread_local BodyPool pool;
-  return pool.take({reinterpret_cast<const char*>(run),
+  const core::RunSummary summary = core::summarize_run(run, n);
+  return pool.take({reinterpret_cast<const char*>(&summary), sizeof summary},
+                   {reinterpret_cast<const char*>(run),
                     n * sizeof(core::TimedSymbol)},
                    n);
 }
@@ -83,9 +91,15 @@ void sample_latency(std::vector<std::uint64_t>& samples, std::uint64_t& seen,
   if (pick < cap) samples[pick] = waited;
 }
 
-/// The elements pooled_run copied into `body`.
+/// The summary pooled_run wrote at the head of `body`.
+const core::RunSummary* summary_of(const PackedBody& body) noexcept {
+  return reinterpret_cast<const core::RunSummary*>(body.bytes().data());
+}
+
+/// The elements pooled_run copied into `body`, after its summary.
 const core::TimedSymbol* run_of(const PackedBody& body) noexcept {
-  return reinterpret_cast<const core::TimedSymbol*>(body.bytes().data());
+  return reinterpret_cast<const core::TimedSymbol*>(body.bytes().data() +
+                                                    sizeof(core::RunSummary));
 }
 
 static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
@@ -537,8 +551,9 @@ SessionManager::take_data(Shard& shard, const Command& command, std::size_t n,
 
 [[gnu::always_inline]] inline void SessionManager::stage_lane_run(
     Shard& shard, Session& session, void* lane, const core::TimedSymbol* run,
-    std::size_t n) {
-  shard.wave.push_back(core::LaneRun{run, n, &session.lane_filter(), lane});
+    std::size_t n, const core::RunSummary* summary) {
+  shard.wave.push_back(
+      core::LaneRun{run, n, &session.lane_filter(), lane, summary});
   shard.wave_sessions.push_back(&session);
   session.set_in_wave(true);
   if (shard.wave.size() >= shard_cfg_.lane_wave) flush_wave(shard);
@@ -581,12 +596,13 @@ void SessionManager::process(Shard& shard, std::uint64_t epoch) {
         // Runs of lane-family sessions stage into the wave and are stepped
         // many-at-a-time by the lane kernel; everything else (cold
         // acceptors, foreign families) takes feed_run.  The LaneRun aliases
-        // the command's buffer, which outlives the wave: the staging vector
-        // is stable until the next drain and every wave is flushed before
-        // process() returns.
+        // the command's buffer, summary and elements, which outlives the
+        // wave: the staging vector is stable until the next drain and every
+        // wave is flushed before process() returns.
         const core::TimedSymbol* run = run_of(command.body);
         if (void* lane = lane_of(shard, session)) {
-          stage_lane_run(shard, session, lane, run, n);
+          stage_lane_run(shard, session, lane, run, n,
+                         summary_of(command.body));
           break;
         }
         const std::uint64_t stale_before = session.stale_dropped();
@@ -619,7 +635,7 @@ void SessionManager::process(Shard& shard, std::uint64_t epoch) {
           PackedReader reader(command.body.bytes());
           symbols.resize(first + reader.read(symbols.data() + first, n));
           stage_lane_run(shard, session, lane, symbols.data() + first,
-                         symbols.size() - first);
+                         symbols.size() - first, nullptr);
           break;
         }
         const std::uint64_t stale_before = session.stale_dropped();

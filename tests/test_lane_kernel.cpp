@@ -6,20 +6,22 @@
 //      proper and mutated deadline words, verdict compared after every
 //      feed and the full RunResult at finish, across both fast-forward
 //      modes and both stream ends.
-//   3. The closed-form run step: lane_step_run against a lane_step_element
-//      loop on seeded runs inside and across the Working window, with
-//      stale elements, frontier ties and settled lanes -- every filter and
-//      lane field must match, and a declined run must change nothing.
-//      Then the stepper advances a fleet of lanes wave by wave against
-//      per-symbol reference sessions (EngineOnlineAcceptor under
+//   3. The closed-form run step: lane_step_run, from summarize_run,
+//      against a lane_step_element loop on seeded runs inside and across
+//      the Working window, with stale elements, frontier ties, settled
+//      lanes, markers of one or two ids, no Nat, last time groups of 1, 2
+//      and all elements, and a first time below the frontier -- every
+//      filter and lane field must match, and a declined run must change
+//      nothing.  Then the stepper advances a fleet of lanes wave by wave
+//      against per-symbol reference sessions (EngineOnlineAcceptor under
 //      Session::feed_run), with stale injections, in short runs and in
-//      runs of 200-300 elements -- verdicts, stale counters and final
-//      reports must all match.
+//      runs of 200-300 elements, half of them staged with a summary --
+//      verdicts, stale counters and final reports must all match.
 //   4. The serving-layer property: SessionManagers with the lane kernel
-//      on, fed batched runs or one symbol at a time over the tri-workload
-//      mix (deadline / rtdb / adhoc) at 1 and 2 shards, produce
-//      field-identical reports to a per-symbol reference manager with the
-//      kernel off (500 seeded cases).
+//      on, fed batched runs, the same runs as op-12 bodies, or one symbol
+//      at a time over the tri-workload mix (deadline / rtdb / adhoc) at 1
+//      and 2 shards, produce field-identical reports to a per-symbol
+//      reference manager with the kernel off (500 seeded cases).
 //   5. The Session::feed_run settled-session fast path keeps the stale
 //      filter exactly equivalent to per-symbol feeding.
 
@@ -30,6 +32,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -45,8 +48,10 @@
 #include "rtw/deadline/word.hpp"
 #include "rtw/rtdb/algebra.hpp"
 #include "rtw/rtdb/recognition.hpp"
+#include "rtw/svc/body_pool.hpp"
 #include "rtw/svc/service.hpp"
 #include "rtw/svc/session.hpp"
+#include "rtw/svc/wire.hpp"
 
 namespace {
 
@@ -317,15 +322,22 @@ enum class RunShape {
   CrossesHorizon,
   OneStale,      ///< one element below the running high-water mark
   Settled,       ///< the lane is already locked or ended
+  MixedMarkers,  ///< markers with two ids: `d` and `$`
+  OtherMarker,   ///< inside, its only markers a non-`d` id
+  NoNat,         ///< inside, no Nat: usefulness must stay
+  LastGroup,     ///< inside, its last time group 1, 2 or n elements long
+  BelowFrontier, ///< first time below the frontier, not below the mark
+  kCount,
 };
 
-/// lane_step_run on one generated (lane, run) pair against a
-/// lane_step_element loop.  `taken` / `declined` count the outcomes.
+/// lane_step_run on one generated (lane, run) pair, from the run's
+/// summarize_run, against a lane_step_element loop.  `taken` / `declined`
+/// count the outcomes.
 std::optional<std::string> closed_form_vs_elements(
     rtw::sim::Xoshiro256ss& rng, std::size_t size, std::size_t& taken,
     std::size_t& declined) {
-  const auto shape =
-      static_cast<RunShape>(rng.uniform(std::uint64_t{7}));
+  const auto shape = static_cast<RunShape>(
+      rng.uniform(static_cast<std::uint64_t>(RunShape::kCount)));
   const std::uint64_t d_id = rtw::deadline::deadline_marker_id();
 
   DeadlineLaneState state;
@@ -348,26 +360,63 @@ std::optional<std::string> closed_form_vs_elements(
   if (shape != RunShape::OneStale && rng.bernoulli(0.25)) filter = LaneFilter{};
 
   // The run: 1-300 elements (scaled by the size ramp), times from the
-  // frontier on in steps of 0-2.
+  // frontier on in steps of 0-2.  Its markers carry one id, `d` or `$`,
+  // except where the shape says otherwise.
   const std::size_t n = 1 + rng.uniform(std::uint64_t{size * 12});
   std::vector<TimedSymbol> run;
   Tick t = state.frontier;
   if (shape != RunShape::FrontierTies && shape != RunShape::AllAtFrontier)
     t += 1 + rng.uniform(std::uint64_t{2});
+  if (shape == RunShape::BelowFrontier)
+    t = state.frontier - 1 - rng.uniform(std::uint64_t{3});
+  const Symbol marker =
+      shape == RunShape::OtherMarker || rng.bernoulli(0.5)
+          ? marks::dollar()
+          : marks::deadline();
   for (std::size_t i = 0; i < n; ++i) {
     if (i > 0 && shape != RunShape::AllAtFrontier)
       t += rng.uniform(std::uint64_t{3});
     Symbol sym = Symbol::chr('w');
     switch (rng.uniform(std::uint64_t{5})) {
-      case 0: sym = Symbol::nat(rng.uniform(std::uint64_t{9})); break;
-      case 1: sym = marks::deadline(); break;
-      case 2: sym = marks::dollar(); break;
+      case 0:
+        if (shape != RunShape::NoNat)
+          sym = Symbol::nat(rng.uniform(std::uint64_t{9}));
+        break;
+      case 1:
+      case 2: sym = marker; break;
       default: break;
     }
     run.push_back(TimedSymbol{sym, t});
   }
+  if (shape == RunShape::OtherMarker)
+    run[rng.uniform(std::uint64_t{n})].sym = marker;
+  if (shape == RunShape::MixedMarkers) {
+    // One `d` and one `$` at two distinct places (a run of one grows).
+    if (n == 1) run.push_back(TimedSymbol{Symbol::chr('w'), t});
+    const std::size_t at = rng.uniform(std::uint64_t{run.size() - 1});
+    run[at].sym = marks::deadline();
+    run[at + 1 + rng.uniform(std::uint64_t{run.size() - 1 - at})].sym =
+        marks::dollar();
+  }
+  if (shape == RunShape::LastGroup) {
+    // The last 1, 2 or all elements share the last time, which is newer
+    // than the element before them.
+    const std::uint64_t pick = rng.uniform(std::uint64_t{3});
+    const std::size_t group =
+        pick == 2 ? n : std::min<std::size_t>(n, 1 + pick);
+    const std::size_t start = n - group;
+    const Tick last = (start > 0 ? run[start - 1].time : t) + 1 +
+                      rng.uniform(std::uint64_t{2});
+    for (std::size_t i = start; i < n; ++i) run[i].time = last;
+  }
+  const std::size_t len = run.size();
   const Tick first = run.front().time;
   const Tick last = run.back().time;
+  if (shape == RunShape::BelowFrontier) {
+    // Only the frontier check can decline it: the filter's mark is at or
+    // below the first time.
+    filter.high_water = first - rng.uniform(std::uint64_t{3});
+  }
 
   // The window: inside unless the shape crosses one of its ends.
   state.completion = last + rng.uniform(std::uint64_t{20});
@@ -385,7 +434,7 @@ std::optional<std::string> closed_form_vs_elements(
     // Below the running high-water mark: a later element under its
     // predecessor, or the first one under the filter's mark -- moved down,
     // or left at or above the frontier under a mark raised past it.
-    const std::size_t at = rng.uniform(std::uint64_t{n});
+    const std::size_t at = rng.uniform(std::uint64_t{len});
     if (at > 0)
       run[at].time = run[at - 1].time - 1 - rng.uniform(std::uint64_t{3});
     else if (rng.bernoulli(0.5))
@@ -401,16 +450,17 @@ std::optional<std::string> closed_form_vs_elements(
   }
   const bool expect_taken =
       shape == RunShape::Inside || shape == RunShape::FrontierTies ||
-      shape == RunShape::AllAtFrontier;
+      shape == RunShape::AllAtFrontier || shape == RunShape::OtherMarker ||
+      shape == RunShape::NoNat || shape == RunShape::LastGroup;
 
   LaneFilter closed_filter = filter;
   DeadlineLaneState closed = state;
-  const bool took = rtw::deadline::lane_step_run(closed_filter, closed,
-                                                 run.data(), n, d_id);
+  const bool took = rtw::deadline::lane_step_run(
+      closed_filter, closed, summarize_run(run.data(), len), d_id);
   if (took != expect_taken)
     return std::string("shape ") +
            std::to_string(static_cast<int>(shape)) + ": lane_step_run " +
-           (took ? "took" : "declined") + " a run of " + std::to_string(n);
+           (took ? "took" : "declined") + " a run of " + std::to_string(len);
   if (took) {
     ++taken;
   } else {
@@ -428,7 +478,7 @@ std::optional<std::string> closed_form_vs_elements(
   if (auto diff = lane_mismatch(closed_filter, closed, element_filter,
                                 elements))
     return "shape " + std::to_string(static_cast<int>(shape)) + ", " +
-           std::to_string(n) + " elements, closed/element:" + *diff;
+           std::to_string(len) + " elements, closed/element:" + *diff;
   // Then one stale element through lane_step_element on both: it must be
   // dropped against the mark (and `any`) the run left behind.
   const Tick mark = element_filter.high_water;
@@ -440,7 +490,7 @@ std::optional<std::string> closed_form_vs_elements(
     if (auto diff = lane_mismatch(closed_filter, closed, element_filter,
                                   elements))
       return "shape " + std::to_string(static_cast<int>(shape)) + ", " +
-             std::to_string(n) +
+             std::to_string(len) +
              " elements, then a stale one, closed/element:" + *diff;
   }
   return std::nullopt;
@@ -533,6 +583,7 @@ void run_lane_matrix(const MatrixShape& shape, std::uint64_t seed) {
 
   for (int wave = 0; wave < 60; ++wave) {
     std::vector<std::vector<TimedSymbol>> runs(kLanes);
+    std::vector<RunSummary> summaries(kLanes);
     std::vector<LaneRun> lane_runs;
     for (std::size_t i = 0; i < kLanes; ++i) {
       auto& pair = pairs[i];
@@ -556,9 +607,14 @@ void run_lane_matrix(const MatrixShape& shape, std::uint64_t seed) {
         }
         runs[i].push_back(TimedSymbol{sym, at});
       }
+      // Half the runs arrive summarised, as a producer's pooled runs do;
+      // the kernel summarises the rest itself.
+      summaries[i] = summarize_run(runs[i].data(), runs[i].size());
       lane_runs.push_back(LaneRun{runs[i].data(), runs[i].size(),
                                   &pair.lane->lane_filter(),
-                                  pair.lane->acceptor().lane_state()});
+                                  pair.lane->acceptor().lane_state(),
+                                  rng.bernoulli(0.5) ? &summaries[i]
+                                                     : nullptr});
       pair.reference->feed_run(runs[i].data(), runs[i].size());
     }
     stepper->step(lane_runs.data(), lane_runs.size());
@@ -725,12 +781,23 @@ ManagedCase managed_adhoc(rtw::sim::Xoshiro256ss& rng, std::size_t size) {
   return c;
 }
 
+/// `run` as an op-12 body in a buffer from `pool`, as a connection's
+/// reader hands it to feed_packed.
+rtw::svc::PackedBody packed_body(rtw::svc::BodyPool& pool,
+                                 const TimedSymbol* run, std::size_t n) {
+  const std::string frame =
+      rtw::svc::encode_feed_batch(1, std::vector<TimedSymbol>(run, run + n));
+  return pool.take(std::string_view(frame).substr(13), n);
+}
+
 /// The lane kernel must be invisible to verdicts: the same tri-workload
-/// streams, admitted as batched runs into a manager with the kernel on,
-/// fed per symbol into a second kernel-on manager (each symbol a run of
-/// one, so it too reaches the lane wave), and fed per symbol into a
-/// reference manager with the kernel off, at 1 and 2 shards, must produce
-/// field-identical reports.
+/// streams, admitted as batched runs into a manager with the kernel on
+/// (Feed commands, stepped from the summary their producer made), as the
+/// same runs packed as op-12 bodies into another (FeedPacked commands,
+/// decoded and summarised on the shard), fed per symbol into a third
+/// kernel-on manager (each symbol a run of one, so it too reaches the lane
+/// wave), and fed per symbol into a reference manager with the kernel off,
+/// at 1 and 2 shards, must produce field-identical reports.
 TEST(ManagedLaneEquivalence, FiveHundredTriWorkloadCasesAcrossShardCounts) {
   rtw::svc::IngressConfig ingress;
   ingress.ring_capacity = 1 << 13;  // the workload never sheds
@@ -743,11 +810,17 @@ TEST(ManagedLaneEquivalence, FiveHundredTriWorkloadCasesAcrossShardCounts) {
   reference_shard.count = 1;
   lane_shard.count = 1;
   SessionManager reference_1(reference_shard, ingress),
-      lane_1(lane_shard, ingress), single_1(lane_shard, ingress);
+      lane_1(lane_shard, ingress), packed_1(lane_shard, ingress),
+      single_1(lane_shard, ingress);
   reference_shard.count = 2;
   lane_shard.count = 2;
   SessionManager reference_2(reference_shard, ingress),
-      lane_2(lane_shard, ingress), single_2(lane_shard, ingress);
+      lane_2(lane_shard, ingress), packed_2(lane_shard, ingress),
+      single_2(lane_shard, ingress);
+  rtw::svc::BodyPool pool;
+  // Deadline runs past the header whose markers carry two ids: the closed
+  // form declines them, on both feed paths.
+  std::size_t mixed_runs = 0;
 
   rtw::proptest::Config cfg;
   cfg.seed = 0x77617665ULL;  // "wave"
@@ -758,7 +831,8 @@ TEST(ManagedLaneEquivalence, FiveHundredTriWorkloadCasesAcrossShardCounts) {
       [&](rtw::sim::Xoshiro256ss& rng,
           std::size_t size) -> std::optional<std::string> {
         ManagedCase c;
-        switch (rng.uniform(std::uint64_t{3})) {
+        const auto family = rng.uniform(std::uint64_t{3});
+        switch (family) {
           case 0: c = managed_deadline(rng, size); break;
           case 1: c = managed_rtdb(rng, size); break;
           default: c = managed_adhoc(rng, size); break;
@@ -766,9 +840,11 @@ TEST(ManagedLaneEquivalence, FiveHundredTriWorkloadCasesAcrossShardCounts) {
         const bool two_shards = rng.bernoulli(0.5);
         SessionManager& ref = two_shards ? reference_2 : reference_1;
         SessionManager& lan = two_shards ? lane_2 : lane_1;
+        SessionManager& pkd = two_shards ? packed_2 : packed_1;
         SessionManager& one = two_shards ? single_2 : single_1;
         const auto id_ref = ref.open(c.make_reference());
         const auto id_lan = lan.open(c.make_served());
+        const auto id_pkd = pkd.open(c.make_served());
         const auto id_one = one.open(c.make_served());
 
         for (const auto& ts : c.symbols) {
@@ -782,28 +858,37 @@ TEST(ManagedLaneEquivalence, FiveHundredTriWorkloadCasesAcrossShardCounts) {
           const std::size_t len =
               std::min<std::size_t>(c.symbols.size() - off,
                                     1 + rng.uniform(std::uint64_t{16}));
-          if (lan.feed_batch(id_lan,
-                             {c.symbols.begin() + off,
-                              c.symbols.begin() + off + len}) !=
-              Admit::Accepted)
+          const TimedSymbol* run = c.symbols.data() + off;
+          if (lan.feed_batch(id_lan, {run, run + len}) != Admit::Accepted)
             return "lane-manager feed not accepted";
+          auto body = packed_body(pool, run, len);
+          if (pkd.feed_packed(id_pkd, body) != Admit::Accepted)
+            return "packed lane-manager feed not accepted";
+          const RunSummary summary = summarize_run(run, len);
+          mixed_runs += family == 0 && summary.first > 1 && summary.mixed;
           off += len;
         }
 
         ref.close(id_ref, c.end);
         lan.close(id_lan, c.end);
+        pkd.close(id_pkd, c.end);
         one.close(id_one, c.end);
         ref.drain();
         lan.drain();
+        pkd.drain();
         one.drain();
         const auto r_ref = ref.collect();
         const auto r_lan = lan.collect();
+        const auto r_pkd = pkd.collect();
         const auto r_one = one.collect();
-        if (r_ref.size() != 1 || r_lan.size() != 1 || r_one.size() != 1)
+        if (r_ref.size() != 1 || r_lan.size() != 1 || r_pkd.size() != 1 ||
+            r_one.size() != 1)
           return "expected exactly one report per manager";
         const auto& b = r_ref[0];
         const std::pair<std::string, const rtw::svc::SessionReport*>
-            served[] = {{"batched", &r_lan[0]}, {"per-symbol", &r_one[0]}};
+            served[] = {{"batched", &r_lan[0]},
+                        {"packed", &r_pkd[0]},
+                        {"per-symbol", &r_one[0]}};
         for (const auto& [input, a] : served) {
           if (a->verdict != b.verdict)
             return input + " verdict mismatch: lane=" +
@@ -823,6 +908,9 @@ TEST(ManagedLaneEquivalence, FiveHundredTriWorkloadCasesAcrossShardCounts) {
   // of the mix; each feeds at least one batched run).
   EXPECT_GT(lane_1.stats().lane_waves + lane_2.stats().lane_waves, 0u);
   EXPECT_GT(lane_1.stats().lane_symbols + lane_2.stats().lane_symbols, 0u);
+  EXPECT_GT(packed_1.stats().lane_symbols + packed_2.stats().lane_symbols,
+            0u);
+  EXPECT_GT(mixed_runs, 0u);
   // Single-symbol feeds are runs of one and reach the kernel too.
   EXPECT_GT(single_1.stats().lane_symbols + single_2.stats().lane_symbols,
             0u);

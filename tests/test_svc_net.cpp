@@ -463,6 +463,45 @@ TEST(NetLoopback, SlowReaderSurvivesPartialWritesAndBackpressure) {
   EXPECT_TRUE(client.decoder().ok()) << client.decoder().error();
 }
 
+/// An acceptor whose first feed blocks until the test opens its gate:
+/// pins the shard worker so the ring fills behind it.
+class GatedAcceptor final : public rtw::core::OnlineAcceptor {
+public:
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool entered = false;
+    bool open = false;
+
+    /// Lets every feed through, now and from now on.
+    void release() {
+      {
+        std::lock_guard lock(mutex);
+        open = true;
+      }
+      cv.notify_all();
+    }
+  };
+  explicit GatedAcceptor(std::shared_ptr<Gate> gate) : gate_(std::move(gate)) {}
+
+  Verdict feed(Symbol, Tick) override {
+    std::unique_lock lock(gate_->mutex);
+    gate_->entered = true;
+    gate_->cv.notify_all();
+    gate_->cv.wait(lock, [this] { return gate_->open; });
+    return Verdict::Undetermined;
+  }
+  Verdict finish(StreamEnd) override { return Verdict::Rejecting; }
+  Verdict verdict() const override { return Verdict::Undetermined; }
+  const rtw::core::RunResult& result() const override { return result_; }
+  void reset() override {}
+  std::string name() const override { return "gated"; }
+
+private:
+  std::shared_ptr<Gate> gate_;
+  rtw::core::RunResult result_;
+};
+
 /// Write-side backpressure with the stream pre-buffered: the client's
 /// entire input lands in the kernel rcvbuf, the output buffer crosses
 /// write_buffer_limit mid-stream, and reads pause with most of the input
@@ -473,11 +512,14 @@ TEST(NetLoopback, SlowReaderSurvivesPartialWritesAndBackpressure) {
 /// the resume.
 ///
 /// Worker-delivered verdicts would make the pause position racy, so the
-/// output pressure here is ShedNotice frames: an in-process flood keeps
-/// the single tiny ring full, every wire feed sheds, and each shed queues
-/// its notice *synchronously* on the reactor.  The pause point is then a
-/// pure function of bytes read -- always mid-stream, long after loopback
-/// delivery finished.
+/// output pressure here is ShedNotice frames: a gated session pins the one
+/// shard worker and its runs fill the single tiny ring behind it, every
+/// wire feed sheds, and each shed queues its notice *synchronously* on the
+/// reactor.  The pause point is then a pure function of bytes read --
+/// always mid-stream, long after loopback delivery finished.  (Producer
+/// threads flooding the ring held it full only while they refilled it
+/// faster than the worker drained it, so on a loaded host reads sometimes
+/// never paused.)
 TEST(NetLoopback, ResumeAfterBackpressureReadsBufferedTail) {
   ServerConfig config = Harness::make_default_config();
   config.shard.count = 1;
@@ -492,20 +534,24 @@ TEST(NetLoopback, ResumeAfterBackpressureReadsBufferedTail) {
   ASSERT_TRUE(h.start()) << h.transport.error();
 
   auto& manager = h.server.manager();
-  const auto factory = profile_factory();
-  constexpr SessionId kFloodSession = SessionId{1} << 20;
-  manager.open(kFloodSession, factory(kFloodSession, "accept"),
-               Priority::High);
-  std::atomic<bool> flood{true};
-  std::vector<std::thread> flooders;
-  for (int i = 0; i < 3; ++i) {
-    flooders.emplace_back([&] {
-      const auto big = word_of(20000);
-      while (flood.load(std::memory_order_relaxed))
-        manager.feed_batch(kFloodSession, big);  // Shed/full = just retry
-    });
+  auto gate = std::make_shared<GatedAcceptor::Gate>();
+  // Opens the gate however the test leaves, so the worker can be joined.
+  struct GateGuard {
+    GatedAcceptor::Gate& gate;
+    ~GateGuard() { gate.release(); }
+  } gate_guard{*gate};
+  const SessionId gated = manager.open(std::make_unique<GatedAcceptor>(gate),
+                                       Priority::High);
+  manager.feed_batch(gated, {{Symbol::chr('g'), 1}});
+  {
+    std::unique_lock lock(gate->mutex);
+    gate->cv.wait(lock, [&] { return gate->entered; });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // The worker is pinned: High-priority runs fill the ring to capacity.
+  for (Tick t = 2; manager.feed_batch(gated, {{Symbol::chr('g'), t}}) ==
+                   Admit::Accepted;
+       ++t) {
+  }
 
   TestClient client;
   ASSERT_TRUE(client.connect_to(h.transport.port(), /*rcvbuf=*/1));
@@ -527,9 +573,8 @@ TEST(NetLoopback, ResumeAfterBackpressureReadsBufferedTail) {
   // output fills, pauses reads, and from here on only EPOLLOUT (us
   // draining) can wake the connection.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  flood.store(false, std::memory_order_relaxed);
-  for (auto& t : flooders) t.join();
-  manager.close(kFloodSession);
+  gate->release();
+  manager.close(gated);
 
   // Every feed either queued a ShedNotice or reached the session; the
   // close's Verdict is last, so its arrival proves the whole tail was
@@ -1228,36 +1273,6 @@ TEST(ServerFacade, PackedHandoffReportsMatchDecodeAndApply) {
   }
 }
 
-/// An acceptor whose first feed blocks until the test opens its gate:
-/// pins the shard worker so the ring fills behind it.
-class GatedAcceptor final : public rtw::core::OnlineAcceptor {
-public:
-  struct Gate {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool entered = false;
-    bool open = false;
-  };
-  explicit GatedAcceptor(std::shared_ptr<Gate> gate) : gate_(std::move(gate)) {}
-
-  Verdict feed(Symbol, Tick) override {
-    std::unique_lock lock(gate_->mutex);
-    gate_->entered = true;
-    gate_->cv.notify_all();
-    gate_->cv.wait(lock, [this] { return gate_->open; });
-    return Verdict::Undetermined;
-  }
-  Verdict finish(StreamEnd) override { return Verdict::Rejecting; }
-  Verdict verdict() const override { return Verdict::Undetermined; }
-  const rtw::core::RunResult& result() const override { return result_; }
-  void reset() override {}
-  std::string name() const override { return "gated"; }
-
-private:
-  std::shared_ptr<Gate> gate_;
-  rtw::core::RunResult result_;
-};
-
 /// Bodies still in flight when their connection goes away.  A gated
 /// session pins the one shard worker while connections open sessions,
 /// send op-12 bodies, close or disconnect, and are dropped by the test.
@@ -1303,11 +1318,7 @@ TEST(ServerFacade, DisconnectStormWithBodiesInFlight) {
         conn->finish_input();
       gone.push_back(conn);
     }
-    {
-      std::lock_guard lock(gate->mutex);
-      gate->open = true;
-    }
-    gate->cv.notify_all();
+    gate->release();
     manager.close(gated);
     manager.drain();
   }
